@@ -1,11 +1,12 @@
 """Hot numeric kernels, compiled with numba when available.
 
-Every kernel exists twice: a loop version compiled with ``@njit`` and a
-vectorized (or plain-Python) numpy version.  The active set is chosen at
-import time; setting the environment variable ``FERMIPULSE_NO_NUMBA=1``
-forces the numpy path, as does a missing numba installation.  Both sets
-are kept importable so the test suite and ``benchmarks/bench_kernels.py``
-can compare them.
+The kernels in ``NUMPY_IMPLS`` exist twice: a loop version compiled with
+``@njit`` and a vectorized (or plain-Python) numpy version.  The active
+set is chosen at import time; setting the environment variable
+``FERMIPULSE_NO_NUMBA=1`` forces the numpy path, as does a missing numba
+installation.  Both sets are kept importable so the test suite and
+``benchmarks/bench_kernels.py`` can compare them.  ``fc_weighted_sum``,
+the incoherent contraction, is vectorized numpy only.
 """
 
 import math
@@ -125,6 +126,33 @@ def _fc_matrix_numpy(size, x):
         out[rows[m : size + 1], m] = v
         out[m, rows[m : size + 1]] = v
     return out
+
+
+def fc_weighted_sum(weights, size, x):
+    """sum_{m, d} |<m+d|D(xi)|m>|^2 weights[m, d] over m + d <= size, x > 0.
+
+    ``weights`` packs the triangle row by row: row m holds d = 0..size-m
+    and starts at m*(size+1) - m*(m-1)/2.  The normalized amplitudes are
+    those of ``fc_matrix``, advanced along m for every diagonal still
+    inside the triangle, so the working vector shrinks by one per step and
+    no (size+1)^2 matrix is formed.
+    """
+    d = np.arange(size + 1, dtype=np.float64)
+    am = np.exp(-0.5 * x + 0.5 * (d * math.log(x) - gammaln(d + 1.0)))
+    am[0] = math.exp(-0.5 * x)
+    acc = float((am * am) @ weights[: size + 1])
+    am1 = np.zeros(size + 1)
+    root = np.zeros(size + 1)  # sqrt(m (m + d)), the coefficient of a_{m-1}
+    start = size + 1
+    for m in range(size):
+        k = size - m  # diagonals d < k reach row m + 1
+        dk = d[:k]
+        root_next = np.sqrt((m + 1.0) * (m + 1.0 + dk))
+        anext = ((2.0 * m + 1.0 - x + dk) * am[:k] - root[:k] * am1[:k]) / root_next
+        acc += float((anext * anext) @ weights[start : start + k])
+        start += k
+        am1, am, root = am, anext, root_next
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -494,3 +494,7 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,8 +12,11 @@ Three strategies per quantity, valid in complementary regimes:
 * occupation-table sums (any z, the degenerate regime): a single scaled
   Laguerre sum for the coherent branch; for the incoherent branch either
   the direct four-index sum over per-axis displacement tables (small
-  traps, the mid-scale oracle) or the same sum reorganized as a 2D index
-  convolution evaluated with FFTs;
+  traps, the mid-scale oracle) or its exact single-axis contraction.
+  Shell projectors commute with rotations, so F2_in depends only on
+  x = x_x + x_z; with the momentum transfer along one axis the sum is
+  F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair weight
+  W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state;
 * closed forms for Maxwell-Boltzmann occupations.
 """
 
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
+import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
 from .statmech import Statistics, ThermalState, _degeneracy_array
@@ -122,6 +125,35 @@ def _occupation_pair_block(state, size):
         out[idx[:take], idx[:take] + d] = tail[:take]
         if d:
             out[idx[:take] + d, idx[:take]] = tail[:take]
+    out.flags.writeable = False
+    with state._lock:
+        state._cache[key] = out
+    return out
+
+
+def _weight_diagonals(state, size):
+    """Packed table of W(m, m+d) = sum_s (s+1) P(s+m) P(s+m+d), m + d <= size.
+
+    Row m holds d = 0..size-m, the layout ``_kernels.fc_weighted_sum``
+    reads; entries with d > 0 are doubled, because |<a|D|b>|^2 is symmetric
+    in a and b.  Each diagonal is a double reverse cumulative sum of
+    P(n) P(n+d) that runs to the end of the occupation table.
+    """
+    key = ("weight_diagonals", size)
+    with state._lock:
+        cached = state._cache.get(key)
+    if cached is not None:
+        return cached
+    p = state.occupations
+    n_top = p.shape[0] - 1
+    rows = np.arange(size + 1)
+    start = rows * (size + 1) - rows * (rows - 1) // 2
+    out = np.empty(start[-1] + 1)
+    for d in range(size + 1):
+        prod = p[: n_top + 1 - d] * p[d:]
+        tail = np.cumsum(np.cumsum(prod[::-1]))[::-1]
+        take = size + 1 - d
+        out[start[:take] + d] = tail[:take] if d == 0 else 2.0 * tail[:take]
     out.flags.writeable = False
     with state._lock:
         state._cache[key] = out
@@ -275,39 +307,12 @@ def _incoherent_quad(state, x_x, x_z):
     return float(_kernels.quad_sum(pair, mx, mz))
 
 
-def _conv2_full(a, b):
-    n0 = a.shape[0] + b.shape[0] - 1
-    n1 = a.shape[1] + b.shape[1] - 1
-    f0 = _fft.next_fast_len(n0, real=True)
-    f1 = _fft.next_fast_len(n1, real=True)
-    fa = _fft.rfft2(a, s=(f0, f1), workers=-1)
-    fa *= _fft.rfft2(b, s=(f0, f1), workers=-1)
-    return _fft.irfft2(fa, s=(f0, f1), workers=-1)[:n0, :n1]
-
-
-def _incoherent_conv(state, x_x, x_z, tol):
+def _incoherent_conv(state, x, tol):
+    """F2_in at total transfer x: the single-axis contraction over shells <= n_eff."""
+    if x == 0.0:
+        return _incoherent_x0(state)
     n_eff = _effective_shell_cutoff(state, tol)
-    mx = _kernels.fc_matrix(n_eff, float(x_x))
-    mz = _kernels.fc_matrix(n_eff, float(x_z))
-    kernel = _conv2_full(mx, mz)[: n_eff + 1, : n_eff + 1]
-    kmax = float(kernel.max())
-    kmin = float(kernel.min())
-    if kmin < 0.0:
-        # FFT round-off produces harmless tiny negatives, bounded by the
-        # product of the input norms; anything larger signals a genuine
-        # accuracy failure.  Kernel values at or below the noise floor are
-        # indistinguishable from zero.
-        noise_floor = 1e-14 * float(mx.sum()) * float(mz.sum())
-        if kmin < -max(1e-12 * kmax, noise_floor, 1e-300):
-            raise ToleranceNotMet(
-                f"convolution kernel has negative entry {kmin:.3g} vs max {kmax:.3g}"
-            )
-        np.clip(kernel, 0.0, None, out=kernel)
-    pair = _occupation_pair_block(state, n_eff)
-    value = float(np.einsum("ij,ij->", pair, kernel))
-    if value < 0.0:
-        raise ToleranceNotMet(f"convolution sum returned {value:.3g} < 0")
-    return value
+    return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +342,12 @@ def _check_point(state, x):
 
 def _cross_check_once(state, key, fast, other, scale_x, tol):
     """On the first auto power-series use per state, verify one point against
-    the occupation-table branch at a damped momentum transfer."""
+    the occupation-table branch at a damped momentum transfer.  The state
+    counts as checked only after a comparison passes, so a failing check
+    raises on every call."""
     with state._lock:
         if state._cache.get(key):
             return
-        state._cache[key] = True
     a = fast(scale_x)
     b = other(scale_x)
     bound = max(1e-6, 100.0 * tol)
@@ -350,6 +356,8 @@ def _cross_check_once(state, key, fast, other, scale_x, tol):
             f"auto cross-check failed at x={scale_x:.4g}: power series {a:.12g} "
             f"vs table sum {b:.12g}"
         )
+    with state._lock:
+        state._cache[key] = True
 
 
 def coherent_form(req):
@@ -387,15 +395,12 @@ def incoherent_form(req):
     if method is Method.AUTO:
         method = _auto_method(st, incoherent=True)
         if method is Method.POWER_SERIES and _effective_shell_cutoff(st, req.tolerance) <= _CROSS_CHECK_CONV_LIMIT:
-            x = pt.x_total
-            scale = _check_point(st, x)
-            ratio = scale / x if x > 0.0 else 0.0
             _cross_check_once(
                 st,
                 "auto_checked_inc",
                 lambda xx: _incoherent_power_series(st, xx, req.tolerance),
-                lambda _: _incoherent_conv(st, pt.x_x * ratio, pt.x_z * ratio, req.tolerance),
-                scale,
+                lambda xx: _incoherent_conv(st, xx, req.tolerance),
+                _check_point(st, pt.x_total),
                 req.tolerance,
             )
     if pt.x_x == 0.0 and pt.x_z == 0.0 and method is not Method.POWER_SERIES:
@@ -409,4 +414,4 @@ def incoherent_form(req):
     if method is Method.QUAD_SUM:
         return _incoherent_quad(st, pt.x_x, pt.x_z)
     # CONVOLUTION_SUM; LAGUERRE_SUM falls through as the general alias
-    return _incoherent_conv(st, pt.x_x, pt.x_z, req.tolerance)
+    return _incoherent_conv(st, pt.x_total, req.tolerance)

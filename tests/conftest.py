@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,10 @@ def state_cache():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a child interpreter that imports this fermipulse."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fp.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -232,6 +234,17 @@ class TestFugacityCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "log_z=" in out and "n_max=" in out and "EF=" in out
+
+    def test_module_entry_point(self, package_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermipulse.cli", "fugacity", "--atoms", "100", "--temperature", "0.5EF"],
+            capture_output=True,
+            text=True,
+            env=package_env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("statistics=fd ")
 
 
 class TestDeterminism:

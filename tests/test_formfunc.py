@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from fermipulse.formfunc import (
     Method,
     QUAD_SUM_CEILING,
     SeriesDivergence,
+    ToleranceNotMet,
+    _cross_check_once,
     _incoherent_x0,
 )
 from fermipulse.statmech import _degeneracy_array
@@ -160,6 +166,62 @@ class TestIncoherentForm:
             a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
             b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
             assert a == pytest.approx(b, rel=1e-10)
+
+    def test_convolution_depends_on_total_transfer_only(self):
+        st = from_fugacity(5.0, 2.0, 40)
+        for x_x, x_z in ((0.7, 2.9), (11.0, 36.0), (150.0, 4.5)):
+            want = fp.incoherent_form(fp.FormFunctionRequest(st, point(x_x, x_z), Method.CONVOLUTION_SUM))
+            for pt in (point(x_z, x_x), point(x_x + x_z, 0.0)):
+                got = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+                assert got == pytest.approx(want, rel=1e-13)
+
+    def test_convolution_zero_transfer(self):
+        # the auto path cross-checks the power series at the damped point,
+        # which is x = 0 itself for a zero-transfer request
+        st = from_fugacity(math.log(0.5), 1.2, 46)
+        g = _degeneracy_array(st.n_max)
+        want = float(g @ st.occupations**2)
+        got = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CONVOLUTION_SUM))
+        assert got == pytest.approx(want, rel=1e-13)
+        auto = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+        assert auto == pytest.approx(want, rel=1e-13)
+        assert st._cache.get("auto_checked_inc") is True
+
+    def test_convolution_large_shell_cutoff(self, package_env):
+        # 10^6 atoms at 1.36 EF: n_eff = 6891.  Run in a fresh process so
+        # its peak resident memory is the contraction's own.
+        script = textwrap.dedent(
+            """
+            import json, resource
+            import fermipulse as fp
+            from fermipulse.formfunc import Method, _effective_shell_cutoff, _incoherent_x0
+
+            n = 10**6
+            st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
+            pt = fp.ScatterPoint(0.0, 0.0, 40.0, 10.0, 30.0)
+            conv = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+            series = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES))
+            print(json.dumps({
+                "n_eff": _effective_shell_cutoff(st),
+                "conv": conv,
+                "series": series,
+                "peak": _incoherent_x0(st),
+                "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            }))
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["n_eff"] == 6891
+        assert out["maxrss_kb"] < 1024**2
+        assert abs(out["conv"] - out["series"]) <= 1e-8 * out["peak"]
+
+    def test_failed_cross_check_raises_every_call(self):
+        st = from_fugacity(math.log(0.5), 1.2, 46)
+        for _ in range(2):
+            with pytest.raises(ToleranceNotMet):
+                _cross_check_once(st, "auto_checked_inc", lambda x: 1.0, lambda x: 2.0, 3.0, 1e-8)
 
     def test_mb_closed_form_matches_table_sum(self):
         st = fp.solve_fugacity(300, 4.0, "mb")
