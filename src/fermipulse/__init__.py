@@ -9,7 +9,6 @@ ground-state size).
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .formfunc import (
     BudgetExceeded,
     FormFunctionError,
@@ -67,7 +66,6 @@ from .statmech import (
 
 __all__ = [
     "__version__",
-    "USING_NUMBA",
     "AngularMode",
     "BudgetExceeded",
     "ConvergenceFailure",

@@ -1,32 +1,15 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, one sequential numpy implementation each.
 
-The kernels in ``NUMPY_IMPLS`` exist twice: a loop version compiled with
-``@njit`` and a vectorized (or plain-Python) numpy version.  The active
-set is chosen at import time; setting the environment variable
-``FERMIPULSE_NO_NUMBA=1`` forces the numpy path, as does a missing numba
-installation.  Both sets are kept importable so the test suite and
-``benchmarks/bench_kernels.py`` can compare them.  ``fc_weighted_sum``,
-the incoherent contraction, is vectorized numpy only.
+``laguerre_scaled_table`` and ``laguerre_weighted_sum`` run the scaled
+Laguerre recurrence; ``fc_matrix`` builds the squared displacement
+matrix; ``fc_weighted_sum`` contracts it with packed weights without
+forming the matrix; ``quad_sum`` is the direct four-index oracle sum.
 """
 
 import math
-import os
 
 import numpy as np
 from scipy.special import gammaln
-
-_NO_NUMBA_ENV = os.environ.get("FERMIPULSE_NO_NUMBA", "").strip().lower()
-_DISABLED = _NO_NUMBA_ENV in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by FERMIPULSE_NO_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    njit = None
-    USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +18,7 @@ except ImportError:
 # catastrophically already at x ~ few hundred).
 # ---------------------------------------------------------------------------
 
-def _laguerre_scaled_table_loops(n_max, alpha, x):
+def laguerre_scaled_table(n_max, alpha, x):
     out = np.empty(n_max + 1)
     l0 = math.exp(-0.5 * x)
     out[0] = l0
@@ -51,7 +34,7 @@ def _laguerre_scaled_table_loops(n_max, alpha, x):
     return out
 
 
-def _laguerre_weighted_sum_loops(w, alpha, x):
+def laguerre_weighted_sum(w, alpha, x):
     # sum_n w[n] * e^{-x/2} L_n^alpha(x), without materializing the table
     l0 = math.exp(-0.5 * x)
     acc = w[0] * l0
@@ -75,33 +58,8 @@ def _laguerre_weighted_sum_loops(w, alpha, x):
 # a_m is bounded by 1, so the recurrence cannot overflow.
 # ---------------------------------------------------------------------------
 
-def _fc_matrix_loops(size, x):
-    out = np.zeros((size + 1, size + 1))
-    for d in range(size + 1):
-        if d == 0:
-            a0 = math.exp(-0.5 * x)
-        elif x == 0.0:
-            continue  # off-diagonal elements vanish at zero momentum transfer
-        else:
-            a0 = math.exp(-0.5 * x + 0.5 * (d * math.log(x) - math.lgamma(d + 1.0)))
-        out[d, 0] = a0 * a0
-        out[0, d] = out[d, 0]
-        am1 = 0.0
-        am = a0
-        for m in range(size - d):
-            anext = ((2.0 * m + d + 1.0 - x) * am - math.sqrt(m * (m + d)) * am1) / math.sqrt(
-                (m + 1.0) * (m + 1.0 + d)
-            )
-            am1 = am
-            am = anext
-            v = anext * anext
-            out[m + 1 + d, m + 1] = v
-            out[m + 1, m + 1 + d] = v
-    return out
-
-
-def _fc_matrix_numpy(size, x):
-    # same recurrence, advanced for all diagonals d at once
+def fc_matrix(size, x):
+    # the recurrence advanced for all diagonals d at once
     d = np.arange(size + 1, dtype=np.float64)
     if x == 0.0:
         return np.eye(size + 1)
@@ -160,24 +118,7 @@ def fc_weighted_sum(weights, size, x):
 # with shell indices clamped to the table size.  O(S^4): mid-scale oracle.
 # ---------------------------------------------------------------------------
 
-def _quad_sum_loops(p2, mx, mz):
-    s_top = mx.shape[0] - 1
-    tot = 0.0
-    for nx in range(s_top + 1):
-        for nz in range(s_top + 1 - nx):
-            s = nx + nz
-            part = 0.0
-            for mmx in range(s_top + 1):
-                a = mx[nx, mmx]
-                if a == 0.0:
-                    continue
-                for mmz in range(s_top + 1 - mmx):
-                    part += a * p2[s, mmx + mmz] * mz[nz, mmz]
-            tot += part
-    return tot
-
-
-def _quad_sum_numpy(p2, mx, mz):
+def quad_sum(p2, mx, mz):
     s_top = mx.shape[0] - 1
     r = np.arange(s_top + 1)
     idx = r[:, None] + r[None, :]
@@ -191,33 +132,3 @@ def _quad_sum_numpy(p2, mx, mz):
         tot += anti.sum()
     return float(tot)
 
-
-if USING_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    laguerre_scaled_table = _jit(_laguerre_scaled_table_loops)
-    laguerre_weighted_sum = _jit(_laguerre_weighted_sum_loops)
-    fc_matrix = _jit(_fc_matrix_loops)
-    quad_sum = _jit(_quad_sum_loops)
-else:
-    laguerre_scaled_table = _laguerre_scaled_table_loops
-    laguerre_weighted_sum = _laguerre_weighted_sum_loops
-    fc_matrix = _fc_matrix_numpy
-    quad_sum = _quad_sum_numpy
-
-NUMPY_IMPLS = {
-    "laguerre_scaled_table": _laguerre_scaled_table_loops,
-    "laguerre_weighted_sum": _laguerre_weighted_sum_loops,
-    "fc_matrix": _fc_matrix_numpy,
-    "quad_sum": _quad_sum_numpy,
-}
-
-JIT_IMPLS = (
-    {
-        "laguerre_scaled_table": laguerre_scaled_table,
-        "laguerre_weighted_sum": laguerre_weighted_sum,
-        "fc_matrix": fc_matrix,
-        "quad_sum": quad_sum,
-    }
-    if USING_NUMBA
-    else {}
-)

@@ -17,6 +17,8 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
+import operator
 import os
 import sys
 import time
@@ -39,7 +41,6 @@ from .spectra import (
     AngularMode,
     angular_distribution,
     frequency_distribution,
-    parallel_map,
     resolve_mode,
     theta_integrals,
     total_photons,
@@ -107,14 +108,18 @@ class RunConfig:
     strict: bool = False
 
     def validate(self):
-        if self.atoms < 1 or self.atoms != int(self.atoms):
-            raise ConfigError("atoms", f"must be a positive integer, got {self.atoms!r}")
+        atoms = self.atoms
+        integral = isinstance(atoms, numbers.Integral) or (isinstance(atoms, float) and atoms.is_integer())
+        if isinstance(atoms, bool) or not integral or atoms < 1:
+            raise ConfigError("atoms", f"must be a positive integer, got {atoms!r}")
         if not self.temperatures:
             raise ConfigError("temperatures", "must be non-empty")
         self.temperatures = [Temperature.parse(t) for t in self.temperatures]
+        if fermi_energy(self.atoms) == 0.0 and any(t.unit == "EF" for t in self.temperatures):
+            raise ConfigError("temperatures", "E_F is 0 for a single atom; give temperatures in trap units")
         for name in ("kla", "gamma_ratio", "natural_width_ratio", "tolerance", "varpi_window"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ConfigError(name, f"must be positive, got {v!r}")
         if self.statistics not in ("fd", "mb", "both"):
             raise ConfigError("statistics", f"must be fd, mb or both, got {self.statistics!r}")
@@ -130,16 +135,16 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError("mode", str(e)) from None
         if self.threads != "auto":
-            if not isinstance(self.threads, int) or self.threads < 1:
+            if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
                 raise ConfigError("threads", f"must be 'auto' or a positive integer, got {self.threads!r}")
         return self
 
     def resolved_threads(self):
-        if self.strict:
-            return 1
-        if self.threads == "auto":
-            return min(8, os.cpu_count() or 1)
-        return int(self.threads)
+        """Always 1: every command evaluates in the calling thread.
+
+        Kept because ``fermibench/worker.py`` calls it on every run.
+        """
+        return 1
 
     def trap(self):
         return TrapModel(
@@ -191,11 +196,16 @@ _CONFIG_FIELDS = {
 
 def _parse_grid(value):
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return int(value[0]), int(value[1])
-    s = str(value).lower().replace("x", " ").split()
-    if len(s) != 2:
-        raise ConfigError("grid", f"expected THETAxVARPI, got {value!r}")
-    return int(s[0]), int(s[1])
+        parts = value
+    else:
+        parts = str(value).lower().replace("x", " ").split()
+        if len(parts) != 2:
+            raise ConfigError("grid", f"expected THETAxVARPI, got {value!r}")
+    try:
+        # operator.index rejects the floats that int() would truncate
+        return tuple(int(p) if isinstance(p, str) else operator.index(p) for p in parts)
+    except (TypeError, ValueError):
+        raise ConfigError("grid", f"expected integer counts THETAxVARPI, got {value!r}") from None
 
 
 def load_config(path, overrides):
@@ -281,6 +291,15 @@ def _solve_states(cfg):
     return out
 
 
+def parallel_map(fn, items):
+    """Ordered map in the calling thread.
+
+    The name stays only because ``fermibench/tracer.py`` wraps
+    ``cli.parallel_map`` as its ``cli.pool`` span.
+    """
+    return [fn(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -312,7 +331,7 @@ def cmd_formfunc(cfg):
             progress.step()
             return pt.x_total, c, i
 
-        values = parallel_map(at, points, cfg.resolved_threads())
+        values = parallel_map(at, points)
         for channel, col in (("coh", 1), ("in", 2)):
             path, fh = _open_out(cfg, f"formfunc_{channel}_{stat.value}_{temp.label()}")
             with fh:
@@ -341,7 +360,7 @@ def cmd_spectrum(cfg):
             progress.step()
             return out
 
-        ang = parallel_map(at_theta, list(thetas), cfg.resolved_threads())
+        ang = parallel_map(at_theta, thetas)
         path, fh = _open_out(cfg, f"angular_{stat.value}_{temp.label()}")
         with fh:
             fh.write("theta_deg,dN_coh,dN_in\n")
@@ -360,7 +379,7 @@ def cmd_spectrum(cfg):
             progress.step()
             return out
 
-        freq = parallel_map(at_varpi, list(varpis), cfg.resolved_threads())
+        freq = parallel_map(at_varpi, varpis)
         path, fh = _open_out(cfg, f"frequency_{stat.value}_{temp.label()}")
         with fh:
             fh.write("varpi,dN_coh,dN_in\n")
@@ -439,8 +458,12 @@ def _build_parser():
         p.add_argument("--mode", choices=["auto", "full", "frozen"])
         p.add_argument("--tolerance", type=float)
         p.add_argument("--output")
-        p.add_argument("--threads")
-        p.add_argument("--strict", action="store_true", help="sequential evaluation for byte-identical output")
+        p.add_argument("--threads", help="accepted for compatibility; evaluation is always sequential")
+        p.add_argument(
+            "--strict",
+            action="store_true",
+            help="accepted for compatibility; output is always byte-identical across runs",
+        )
     return parser
 
 

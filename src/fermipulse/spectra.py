@@ -14,7 +14,6 @@ in total.
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -288,23 +287,6 @@ def total_photons(
     return n_coh, n_in
 
 
-def parallel_map(fn, items, threads=1):
-    """Map preserving order, optionally over a thread pool.
-
-    The first item is always evaluated in the calling thread so that any
-    lazily built per-state tables exist before the fan-out.
-    """
-    items = list(items)
-    if not items:
-        return []
-    first = fn(items[0])
-    if threads <= 1 or len(items) == 1:
-        return [first] + [fn(it) for it in items[1:]]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rest = list(pool.map(fn, items[1:]))
-    return [first] + rest
-
-
 @dataclass(frozen=True)
 class SpectrumGrid:
     """Differential spectrum sampled on a rectangular (theta, varpi) grid."""
@@ -323,23 +305,19 @@ class SpectrumGrid:
         varpis,
         method=Method.AUTO,
         tolerance=1e-8,
-        threads=1,
     ):
         thetas = np.asarray(thetas, dtype=np.float64)
         varpis = np.asarray(varpis, dtype=np.float64)
-        points = [(i, j) for i in range(thetas.size) for j in range(varpis.size)]
-
-        def at(ij):
-            i, j = ij
-            return differential(state, trap, float(thetas[i]), float(varpis[j]), method, tolerance)
-
-        values = parallel_map(at, points, threads)
-        coh = np.empty((thetas.size, varpis.size))
-        inc = np.empty((thetas.size, varpis.size))
-        for (i, j), (c, s) in zip(points, values):
-            coh[i, j] = c
-            inc[i, j] = s
-        return cls(thetas=thetas, varpis=varpis, coherent=coh, incoherent=inc)
+        values = np.array(
+            [
+                [differential(state, trap, float(t), float(v), method, tolerance) for v in varpis]
+                for t in thetas
+            ],
+            dtype=np.float64,
+        ).reshape(thetas.size, varpis.size, 2)
+        return cls(
+            thetas=thetas, varpis=varpis, coherent=values[..., 0], incoherent=values[..., 1]
+        )
 
     def write_csv(self, stream):
         stream.write("theta_deg,varpi,c_coh,c_in\n")

@@ -76,6 +76,34 @@ class TestConfig:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, flags, fieldname",
+        [
+            pytest.param(None, ["--grid", "axb"], "grid", id="grid-flag"),
+            pytest.param({"grid": "axb"}, [], "grid", id="grid-file"),
+            pytest.param({"grid": [2.5, 3]}, [], "grid", id="grid-float"),
+            pytest.param({"atoms": "abc"}, [], "atoms", id="atoms-text"),
+            pytest.param({"atoms": True}, [], "atoms", id="atoms-bool"),
+            pytest.param({"kla": True}, [], "kla", id="kla-bool"),
+            pytest.param({"threads": True}, [], "threads", id="threads-bool"),
+            pytest.param(None, ["--atoms", "1", "--temperature", "1EF"], "temperatures", id="one-atom-in-ef"),
+        ],
+    )
+    def test_malformed_input_exit_2(self, tmp_path, capsys, config, flags, fieldname):
+        args = ["fugacity", *flags]
+        if config is not None:
+            cfgfile = tmp_path / "run.json"
+            cfgfile.write_text(json.dumps(config))
+            args += ["--config", str(cfgfile)]
+        rc = main(args)
+        assert rc == 2
+        assert fieldname in capsys.readouterr().err
+
+    def test_threads_zero_exit_2(self, capsys):
+        rc = main(["fugacity", "--atoms", "100", "--threads", "0"])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+
     def test_config_hash_stable(self):
         a = load_config(None, {"atoms": 100}).config_hash()
         b = load_config(None, {"atoms": 100}).config_hash()
@@ -235,9 +263,10 @@ class TestFugacityCommand:
         out = capsys.readouterr().out
         assert "log_z=" in out and "n_max=" in out and "EF=" in out
 
-    def test_module_entry_point(self, package_env):
+    @pytest.mark.parametrize("module", ["fermipulse.cli", "fermipulse"])
+    def test_module_entry_point(self, package_env, module):
         proc = subprocess.run(
-            [sys.executable, "-m", "fermipulse.cli", "fugacity", "--atoms", "100", "--temperature", "0.5EF"],
+            [sys.executable, "-m", module, "fugacity", "--atoms", "100", "--temperature", "0.5EF"],
             capture_output=True,
             text=True,
             env=package_env,

@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 import fermipulse as fp
 from fermipulse import from_fugacity
@@ -277,3 +279,33 @@ class TestDecay:
         inc = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 625.0)))
         envelope = math.exp(-625.0 * math.tanh(0.5 / tau))
         assert inc / inc0 == pytest.approx(envelope, rel=2e-2)
+
+
+class TestInvariants:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n_atoms=st_.integers(2, 5000),  # E_F = 0 at N = 1, so T/E_F needs N >= 2
+        t_over_ef=st_.floats(0.01, 3.0),
+        statistics=st_.sampled_from(["fd", "mb"]),
+        x=st_.floats(0.0, 400.0),
+        method=st_.sampled_from([Method.AUTO, Method.CONVOLUTION_SUM, Method.LAGUERRE_SUM]),
+    )
+    def test_form_function_bounds(self, n_atoms, t_over_ef, statistics, x, method):
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
+
+        def forms(at):
+            # the power series is accurate to the requested tolerance, which
+            # must sit below the 1e-9 slack of the bounds
+            req = fp.FormFunctionRequest(st, point(at, 0.0), method, 1e-10)
+            return fp.coherent_form(req), fp.incoherent_form(req)
+
+        coh0, inc0 = forms(0.0)
+        coh, inc = forms(x)
+        n2 = float(n_atoms) ** 2
+        assert coh0 == pytest.approx(n2, rel=1e-10)
+        assert 0.0 <= coh <= n2 * (1 + 1e-9)
+        assert 0.0 <= inc <= inc0 * (1 + 1e-9)
+        # sum g P^2 <= max(P) N: Fermi-Dirac has P <= 1 (Pauli), while cold
+        # Maxwell-Boltzmann occupations exceed 1
+        p_max = 1.0 if statistics == "fd" else max(1.0, float(st.occupations.max()))
+        assert inc0 <= p_max * n_atoms * (1 + 1e-9)

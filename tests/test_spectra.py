@@ -227,11 +227,13 @@ class TestSpectrumGrid:
         assert lines[0] == "theta_deg,varpi,c_coh,c_in"
         assert len(lines) == 1 + 4 * 5
 
-    def test_threaded_evaluation_matches_sequential(self, trap, state_cache):
+    def test_cells_equal_pointwise_differential(self, trap, state_cache):
         st = state_cache(100, 1.0)
         thetas = np.linspace(0.0, math.pi, 5)
         varpis = np.linspace(-3.0, 3.0, 7)
-        a = fp.SpectrumGrid.evaluate(st, trap, thetas, varpis, threads=1)
-        b = fp.SpectrumGrid.evaluate(st, trap, thetas, varpis, threads=4)
-        np.testing.assert_array_equal(a.coherent, b.coherent)
-        np.testing.assert_array_equal(a.incoherent, b.incoherent)
+        grid = fp.SpectrumGrid.evaluate(st, trap, thetas, varpis)
+        for i, theta in enumerate(thetas):
+            for j, varpi in enumerate(varpis):
+                c, s = fp.differential(st, trap, float(theta), float(varpi))
+                assert grid.coherent[i, j] == c
+                assert grid.incoherent[i, j] == s
