@@ -22,7 +22,7 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .model import (
     DEFAULT_GAMMA_RATIO,
     DEFAULT_KLA,
     DEFAULT_NATURAL_WIDTH_RATIO,
+    MAX_GAMMA_RATIO,
     TrapModel,
     kinematics,
 )
@@ -63,6 +64,8 @@ class Temperature:
     def parse(cls, text):
         if isinstance(text, Temperature):
             return text
+        if isinstance(text, bool):
+            raise ConfigError("temperatures", f"expected a number or a string like 1.36EF, got {text!r}")
         if isinstance(text, (int, float)):
             return cls(float(text), "EF")
         s = str(text).strip()
@@ -121,6 +124,11 @@ class RunConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ConfigError(name, f"must be positive, got {v!r}")
+        if self.gamma_ratio >= MAX_GAMMA_RATIO:
+            raise ConfigError("gamma_ratio", f"must be < {MAX_GAMMA_RATIO}, got {self.gamma_ratio!r}")
+        # the scattered wavenumber kla (1 + gamma_ratio varpi) must stay positive
+        if self.gamma_ratio * self.varpi_window >= 1.0:
+            raise ConfigError("varpi_window", f"must be < 1/gamma_ratio, got {self.varpi_window!r}")
         if self.statistics not in ("fd", "mb", "both"):
             raise ConfigError("statistics", f"must be fd, mb or both, got {self.statistics!r}")
         nt, nv = self.grid
@@ -159,39 +167,16 @@ class RunConfig:
         return [Statistics.parse(self.statistics)]
 
     def config_hash(self):
-        payload = {
-            "atoms": self.atoms,
-            "temperatures": [t.label() for t in self.temperatures],
-            "kla": self.kla,
-            "gamma_ratio": self.gamma_ratio,
-            "natural_width_ratio": self.natural_width_ratio,
-            "statistics": self.statistics,
-            "grid": list(self.grid),
-            "varpi_window": self.varpi_window,
-            "method": self.method,
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-        }
+        """Hash of the fields that shape the data; output, threads and strict do not."""
+        skip = ("output", "threads", "strict")
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        payload["temperatures"] = [t.label() for t in self.temperatures]
+        payload["grid"] = list(self.grid)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-_CONFIG_FIELDS = {
-    "atoms",
-    "temperatures",
-    "kla",
-    "gamma_ratio",
-    "natural_width_ratio",
-    "statistics",
-    "grid",
-    "varpi_window",
-    "method",
-    "mode",
-    "tolerance",
-    "output",
-    "threads",
-    "strict",
-}
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _parse_grid(value):
@@ -243,6 +228,8 @@ def load_config(path, overrides):
 
 
 def _fmt(x):
+    if isinstance(x, str):
+        return x
     x = float(x)
     if not math.isfinite(x):
         raise FormFunctionError(f"non-finite value {x!r} in output")
@@ -271,24 +258,30 @@ class _Progress:
             )
 
 
-def _open_out(cfg, suffix):
+def _write_csv(cfg, suffix, header, rows):
+    """Write <output>_<suffix>.csv: the config line, the header, then rows.
+
+    Every cell goes through _fmt, which keeps strings verbatim.  rows may be
+    lazy, so the rows already computed stay on disk when a later one fails.
+    """
     path = f"{cfg.output}_{suffix}.csv"
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    fh = open(path, "w", newline="\n")
-    fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
-    return path, fh
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_fmt, row)) + "\n")
+    return path
 
 
 def _solve_states(cfg):
-    """(temperature, statistics, state) triples in config order."""
-    out = []
+    """Yield (temperature, statistics, state) in config order, solving each on demand."""
     for temp in cfg.temperatures:
         tau = temp.tau(cfg.atoms)
         for stat in cfg.statistics_list():
-            out.append((temp, stat, solve_fugacity(cfg.atoms, tau, stat)))
-    return out
+            yield temp, stat, solve_fugacity(cfg.atoms, tau, stat)
 
 
 def parallel_map(fn, items):
@@ -333,14 +326,9 @@ def cmd_formfunc(cfg):
 
         values = parallel_map(at, points)
         for channel, col in (("coh", 1), ("in", 2)):
-            path, fh = _open_out(cfg, f"formfunc_{channel}_{stat.value}_{temp.label()}")
-            with fh:
-                fh.write("theta_deg,varpi,x_total,value\n")
-                for (theta, varpi), row in zip(points, values):
-                    fh.write(
-                        f"{_fmt(math.degrees(theta))},{_fmt(varpi)},{_fmt(row[0])},{_fmt(row[col])}\n"
-                    )
-            written.append(path)
+            suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
+            rows = [(math.degrees(theta), varpi, row[0], row[col]) for (theta, varpi), row in zip(points, values)]
+            written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", rows))
     return written
 
 
@@ -361,12 +349,8 @@ def cmd_spectrum(cfg):
             return out
 
         ang = parallel_map(at_theta, thetas)
-        path, fh = _open_out(cfg, f"angular_{stat.value}_{temp.label()}")
-        with fh:
-            fh.write("theta_deg,dN_coh,dN_in\n")
-            for theta, (dc, di) in zip(thetas, ang):
-                fh.write(f"{_fmt(math.degrees(theta))},{_fmt(dc)},{_fmt(di)}\n")
-        written.append(path)
+        rows = [(math.degrees(theta), dc, di) for theta, (dc, di) in zip(thetas, ang)]
+        written.append(_write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows))
 
         frozen = None
         if mode is AngularMode.FROZEN:
@@ -380,34 +364,24 @@ def cmd_spectrum(cfg):
             return out
 
         freq = parallel_map(at_varpi, varpis)
-        path, fh = _open_out(cfg, f"frequency_{stat.value}_{temp.label()}")
-        with fh:
-            fh.write("varpi,dN_coh,dN_in\n")
-            for varpi, (dc, di) in zip(varpis, freq):
-                fh.write(f"{_fmt(varpi)},{_fmt(dc)},{_fmt(di)}\n")
-        written.append(path)
+        rows = [(varpi, dc, di) for varpi, (dc, di) in zip(varpis, freq)]
+        written.append(_write_csv(cfg, f"frequency_{stat.value}_{temp.label()}", "varpi,dN_coh,dN_in", rows))
     return written
 
 
 def cmd_total(cfg):
     trap = cfg.trap()
     method = Method.parse(cfg.method)
-    mode = cfg.mode
     pulse = PulseModel.two_pi()
-    path, fh = _open_out(cfg, "total")
-    with fh:
-        fh.write("kT_over_EF,N_coh,N_in,statistics\n")
-        ef = fermi_energy(cfg.atoms)
-        for temp in cfg.temperatures:
-            tau = temp.tau(cfg.atoms)
-            for stat in cfg.statistics_list():
-                state = solve_fugacity(cfg.atoms, tau, stat)
-                n_coh, n_in = total_photons(
-                    state, trap, pulse, mode, method, cfg.tolerance
-                )
-                fh.write(f"{_fmt(tau / ef)},{_fmt(n_coh)},{_fmt(n_in)},{stat.value}\n")
-                print(f"total: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
-    return [path]
+    ef = fermi_energy(cfg.atoms)
+
+    def rows():
+        for temp, stat, state in _solve_states(cfg):
+            n_coh, n_in = total_photons(state, trap, pulse, cfg.mode, method, cfg.tolerance)
+            print(f"total: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
+            yield state.tau / ef, n_coh, n_in, stat.value
+
+    return [_write_csv(cfg, "total", "kT_over_EF,N_coh,N_in,statistics", rows())]
 
 
 def cmd_fugacity(cfg):

@@ -31,6 +31,8 @@ from . import _kernels
 from .statmech import Statistics, ThermalState, _degeneracy_array
 
 QUAD_SUM_CEILING = 60
+# at this n_eff the packed weight table, (n_eff+1)(n_eff+2)/2 doubles, is about 1 GiB
+CONVOLUTION_SUM_CEILING = 16_000
 
 # pragmatic caps on the slow paths
 _POWER_SERIES_MAX_TERMS = 500_000
@@ -51,7 +53,7 @@ class ToleranceNotMet(FormFunctionError):
 
 
 class BudgetExceeded(FormFunctionError):
-    """Direct four-index sum requested above its size ceiling."""
+    """Table sum requested above its size ceiling."""
 
 
 class Method(enum.Enum):
@@ -109,26 +111,23 @@ def _occupation_pair_block(state, size):
     Built by reverse cumulative sums along diagonals; the y sum runs to the
     end of the occupation table (occupations beyond n_max are zero).
     """
-    key = ("pair_block", size)
-    with state._lock:
-        cached = state._cache.get(key)
-    if cached is not None:
-        return cached
-    p = state.occupations
-    n_top = p.shape[0] - 1
-    out = np.empty((size + 1, size + 1))
-    idx = np.arange(size + 1)
-    for d in range(size + 1):
-        prod = p[: n_top + 1 - d] * p[d:]
-        tail = np.cumsum(prod[::-1])[::-1]
-        take = size + 1 - d
-        out[idx[:take], idx[:take] + d] = tail[:take]
-        if d:
-            out[idx[:take] + d, idx[:take]] = tail[:take]
-    out.flags.writeable = False
-    with state._lock:
-        state._cache[key] = out
-    return out
+
+    def build():
+        p = state.occupations
+        n_top = p.shape[0] - 1
+        out = np.empty((size + 1, size + 1))
+        idx = np.arange(size + 1)
+        for d in range(size + 1):
+            prod = p[: n_top + 1 - d] * p[d:]
+            tail = np.cumsum(prod[::-1])[::-1]
+            take = size + 1 - d
+            out[idx[:take], idx[:take] + d] = tail[:take]
+            if d:
+                out[idx[:take] + d, idx[:take]] = tail[:take]
+        out.flags.writeable = False
+        return out
+
+    return state.cached(("pair_block", size), build)
 
 
 def _weight_diagonals(state, size):
@@ -139,25 +138,22 @@ def _weight_diagonals(state, size):
     in a and b.  Each diagonal is a double reverse cumulative sum of
     P(n) P(n+d) that runs to the end of the occupation table.
     """
-    key = ("weight_diagonals", size)
-    with state._lock:
-        cached = state._cache.get(key)
-    if cached is not None:
-        return cached
-    p = state.occupations
-    n_top = p.shape[0] - 1
-    rows = np.arange(size + 1)
-    start = rows * (size + 1) - rows * (rows - 1) // 2
-    out = np.empty(start[-1] + 1)
-    for d in range(size + 1):
-        prod = p[: n_top + 1 - d] * p[d:]
-        tail = np.cumsum(np.cumsum(prod[::-1]))[::-1]
-        take = size + 1 - d
-        out[start[:take] + d] = tail[:take] if d == 0 else 2.0 * tail[:take]
-    out.flags.writeable = False
-    with state._lock:
-        state._cache[key] = out
-    return out
+
+    def build():
+        p = state.occupations
+        n_top = p.shape[0] - 1
+        rows = np.arange(size + 1)
+        start = rows * (size + 1) - rows * (rows - 1) // 2
+        out = np.empty(start[-1] + 1)
+        for d in range(size + 1):
+            prod = p[: n_top + 1 - d] * p[d:]
+            tail = np.cumsum(np.cumsum(prod[::-1]))[::-1]
+            take = size + 1 - d
+            out[start[:take] + d] = tail[:take] if d == 0 else 2.0 * tail[:take]
+        out.flags.writeable = False
+        return out
+
+    return state.cached(("weight_diagonals", size), build)
 
 
 def incoherent_weight(n, m, state):
@@ -180,22 +176,18 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
     half the requested tolerance of the zero-transfer peak sum g P^2.
     """
     budget = 0.5 * min(tolerance, 1e-6)
-    key = ("n_eff", round(math.log10(budget), 3))
-    with state._lock:
-        cached = state._cache.get(key)
-    if cached is not None:
-        return cached
-    g = _degeneracy_array(state.n_max)
-    p = state.occupations
-    tail = np.cumsum((g * p)[::-1])[::-1]
-    peak = float(g @ (p * p))
-    p_max = float(p.max()) if p.size else 0.0
-    cut = budget * peak / max(2.0 * p_max, 1e-300)
-    keep = np.nonzero(tail > max(cut, 1e-300))[0]
-    n_eff = int(keep[-1]) if keep.size else 0
-    with state._lock:
-        state._cache[key] = n_eff
-    return n_eff
+
+    def build():
+        g = _degeneracy_array(state.n_max)
+        p = state.occupations
+        tail = np.cumsum((g * p)[::-1])[::-1]
+        peak = float(g @ (p * p))
+        p_max = float(p.max()) if p.size else 0.0
+        cut = budget * peak / max(2.0 * p_max, 1e-300)
+        keep = np.nonzero(tail > max(cut, 1e-300))[0]
+        return int(keep[-1]) if keep.size else 0
+
+    return state.cached(("n_eff", round(math.log10(budget), 3)), build)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +304,11 @@ def _incoherent_conv(state, x, tol):
     if x == 0.0:
         return _incoherent_x0(state)
     n_eff = _effective_shell_cutoff(state, tol)
+    if n_eff > CONVOLUTION_SUM_CEILING:
+        raise BudgetExceeded(
+            f"single-axis contraction capped at n_eff <= {CONVOLUTION_SUM_CEILING}, "
+            f"state has n_eff = {n_eff}"
+        )
     return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, float(x))
 
 
@@ -345,19 +342,19 @@ def _cross_check_once(state, key, fast, other, scale_x, tol):
     the occupation-table branch at a damped momentum transfer.  The state
     counts as checked only after a comparison passes, so a failing check
     raises on every call."""
-    with state._lock:
-        if state._cache.get(key):
-            return
-    a = fast(scale_x)
-    b = other(scale_x)
-    bound = max(1e-6, 100.0 * tol)
-    if abs(a - b) > bound * max(abs(a), abs(b), 1e-300):
-        raise ToleranceNotMet(
-            f"auto cross-check failed at x={scale_x:.4g}: power series {a:.12g} "
-            f"vs table sum {b:.12g}"
-        )
-    with state._lock:
-        state._cache[key] = True
+
+    def check():
+        a = fast(scale_x)
+        b = other(scale_x)
+        bound = max(1e-6, 100.0 * tol)
+        if abs(a - b) > bound * max(abs(a), abs(b), 1e-300):
+            raise ToleranceNotMet(
+                f"auto cross-check failed at x={scale_x:.4g}: power series {a:.12g} "
+                f"vs table sum {b:.12g}"
+            )
+        return True
+
+    state.cached(key, check)
 
 
 def coherent_form(req):

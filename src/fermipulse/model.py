@@ -14,6 +14,9 @@ DEFAULT_KLA = 12.5
 DEFAULT_GAMMA_RATIO = 4.244e-5
 # Natural linewidth over pulse bandwidth: 2*pi*2.5 MHz times 10 ps.
 DEFAULT_NATURAL_WIDTH_RATIO = 1.5708e-4
+# the narrow-band treatment breaks down once the pulse bandwidth is not
+# small against the carrier
+MAX_GAMMA_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -36,11 +39,9 @@ class TrapModel:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
-        # the narrow-band treatment breaks down once the pulse bandwidth is
-        # not small against the carrier
-        if self.gamma_ratio >= 0.1:
+        if self.gamma_ratio >= MAX_GAMMA_RATIO:
             raise ValueError(
-                f"gamma_ratio must be < 0.1 for the narrow-band model, got {self.gamma_ratio}"
+                f"gamma_ratio must be < {MAX_GAMMA_RATIO} for the narrow-band model, got {self.gamma_ratio}"
             )
 
 

@@ -15,7 +15,7 @@ def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_simpson(f, a, b, *, rel_tol=1e-6, abs_tol=0.0, max_depth=48, seeds=None):
+def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
     """Integrate f over [a, b] by adaptive Simpson with Richardson correction.
 
     seeds, if given, are extra initial panel edges (clipped to (a, b)); use
@@ -43,7 +43,7 @@ def adaptive_simpson(f, a, b, *, rel_tol=1e-6, abs_tol=0.0, max_depth=48, seeds=
         s = _simpson(fu, fm, fv, v - u)
         panels.append((u, v, fu, fm, fv, s, 0))
         total0 += s
-    tol = max(abs_tol, rel_tol * abs(total0))
+    tol = rel_tol * abs(total0)
 
     span = b - a
     acc = 0.0

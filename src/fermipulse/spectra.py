@@ -34,6 +34,8 @@ THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
 # the sech line shapes decay like e^{-pi |w|}; beyond |w| = 12 the truncated
 # mass is below 1e-15
 VARPI_QUAD_WINDOW = 12.0
+# relative tolerance of every angular and detuning quadrature
+QUAD_REL_TOL = 1e-6
 
 
 class AngularMode(enum.Enum):
@@ -106,6 +108,31 @@ def _theta_seeds(trap):
     return seeds
 
 
+def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
+    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function."""
+
+    def f(theta):
+        pt = kinematics(trap, theta, varpi)
+        return angular_weight(theta) * form(FormFunctionRequest(state, pt, method, tolerance))
+
+    return adaptive_simpson(f, 0.0, math.pi, rel_tol=QUAD_REL_TOL, seeds=seeds)
+
+
+def _over_varpi(g):
+    """int s_coh(varpi) g(varpi) dvarpi over the detuning window.
+
+    g is not called where s_coh vanishes (varpi = 0 and the far tails).
+    """
+
+    def f(varpi):
+        s_coh, _ = single_atom_spectra(varpi)
+        if s_coh == 0.0:
+            return 0.0
+        return s_coh * g(varpi)
+
+    return adaptive_simpson(f, -VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW, rel_tol=QUAD_REL_TOL)
+
+
 class ThetaIntegrals(NamedTuple):
     """Angular integrals of the form functions at zero detuning."""
 
@@ -113,34 +140,17 @@ class ThetaIntegrals(NamedTuple):
     incoherent: float
 
 
-def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8, quad_rel_tol=1e-6):
+def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
     """int w(theta) F2(theta, 0) dtheta for both form functions."""
-    seeds = _theta_seeds(trap)
-
-    def f_coh(theta):
-        pt = kinematics(trap, theta, 0.0)
-        return angular_weight(theta) * coherent_form(FormFunctionRequest(state, pt, method, tolerance))
-
-    def f_in(theta):
-        pt = kinematics(trap, theta, 0.0)
-        return angular_weight(theta) * incoherent_form(FormFunctionRequest(state, pt, method, tolerance))
-
-    ic = adaptive_simpson(f_coh, 0.0, math.pi, rel_tol=quad_rel_tol, seeds=seeds)
-    # the incoherent form function is broad in angle; forward-cone seeds
-    # would only multiply the panel count
-    ii = adaptive_simpson(f_in, 0.0, math.pi, rel_tol=quad_rel_tol)
-    return ThetaIntegrals(coherent=ic, incoherent=ii)
+    return ThetaIntegrals(
+        coherent=_over_theta(coherent_form, state, trap, 0.0, method, tolerance, _theta_seeds(trap)),
+        # the incoherent form function is broad in angle; forward-cone seeds
+        # would only multiply the panel count
+        incoherent=_over_theta(incoherent_form, state, trap, 0.0, method, tolerance),
+    )
 
 
-def angular_distribution(
-    state,
-    trap,
-    theta,
-    mode=AngularMode.AUTO,
-    method=Method.AUTO,
-    tolerance=1e-8,
-    quad_rel_tol=1e-6,
-):
+def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
     """Photon densities (dN_coh/dtheta, dN_in/dtheta) at one angle."""
     mode = resolve_mode(mode, trap)
     norm = photon_norm(trap)
@@ -157,37 +167,17 @@ def angular_distribution(
         )
         return d_coh, d_in
 
-    def coh_kernel(varpi):
-        s_coh, _ = single_atom_spectra(varpi)
-        if s_coh == 0.0:
-            return 0.0
-        pt = kinematics(trap, theta, varpi)
-        return s_coh * coherent_form(FormFunctionRequest(state, pt, method, tolerance))
+    def at(form, varpi):
+        return form(FormFunctionRequest(state, kinematics(trap, theta, varpi), method, tolerance))
 
-    def in_kernel(varpi):
-        s_coh, _ = single_atom_spectra(varpi)
-        if s_coh == 0.0:
-            return 0.0
-        pt = kinematics(trap, theta, varpi)
-        return s_coh * incoherent_form(FormFunctionRequest(state, pt, method, tolerance))
-
-    wnd = VARPI_QUAD_WINDOW
-    i_coh = adaptive_simpson(coh_kernel, -wnd, wnd, rel_tol=quad_rel_tol)
-    i_sub = adaptive_simpson(in_kernel, -wnd, wnd, rel_tol=quad_rel_tol)
+    i_coh = _over_varpi(lambda varpi: at(coherent_form, varpi))
+    i_sub = _over_varpi(lambda varpi: at(incoherent_form, varpi))
     d_coh = norm * w * i_coh
     d_in = norm * w * (n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - i_sub)
     return d_coh, d_in
 
 
-def frequency_distribution(
-    state,
-    trap,
-    varpi,
-    method=Method.AUTO,
-    tolerance=1e-8,
-    quad_rel_tol=1e-6,
-    frozen_integrals=None,
-):
+def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-8, frozen_integrals=None):
     """Photon densities (dN_coh/dvarpi, dN_in/dvarpi) at one detuning.
 
     With frozen_integrals (a ThetaIntegrals) the angular integrals of the
@@ -206,33 +196,15 @@ def frequency_distribution(
         # the form-function terms carry s_coh and vanish exactly; the
         # remaining angular integral is the closed weight total
         return 0.0, norm * n * s_in * THETA_WEIGHT_TOTAL
-    seeds = _theta_seeds(trap)
-
-    def f_coh(theta):
-        pt = kinematics(trap, theta, varpi)
-        return angular_weight(theta) * coherent_form(FormFunctionRequest(state, pt, method, tolerance))
-
-    def f_in(theta):
-        pt = kinematics(trap, theta, varpi)
-        return angular_weight(theta) * incoherent_form(FormFunctionRequest(state, pt, method, tolerance))
-
-    ic = adaptive_simpson(f_coh, 0.0, math.pi, rel_tol=quad_rel_tol, seeds=seeds)
-    ii = adaptive_simpson(f_in, 0.0, math.pi, rel_tol=quad_rel_tol)
+    ic = _over_theta(coherent_form, state, trap, varpi, method, tolerance, _theta_seeds(trap))
+    ii = _over_theta(incoherent_form, state, trap, varpi, method, tolerance)
     return (
         norm * s_coh * ic,
         norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * ii),
     )
 
 
-def total_photons(
-    state,
-    trap,
-    pulse,
-    mode=AngularMode.AUTO,
-    method=Method.AUTO,
-    tolerance=1e-8,
-    quad_rel_tol=1e-6,
-):
+def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
     """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse."""
     if pulse.shape is not PulseShape.SECH or not math.isclose(
         pulse.total_area, 2.0 * math.pi, rel_tol=1e-9
@@ -242,7 +214,7 @@ def total_photons(
     norm = photon_norm(trap)
     n = state.n_atoms
     if mode is AngularMode.FROZEN:
-        ti = theta_integrals(state, trap, method, tolerance, quad_rel_tol)
+        ti = theta_integrals(state, trap, method, tolerance)
         n_coh = norm * S_COH_LINE_INTEGRAL * ti.coherent
         n_in = norm * (
             n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL
@@ -251,36 +223,10 @@ def total_photons(
         return n_coh, n_in
 
     seeds = _theta_seeds(trap)
-
-    def outer_coh(varpi):
-        s_coh, _ = single_atom_spectra(varpi)
-        if s_coh == 0.0:
-            return 0.0
-
-        def f_coh(theta):
-            pt = kinematics(trap, theta, varpi)
-            return angular_weight(theta) * coherent_form(
-                FormFunctionRequest(state, pt, method, tolerance)
-            )
-
-        return s_coh * adaptive_simpson(f_coh, 0.0, math.pi, rel_tol=quad_rel_tol, seeds=seeds)
-
-    def outer_in_sub(varpi):
-        s_coh, _ = single_atom_spectra(varpi)
-        if s_coh == 0.0:
-            return 0.0
-
-        def f_in(theta):
-            pt = kinematics(trap, theta, varpi)
-            return angular_weight(theta) * incoherent_form(
-                FormFunctionRequest(state, pt, method, tolerance)
-            )
-
-        return s_coh * adaptive_simpson(f_in, 0.0, math.pi, rel_tol=quad_rel_tol)
-
-    wnd = VARPI_QUAD_WINDOW
-    n_coh = norm * adaptive_simpson(outer_coh, -wnd, wnd, rel_tol=quad_rel_tol)
-    sub = adaptive_simpson(outer_in_sub, -wnd, wnd, rel_tol=quad_rel_tol)
+    n_coh = norm * _over_varpi(
+        lambda varpi: _over_theta(coherent_form, state, trap, varpi, method, tolerance, seeds)
+    )
+    sub = _over_varpi(lambda varpi: _over_theta(incoherent_form, state, trap, varpi, method, tolerance))
     n_in = norm * (
         n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )

@@ -103,14 +103,23 @@ class ThermalState:
         except OverflowError:
             return math.inf
 
+    def cached(self, key, build):
+        """The per-state value stored under key, built by build() on first use.
+
+        build runs outside the lock, so concurrent first uses may each build;
+        the first value stored wins.  A build that raises stores nothing.
+        """
+        with self._lock:
+            if key in self._cache:
+                return self._cache[key]
+        value = build()
+        with self._lock:
+            return self._cache.setdefault(key, value)
+
     @property
     def total_atoms(self):
         """sum_n g(n) P(n) over the stored table."""
-        with self._lock:
-            if "total_atoms" not in self._cache:
-                g = _degeneracy_array(self.n_max)
-                self._cache["total_atoms"] = float(g @ self.occupations)
-            return self._cache["total_atoms"]
+        return self.cached("total_atoms", lambda: float(_degeneracy_array(self.n_max) @ self.occupations))
 
     def __repr__(self):
         return (
@@ -157,6 +166,8 @@ def _shell_cutoff(log_z, tau, n_atoms, n_floor):
     """Smallest n_max with the analytic tail bound below 1e-12 N, >= n_floor."""
     target = math.log(1e-12 * n_atoms)
     n = max(int(n_floor), 1)
+    if n > _N_MAX_CAP:
+        raise ConvergenceFailure(f"shell cutoff floor {n:.3g} exceeds {_N_MAX_CAP} at tau={tau}")
     while _log_shell_tail(log_z, tau, n) >= target:
         n = int(n * 1.5) + 8
         if n > _N_MAX_CAP:

@@ -87,6 +87,9 @@ class TestConfig:
             pytest.param({"kla": True}, [], "kla", id="kla-bool"),
             pytest.param({"threads": True}, [], "threads", id="threads-bool"),
             pytest.param(None, ["--atoms", "1", "--temperature", "1EF"], "temperatures", id="one-atom-in-ef"),
+            pytest.param(None, ["--gamma-ratio", "0.2"], "gamma_ratio", id="gamma-ratio-broadband"),
+            pytest.param(None, ["--varpi-window", "30000"], "varpi_window", id="window-past-zero-wavenumber"),
+            pytest.param({"temperatures": [True]}, [], "temperatures", id="temperatures-bool"),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, config, flags, fieldname):
@@ -109,6 +112,30 @@ class TestConfig:
         b = load_config(None, {"atoms": 100}).config_hash()
         c = load_config(None, {"atoms": 101}).config_hash()
         assert a == b != c
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({"atoms": 100}, "3e44f74de110"),
+            ({"atoms": 100, "output": "elsewhere/run", "threads": 2, "strict": True}, "3e44f74de110"),
+            (
+                {
+                    "atoms": 5000,
+                    "temperatures": ["0.1EF", "3trap"],
+                    "grid": (5, 7),
+                    "method": "convolution",
+                    "mode": "full",
+                    "tolerance": 1e-9,
+                    "statistics": "both",
+                    "kla": 3.0,
+                },
+                "c81a61eca003",
+            ),
+        ],
+    )
+    def test_config_hash_pinned(self, overrides, digest):
+        # output, threads and strict do not shape the data, so they stay out
+        assert load_config(None, overrides).config_hash() == digest
 
 
 class TestFormfuncCommand:
@@ -262,6 +289,12 @@ class TestFugacityCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "log_z=" in out and "n_max=" in out and "EF=" in out
+
+    @pytest.mark.parametrize("temperature", ["1e20trap", "1e300trap"])
+    def test_shell_cutoff_beyond_cap_exit_3(self, capsys, temperature):
+        rc = main(["fugacity", "--atoms", "100", "--temperature", temperature])
+        assert rc == 3
+        assert "ConvergenceFailure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("module", ["fermipulse.cli", "fermipulse"])
     def test_module_entry_point(self, package_env, module):

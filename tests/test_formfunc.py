@@ -1,5 +1,6 @@
 import json
 import math
+import resource
 import subprocess
 import sys
 import textwrap
@@ -13,6 +14,7 @@ import fermipulse as fp
 from fermipulse import from_fugacity
 from fermipulse.formfunc import (
     BudgetExceeded,
+    CONVOLUTION_SUM_CEILING,
     Method,
     QUAD_SUM_CEILING,
     SeriesDivergence,
@@ -218,6 +220,32 @@ class TestIncoherentForm:
         assert out["n_eff"] == 6891
         assert out["maxrss_kb"] < 1024**2
         assert abs(out["conv"] - out["series"]) <= 1e-8 * out["peak"]
+
+    def test_convolution_ceiling_exit_3(self, package_env, tmp_path):
+        # 10^6 atoms at 10 E_F: n_eff ~ 5e4, a 10 GB weight table.  The
+        # child's address space is capped at 3 GiB, so an attempt to build
+        # the table fails there and cannot exhaust the machine's memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "fermipulse", "formfunc",
+                "--atoms", "1000000",
+                "--temperature", "10EF",
+                "--method", "convolution",
+                "--grid", "2x2",
+                "--output", str(tmp_path / "ceiling"),
+            ],
+            capture_output=True,
+            text=True,
+            env=package_env,
+            timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "BudgetExceeded" in proc.stderr
+        assert str(CONVOLUTION_SUM_CEILING) in proc.stderr
 
     def test_failed_cross_check_raises_every_call(self):
         st = from_fugacity(math.log(0.5), 1.2, 46)
