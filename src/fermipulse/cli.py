@@ -33,6 +33,7 @@ from .model import (
     DEFAULT_KLA,
     DEFAULT_NATURAL_WIDTH_RATIO,
     MAX_GAMMA_RATIO,
+    VARPI_QUAD_WINDOW,
     TrapModel,
     kinematics,
 )
@@ -126,6 +127,11 @@ class RunConfig:
                 raise ConfigError(name, f"must be positive, got {v!r}")
         if self.gamma_ratio >= MAX_GAMMA_RATIO:
             raise ConfigError("gamma_ratio", f"must be < {MAX_GAMMA_RATIO}, got {self.gamma_ratio!r}")
+        # full-mode spectra reach |varpi| = VARPI_QUAD_WINDOW whatever the grid
+        if self.gamma_ratio * VARPI_QUAD_WINDOW >= 1.0:
+            raise ConfigError(
+                "gamma_ratio", f"must be < 1/{VARPI_QUAD_WINDOW:g}, got {self.gamma_ratio!r}"
+            )
         # the scattered wavenumber kla (1 + gamma_ratio varpi) must stay positive
         if self.gamma_ratio * self.varpi_window >= 1.0:
             raise ConfigError("varpi_window", f"must be < 1/gamma_ratio, got {self.varpi_window!r}")
@@ -227,15 +233,6 @@ def load_config(path, overrides):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, str):
-        return x
-    x = float(x)
-    if not math.isfinite(x):
-        raise FormFunctionError(f"non-finite value {x!r} in output")
-    return repr(x)
-
-
 class _Progress:
     def __init__(self, total, label):
         self.total = total
@@ -261,8 +258,10 @@ class _Progress:
 def _write_csv(cfg, suffix, header, rows):
     """Write <output>_<suffix>.csv: the config line, the header, then rows.
 
-    Every cell goes through _fmt, which keeps strings verbatim.  rows may be
-    lazy, so the rows already computed stay on disk when a later one fails.
+    A row is a sequence of floats and strings; str() writes a float as its
+    repr and a string verbatim.  A row with a non-finite number raises
+    FormFunctionError.  rows may be lazy, so the rows already computed stay
+    on disk when a later one fails.
     """
     path = f"{cfg.output}_{suffix}.csv"
     parent = os.path.dirname(path)
@@ -272,7 +271,11 @@ def _write_csv(cfg, suffix, header, rows):
         fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+            line = ",".join(map(str, row))
+            # a float prints as inf, -inf or nan exactly when it is not finite
+            if "inf" in line or "nan" in line:
+                raise FormFunctionError(f"non-finite value in output row {line}")
+            fh.write(line + "\n")
     return path
 
 
@@ -304,30 +307,27 @@ def cmd_formfunc(cfg):
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
+    pt = kinematics(trap, thetas[:, None], varpis[None, :])
+    # the first three columns of every row, in grid order
+    cells = np.column_stack(
+        [np.repeat(np.degrees(thetas), nv), np.tile(varpis, nt), pt.x_total.ravel()]
+    )
     written = []
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
-        points = [(float(t), float(v)) for t in thetas for v in varpis]
-        progress = _Progress(len(points), f"formfunc {temp.label()} {stat.value}")
-
-        def at(tv):
-            theta, varpi = tv
-            try:
-                pt = kinematics(trap, theta, varpi)
-                req = FormFunctionRequest(state, pt, method, cfg.tolerance)
-                c = coherent_form(req) / total**2
-                i = incoherent_form(req) / total
-            except FormFunctionError as e:
-                raise type(e)(
-                    f"method {method.value} at theta={theta:.6g}, varpi={varpi:.6g}: {e}"
-                ) from e
-            progress.step()
-            return pt.x_total, c, i
-
-        values = parallel_map(at, points)
-        for channel, col in (("coh", 1), ("in", 2)):
+        progress = _Progress(nt * nv, f"formfunc {temp.label()} {stat.value}")
+        try:
+            req = FormFunctionRequest(state, pt, method, cfg.tolerance)
+            channels = (("coh", coherent_form(req) / total**2), ("in", incoherent_form(req) / total))
+        except FormFunctionError as e:
+            i, j = np.unravel_index(e.index or 0, pt.x_total.shape)
+            raise type(e)(
+                f"method {method.value} at theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}: {e}"
+            ) from e
+        progress.step(nt * nv)
+        for channel, values in channels:
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
-            rows = [(math.degrees(theta), varpi, row[0], row[col]) for (theta, varpi), row in zip(points, values)]
+            rows = np.column_stack([cells, values.ravel()]).tolist()
             written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", rows))
     return written
 
@@ -337,14 +337,15 @@ def cmd_spectrum(cfg):
     method = Method.parse(cfg.method)
     mode = resolve_mode(cfg.mode, trap)
     nt, nv = cfg.grid
-    thetas = np.linspace(0.0, math.pi, nt)
-    varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
+    # lists of floats, so that every CSV cell is a float
+    thetas = np.linspace(0.0, math.pi, nt).tolist()
+    varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv).tolist()
     written = []
     for temp, stat, state in _solve_states(cfg):
         progress = _Progress(nt + nv, f"spectrum {temp.label()} {stat.value}")
 
         def at_theta(theta):
-            out = angular_distribution(state, trap, float(theta), mode, method, cfg.tolerance)
+            out = angular_distribution(state, trap, theta, mode, method, cfg.tolerance)
             progress.step()
             return out
 
@@ -357,9 +358,7 @@ def cmd_spectrum(cfg):
             frozen = theta_integrals(state, trap, method, cfg.tolerance)
 
         def at_varpi(varpi):
-            out = frequency_distribution(
-                state, trap, float(varpi), method, cfg.tolerance, frozen_integrals=frozen
-            )
+            out = frequency_distribution(state, trap, varpi, method, cfg.tolerance, frozen_integrals=frozen)
             progress.step()
             return out
 

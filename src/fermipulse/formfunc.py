@@ -18,6 +18,11 @@ Three strategies per quantity, valid in complementary regimes:
   F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair weight
   W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state;
 * closed forms for Maxwell-Boltzmann occupations.
+
+Every branch evaluates an array of x at once: the power series carry one
+partial sum per x, each stopped by its own rule, and the table sums
+advance their recurrences for a chunk of x at a time.  A value never
+depends on the other x of its array.
 """
 
 import enum
@@ -41,7 +46,15 @@ _CROSS_CHECK_CONV_LIMIT = 2000
 
 
 class FormFunctionError(Exception):
-    """Base class for form-function evaluation failures."""
+    """Base class for form-function evaluation failures.
+
+    index is the position, in the flattened x array of the request, of the
+    point that failed, or None when the failure is not tied to one point.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class SeriesDivergence(FormFunctionError):
@@ -78,7 +91,11 @@ class Method(enum.Enum):
 
 @dataclass
 class FormFunctionRequest:
-    """One form-function evaluation: state, momentum-transfer point, method."""
+    """One form-function evaluation: state, momentum-transfer point, method.
+
+    The point may hold arrays (see ``model.kinematics``); the request then
+    evaluates every momentum transfer in them at once.
+    """
 
     state: ThermalState
     point: object
@@ -191,6 +208,70 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# batched evaluation: every branch below takes a 1-D array of x and returns
+# the form function at each; a FormFunctionError tied to one point carries
+# that point's position in the array as .index
+# ---------------------------------------------------------------------------
+
+
+def _split_zero(zero, at_zero, fn):
+    """at_zero where zero holds, fn(positions) at the other positions."""
+    out = np.empty(zero.shape)
+    if zero.any():
+        out[zero] = at_zero()
+    live = np.nonzero(~zero)[0]
+    if live.size:
+        try:
+            out[live] = fn(live)
+        except FormFunctionError as e:
+            if e.index is not None:
+                e.index = int(live[e.index])
+            raise
+    return out
+
+
+def _alternating_series(x, tol, first, stop_from, last, term):
+    """sum_l (-1)^(l - first) term(l, x) over l = first..last for every x.
+
+    Each x stops at the first l >= stop_from whose term has not grown and
+    lies below tol times the partial sum, the rule one x alone would follow.
+    Returns the sums and the position of the first x still running after
+    term last (None when every x settled).
+    """
+    out = np.empty(x.shape)
+    for lo in range(0, x.size, _kernels.CHUNK_DOUBLES):
+        xs = x[lo : lo + _kernels.CHUNK_DOUBLES]
+        idx = np.arange(lo, lo + xs.size)
+        acc = np.zeros(xs.size)
+        prev = np.full(xs.size, math.inf)
+        for l in range(first, last + 1):
+            mag = term(l, xs)
+            if (l - first) % 2:
+                acc -= mag
+            else:
+                acc += mag
+            if l >= stop_from:
+                done = (mag <= prev) & (mag <= tol * np.maximum(np.abs(acc), 1e-300))
+                if done.any():
+                    out[idx[done]] = acc[done]
+                    keep = ~done
+                    idx, xs, acc, mag = idx[keep], xs[keep], acc[keep], mag[keep]
+                    if not idx.size:
+                        break
+            prev = mag
+        else:
+            return out, int(idx[0])
+    return out, None
+
+
+def _require_series(state):
+    if state.log_fugacity >= 0.0:
+        raise SeriesDivergence(
+            f"power series requires z < 1, state has log z = {state.log_fugacity:.4g}"
+        )
+
+
+# ---------------------------------------------------------------------------
 # coherent branch
 # ---------------------------------------------------------------------------
 
@@ -200,45 +281,37 @@ def _coherent_x0(state):
 
 
 def _coherent_laguerre(state, x):
-    if x == 0.0:
-        return _coherent_x0(state)
-    s = _kernels.laguerre_weighted_sum(state.occupations, 2.0, float(x))
-    return float(s * s)
+    def at(live):
+        s = _kernels.laguerre_weighted_sum(state.occupations, 2.0, x[live])
+        return s * s
+
+    return _split_zero(x == 0.0, lambda: _coherent_x0(state), at)
 
 
 def _coherent_closed_mb(state, x):
-    if x == 0.0:
-        return _coherent_x0(state)
-    return state.total_atoms**2 * math.exp(-x / math.tanh(0.5 / state.tau))
+    # exactly N^2 at x = 0, where the exponential is 1
+    return state.total_atoms**2 * np.exp(-x / math.tanh(0.5 / state.tau))
 
 
 def _coherent_power_series(state, x, tol):
-    if state.log_fugacity >= 0.0:
-        raise SeriesDivergence(
-            f"power series requires z < 1, state has log z = {state.log_fugacity:.4g}"
-        )
-    if x == 0.0:
-        return _coherent_x0(state)
+    _require_series(state)
     tau = state.tau
     log_z = state.log_fugacity
-    acc = 0.0
-    prev_mag = math.inf
-    l = 1
-    while True:
-        log_mag = (
-            l * log_z
-            - 3.0 * math.log(-math.expm1(-l / tau))
-            - 0.5 * x / math.tanh(0.5 * l / tau)
-        )
-        mag = math.exp(log_mag) if log_mag > -745.0 else 0.0
-        acc += mag if (l % 2 == 1) else -mag
-        if l >= 8 and mag <= prev_mag and mag <= tol * max(abs(acc), 1e-300):
-            break
-        prev_mag = mag
-        l += 1
-        if l > _POWER_SERIES_MAX_TERMS:
-            raise ToleranceNotMet(f"coherent power series did not settle within {l} terms")
-    return acc * acc
+
+    def term(l, xs):
+        log_mag = l * log_z - 3.0 * math.log(-math.expm1(-l / tau)) - 0.5 * xs / math.tanh(0.5 * l / tau)
+        return np.where(log_mag > -745.0, np.exp(log_mag), 0.0)
+
+    def at(live):
+        acc, unsettled = _alternating_series(x[live], tol, 1, 8, _POWER_SERIES_MAX_TERMS, term)
+        if unsettled is not None:
+            raise ToleranceNotMet(
+                f"coherent power series did not settle within {_POWER_SERIES_MAX_TERMS} terms",
+                index=unsettled,
+            )
+        return acc * acc
+
+    return _split_zero(x == 0.0, lambda: _coherent_x0(state), at)
 
 
 # ---------------------------------------------------------------------------
@@ -253,38 +326,41 @@ def _incoherent_x0(state):
 
 def _incoherent_closed_mb(state, x):
     th = math.tanh(0.5 / state.tau)
-    return state.total_atoms**2 * th**3 * math.exp(-x * th)
+    return state.total_atoms**2 * th**3 * np.exp(-x * th)
 
 
 def _incoherent_power_series(state, x, tol):
     if state.statistics is Statistics.MAXWELL_BOLTZMANN:
         return _incoherent_closed_mb(state, x)
-    if state.log_fugacity >= 0.0:
-        raise SeriesDivergence(
-            f"power series requires z < 1, state has log z = {state.log_fugacity:.4g}"
-        )
-    if x == 0.0:
-        return _incoherent_x0(state)
-    tau = state.tau
+    _require_series(state)
     log_z = state.log_fugacity
-    lq = -1.0 / tau
-    acc = 0.0
-    prev_mag = math.inf
-    for total_l in range(2, _POWER_SERIES_MAX_BLOCKS):
+    lq = -1.0 / state.tau
+
+    def term(total_l, xs):
+        # block total_l: sum over l1 + l2 = total_l of the product of two
+        # thermal envelopes, summed row by row for a slab of x at a time
+        log_pref = total_l * log_z - 3.0 * math.log(-math.expm1(total_l * lq))
+        if log_pref <= -700.0:
+            return np.zeros(xs.size)
         l1 = np.arange(1, total_l, dtype=np.float64)
         fshape = -np.expm1(l1 * lq) * np.expm1((total_l - l1) * lq) / math.expm1(total_l * lq)
-        block = float(np.exp(-x * fshape).sum())
-        log_pref = total_l * log_z - 3.0 * math.log(-math.expm1(total_l * lq))
-        mag = math.exp(log_pref) * block if log_pref > -700.0 else 0.0
-        acc += mag if (total_l % 2 == 0) else -mag
-        if total_l >= 9 and mag <= prev_mag and mag <= tol * max(abs(acc), 1e-300):
-            break
-        prev_mag = mag
-    else:
-        raise ToleranceNotMet("incoherent power series did not settle")
-    if acc < 0.0:
-        raise ToleranceNotMet(f"incoherent power series returned {acc:.3g} < 0")
-    return acc
+        rows = max(1, _kernels.CHUNK_DOUBLES // fshape.size)
+        block = np.concatenate(
+            [np.exp(-xs[lo : lo + rows, None] * fshape).sum(axis=1) for lo in range(0, xs.size, rows)]
+        )
+        return math.exp(log_pref) * block
+
+    def at(live):
+        acc, unsettled = _alternating_series(x[live], tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, term)
+        if unsettled is not None:
+            raise ToleranceNotMet("incoherent power series did not settle", index=unsettled)
+        negative = np.nonzero(acc < 0.0)[0]
+        if negative.size:
+            i = int(negative[0])
+            raise ToleranceNotMet(f"incoherent power series returned {acc[i]:.3g} < 0", index=i)
+        return acc
+
+    return _split_zero(x == 0.0, lambda: _incoherent_x0(state), at)
 
 
 def _incoherent_quad(state, x_x, x_z):
@@ -293,23 +369,28 @@ def _incoherent_quad(state, x_x, x_z):
             f"direct four-index sum capped at n_max <= {QUAD_SUM_CEILING}, "
             f"state has n_max = {state.n_max}; use the convolution method"
         )
-    mx = _kernels.fc_matrix(state.n_max, float(x_x))
-    mz = _kernels.fc_matrix(state.n_max, float(x_z))
     pair = _occupation_pair_block(state, state.n_max)
-    return float(_kernels.quad_sum(pair, mx, mz))
+    out = np.empty(x_x.shape)
+    for i, (xx, xz) in enumerate(zip(x_x.tolist(), x_z.tolist())):
+        mx = _kernels.fc_matrix(state.n_max, xx)
+        mz = _kernels.fc_matrix(state.n_max, xz)
+        out[i] = _kernels.quad_sum(pair, mx, mz)
+    return out
 
 
 def _incoherent_conv(state, x, tol):
     """F2_in at total transfer x: the single-axis contraction over shells <= n_eff."""
-    if x == 0.0:
-        return _incoherent_x0(state)
-    n_eff = _effective_shell_cutoff(state, tol)
-    if n_eff > CONVOLUTION_SUM_CEILING:
-        raise BudgetExceeded(
-            f"single-axis contraction capped at n_eff <= {CONVOLUTION_SUM_CEILING}, "
-            f"state has n_eff = {n_eff}"
-        )
-    return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, float(x))
+
+    def at(live):
+        n_eff = _effective_shell_cutoff(state, tol)
+        if n_eff > CONVOLUTION_SUM_CEILING:
+            raise BudgetExceeded(
+                f"single-axis contraction capped at n_eff <= {CONVOLUTION_SUM_CEILING}, "
+                f"state has n_eff = {n_eff}"
+            )
+        return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, x[live])
+
+    return _split_zero(x == 0.0, lambda: _incoherent_x0(state), at)
 
 
 # ---------------------------------------------------------------------------
@@ -357,58 +438,89 @@ def _cross_check_once(state, key, fast, other, scale_x, tol):
     state.cached(key, check)
 
 
+def _at_point(branch):
+    """A batched branch as a function of one momentum transfer."""
+    return lambda x: float(branch(np.array([x]))[0])
+
+
+def _shaped(values, x):
+    # a float for a scalar point, else an array in the point's shape
+    return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
+
+
 def coherent_form(req):
-    """Coherent form function F2_coh >= 0 at the request's momentum transfer."""
+    """Coherent form function F2_coh >= 0 at the request's momentum transfer.
+
+    A float for a point of floats; for a point of arrays, an array of
+    their shape, each value equal to that of the point alone.  The auto
+    cross-check runs at the first x.
+    """
     st = req.state
-    x = req.point.x_total
+    x = np.asarray(req.point.x_total, dtype=np.float64)
+    flat = x.ravel()
     method = req.method
     if method is Method.AUTO:
         method = _auto_method(st, incoherent=False)
-        if method is Method.POWER_SERIES:
+        if method is Method.POWER_SERIES and flat.size:
             _cross_check_once(
                 st,
                 "auto_checked_coh",
-                lambda xx: _coherent_power_series(st, xx, req.tolerance),
-                lambda xx: _coherent_laguerre(st, xx),
-                _check_point(st, x),
+                _at_point(lambda xs: _coherent_power_series(st, xs, req.tolerance)),
+                _at_point(lambda xs: _coherent_laguerre(st, xs)),
+                _check_point(st, float(flat[0])),
                 req.tolerance,
             )
-    if method is Method.POWER_SERIES:
-        if st.statistics is Statistics.MAXWELL_BOLTZMANN:
-            return _coherent_closed_mb(st, x)
-        return _coherent_power_series(st, x, req.tolerance)
-    if method is Method.CLOSED_FORM_MB:
-        return _coherent_closed_mb(st, x)
-    # LAGUERRE_SUM is the general coherent path; the incoherent-only method
-    # names fall through to it so a single forced method works for surfaces
-    return _coherent_laguerre(st, x)
+    if method is Method.CLOSED_FORM_MB or (
+        method is Method.POWER_SERIES and st.statistics is Statistics.MAXWELL_BOLTZMANN
+    ):
+        out = _coherent_closed_mb(st, flat)
+    elif method is Method.POWER_SERIES:
+        out = _coherent_power_series(st, flat, req.tolerance)
+    else:
+        # LAGUERRE_SUM is the general coherent path; the incoherent-only
+        # method names fall through to it so a single forced method works
+        # for surfaces
+        out = _coherent_laguerre(st, flat)
+    return _shaped(out, x)
 
 
 def incoherent_form(req):
-    """Incoherent form function F2_in = sum N N' |eta|^2 >= 0."""
+    """Incoherent form function F2_in = sum N N' |eta|^2 >= 0.
+
+    Shapes, values and the cross-check point as for ``coherent_form``.
+    """
     st = req.state
     pt = req.point
+    x = np.asarray(pt.x_total, dtype=np.float64)
+    flat = x.ravel()
     method = req.method
     if method is Method.AUTO:
         method = _auto_method(st, incoherent=True)
-        if method is Method.POWER_SERIES and _effective_shell_cutoff(st, req.tolerance) <= _CROSS_CHECK_CONV_LIMIT:
+        if (
+            method is Method.POWER_SERIES
+            and flat.size
+            and _effective_shell_cutoff(st, req.tolerance) <= _CROSS_CHECK_CONV_LIMIT
+        ):
             _cross_check_once(
                 st,
                 "auto_checked_inc",
-                lambda xx: _incoherent_power_series(st, xx, req.tolerance),
-                lambda xx: _incoherent_conv(st, xx, req.tolerance),
-                _check_point(st, pt.x_total),
+                _at_point(lambda xs: _incoherent_power_series(st, xs, req.tolerance)),
+                _at_point(lambda xs: _incoherent_conv(st, xs, req.tolerance)),
+                _check_point(st, float(flat[0])),
                 req.tolerance,
             )
-    if pt.x_x == 0.0 and pt.x_z == 0.0 and method is not Method.POWER_SERIES:
-        # zero momentum transfer: displacement matrices are identities and
-        # the whole sum collapses to sum_n g(n) P(n)^2
-        return _incoherent_x0(st)
     if method is Method.POWER_SERIES:
-        return _incoherent_power_series(st, pt.x_total, req.tolerance)
+        return _shaped(_incoherent_power_series(st, flat, req.tolerance), x)
+    x_x = np.broadcast_to(np.asarray(pt.x_x, dtype=np.float64), x.shape).ravel()
+    x_z = np.broadcast_to(np.asarray(pt.x_z, dtype=np.float64), x.shape).ravel()
     if method is Method.CLOSED_FORM_MB:
-        return _incoherent_closed_mb(st, pt.x_total)
-    if method is Method.QUAD_SUM:
-        return _incoherent_quad(st, pt.x_x, pt.x_z)
-    # CONVOLUTION_SUM; LAGUERRE_SUM falls through as the general alias
-    return _incoherent_conv(st, pt.x_total, req.tolerance)
+        branch = lambda live: _incoherent_closed_mb(st, flat[live])
+    elif method is Method.QUAD_SUM:
+        branch = lambda live: _incoherent_quad(st, x_x[live], x_z[live])
+    else:
+        # CONVOLUTION_SUM; LAGUERRE_SUM falls through as the general alias
+        branch = lambda live: _incoherent_conv(st, flat[live], req.tolerance)
+    # zero momentum transfer: displacement matrices are identities and the
+    # whole sum collapses to sum_n g(n) P(n)^2
+    out = _split_zero((x_x == 0.0) & (x_z == 0.0), lambda: _incoherent_x0(st), branch)
+    return _shaped(out, x)

@@ -7,6 +7,8 @@ the ground-state size a, temperatures tau = k_B T / (hbar omega_t).
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Laser wavenumber times trap size for the default configuration
 # (800 nm transition, ~1.6 um ground-state size).
 DEFAULT_KLA = 12.5
@@ -17,6 +19,10 @@ DEFAULT_NATURAL_WIDTH_RATIO = 1.5708e-4
 # the narrow-band treatment breaks down once the pulse bandwidth is not
 # small against the carrier
 MAX_GAMMA_RATIO = 0.1
+# full-mode spectra integrate the detuning over |varpi| <= 12, where the
+# sech line shapes have decayed below 1e-15 of their mass; the scattered
+# wavenumber must stay positive across it
+VARPI_QUAD_WINDOW = 12.0
 
 
 @dataclass(frozen=True)
@@ -43,11 +49,18 @@ class TrapModel:
             raise ValueError(
                 f"gamma_ratio must be < {MAX_GAMMA_RATIO} for the narrow-band model, got {self.gamma_ratio}"
             )
+        if self.gamma_ratio * VARPI_QUAD_WINDOW >= 1.0:
+            raise ValueError(
+                f"gamma_ratio must be < 1/{VARPI_QUAD_WINDOW:g}, so that the scattered wavenumber stays "
+                f"positive over the detuning window, got {self.gamma_ratio}"
+            )
 
 
 @dataclass(frozen=True)
 class ScatterPoint:
     """One (theta, varpi) evaluation point with momentum-transfer components.
+
+    Fields are floats for one point, or arrays of one shape for many.
 
     theta   -- polar angle between the scattered wavevector and the laser axis
     varpi   -- detuning of the scattered photon in units of the pulse bandwidth
@@ -69,17 +82,26 @@ def kinematics(trap, theta, varpi):
     The scattered wavenumber is ka = kla * (1 + gamma_ratio * varpi); the
     laser propagates along z, so dk_z a = ka cos(theta) - kla and
     dk_x a = ka sin(theta).  theta may be signed in [-pi, pi]; everything is
-    even in theta.
+    even in theta.  theta and varpi may be arrays, which broadcast against
+    each other; the point then holds arrays of that shape, and floats when
+    both are scalars.
     """
-    if not (math.isfinite(theta) and math.isfinite(varpi)):
+    theta = np.asarray(theta, dtype=np.float64)
+    varpi = np.asarray(varpi, dtype=np.float64)
+    if not (np.isfinite(theta).all() and np.isfinite(varpi).all()):
         raise ValueError(f"non-finite kinematics input theta={theta!r} varpi={varpi!r}")
-    if abs(theta) > math.pi + 1e-12:
-        raise ValueError(f"theta must lie in [-pi, pi], got {theta}")
+    bad = np.abs(theta) > math.pi + 1e-12
+    if bad.any():
+        raise ValueError(f"theta must lie in [-pi, pi], got {theta[bad].flat[0]}")
     ka = trap.kla * (1.0 + trap.gamma_ratio * varpi)
-    if ka <= 0.0:
-        raise ValueError(f"scattered wavenumber is not positive at varpi={varpi}")
-    dkx = ka * math.sin(theta)
-    dkz = ka * math.cos(theta) - trap.kla
+    bad = ka <= 0.0
+    if bad.any():
+        raise ValueError(f"scattered wavenumber is not positive at varpi={varpi[bad].flat[0]}")
+    dkx = ka * np.sin(theta)
+    dkz = ka * np.cos(theta) - trap.kla
     x_x = dkx * dkx
     x_z = dkz * dkz
-    return ScatterPoint(theta=theta, varpi=varpi, x_total=x_x + x_z, x_x=x_x, x_z=x_z)
+    x_total = x_x + x_z
+    if x_total.ndim == 0:
+        return ScatterPoint(float(theta), float(varpi), float(x_total), float(x_x), float(x_z))
+    return ScatterPoint(theta=theta, varpi=varpi, x_total=x_total, x_x=x_x, x_z=x_z)

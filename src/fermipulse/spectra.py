@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .formfunc import FormFunctionRequest, Method, coherent_form, incoherent_form
-from .model import kinematics
+from .model import VARPI_QUAD_WINDOW, kinematics
 from .pulse import (
     PulseShape,
     S_COH_LINE_INTEGRAL,
@@ -31,9 +31,6 @@ from .quadrature import adaptive_simpson
 
 # azimuth-integrated polarization weight integrates to 8*pi/3 over [0, pi]
 THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
-# the sech line shapes decay like e^{-pi |w|}; beyond |w| = 12 the truncated
-# mass is below 1e-15
-VARPI_QUAD_WINDOW = 12.0
 # relative tolerance of every angular and detuning quadrature
 QUAD_REL_TOL = 1e-6
 
@@ -58,9 +55,13 @@ def photon_norm(trap):
 
 
 def angular_weight(theta):
-    """Azimuth- and polarization-summed angular weight pi (1+cos^2) |sin|."""
-    c = math.cos(theta)
-    return math.pi * (1.0 + c * c) * abs(math.sin(theta))
+    """Azimuth- and polarization-summed angular weight pi (1+cos^2) |sin|.
+
+    A float for a scalar theta, an array for an array.
+    """
+    c = np.cos(theta)
+    w = math.pi * (1.0 + c * c) * np.abs(np.sin(theta))
+    return float(w) if np.ndim(w) == 0 else w
 
 
 def resolve_mode(mode, trap, support=2.5):
@@ -81,20 +82,30 @@ def resolve_mode(mode, trap, support=2.5):
 
 
 def differential(state, trap, theta, varpi, method=Method.AUTO, tolerance=1e-8):
-    """Dimensionless differential spectrum (c_coh, c_in) at one point.
+    """Dimensionless differential spectrum (c_coh, c_in).
 
-    At varpi = 0 the coherent shape vanishes identically, so both form
-    functions drop out and c_in = N * s_in(0) exactly, independent of
+    theta and varpi may be arrays, which broadcast against each other; the
+    form functions are then evaluated in one call each.  Floats for scalar
+    arguments.  Where the coherent shape vanishes (at varpi = 0 identically)
+    both form functions drop out and c_in = N * s_in, independent of
     temperature.
     """
-    s_coh, s_in = single_atom_spectra(varpi)
+    theta, varpi = np.broadcast_arrays(
+        np.asarray(theta, dtype=np.float64), np.asarray(varpi, dtype=np.float64)
+    )
+    s_coh, s_in = (np.asarray(s) for s in single_atom_spectra(varpi))
     n = state.n_atoms
-    if s_coh == 0.0:
-        return 0.0, n * s_in
-    pt = kinematics(trap, theta, varpi)
-    req = FormFunctionRequest(state, pt, method, tolerance)
-    c_coh = s_coh * coherent_form(req)
-    c_in = n * (s_coh + s_in) - s_coh * incoherent_form(req)
+    c_coh = np.zeros(varpi.shape)
+    c_in = np.array(n * s_in)
+    live = s_coh != 0.0
+    if live.any():
+        pt = kinematics(trap, theta[live], varpi[live])
+        req = FormFunctionRequest(state, pt, method, tolerance)
+        sc = s_coh[live]
+        c_coh[live] = sc * coherent_form(req)
+        c_in[live] = n * (sc + s_in[live]) - sc * incoherent_form(req)
+    if c_coh.ndim == 0:
+        return float(c_coh), float(c_in)
     return c_coh, c_in
 
 
@@ -109,7 +120,8 @@ def _theta_seeds(trap):
 
 
 def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
-    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function."""
+    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function,
+    evaluated on the quadrature's arrays of angles."""
 
     def f(theta):
         pt = kinematics(trap, theta, varpi)
@@ -121,14 +133,17 @@ def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
 def _over_varpi(g):
     """int s_coh(varpi) g(varpi) dvarpi over the detuning window.
 
-    g is not called where s_coh vanishes (varpi = 0 and the far tails).
+    g takes an array of detunings; it is not called where s_coh vanishes
+    (varpi = 0 and the far tails).
     """
 
     def f(varpi):
         s_coh, _ = single_atom_spectra(varpi)
-        if s_coh == 0.0:
-            return 0.0
-        return s_coh * g(varpi)
+        out = np.zeros(varpi.shape)
+        live = s_coh != 0.0
+        if live.any():
+            out[live] = s_coh[live] * g(varpi[live])
+        return out
 
     return adaptive_simpson(f, -VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW, rel_tol=QUAD_REL_TOL)
 
@@ -223,10 +238,13 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
         return n_coh, n_in
 
     seeds = _theta_seeds(trap)
-    n_coh = norm * _over_varpi(
-        lambda varpi: _over_theta(coherent_form, state, trap, varpi, method, tolerance, seeds)
-    )
-    sub = _over_varpi(lambda varpi: _over_theta(incoherent_form, state, trap, varpi, method, tolerance))
+
+    def each_varpi(form, varpis, seeds=None):
+        # one angular quadrature per detuning node
+        return np.array([_over_theta(form, state, trap, v, method, tolerance, seeds) for v in varpis.tolist()])
+
+    n_coh = norm * _over_varpi(lambda varpis: each_varpi(coherent_form, varpis, seeds))
+    sub = _over_varpi(lambda varpis: each_varpi(incoherent_form, varpis))
     n_in = norm * (
         n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )
@@ -254,16 +272,8 @@ class SpectrumGrid:
     ):
         thetas = np.asarray(thetas, dtype=np.float64)
         varpis = np.asarray(varpis, dtype=np.float64)
-        values = np.array(
-            [
-                [differential(state, trap, float(t), float(v), method, tolerance) for v in varpis]
-                for t in thetas
-            ],
-            dtype=np.float64,
-        ).reshape(thetas.size, varpis.size, 2)
-        return cls(
-            thetas=thetas, varpis=varpis, coherent=values[..., 0], incoherent=values[..., 1]
-        )
+        coherent, incoherent = differential(state, trap, thetas[:, None], varpis[None, :], method, tolerance)
+        return cls(thetas=thetas, varpis=varpis, coherent=coherent, incoherent=incoherent)
 
     def write_csv(self, stream):
         stream.write("theta_deg,varpi,c_coh,c_in\n")

@@ -88,6 +88,14 @@ class TestConfig:
             pytest.param({"threads": True}, [], "threads", id="threads-bool"),
             pytest.param(None, ["--atoms", "1", "--temperature", "1EF"], "temperatures", id="one-atom-in-ef"),
             pytest.param(None, ["--gamma-ratio", "0.2"], "gamma_ratio", id="gamma-ratio-broadband"),
+            # full-mode spectra integrate |varpi| <= 12, where this ratio
+            # would reach a negative scattered wavenumber
+            pytest.param(
+                None,
+                ["--atoms", "100", "--temperature", "1EF", "--grid", "2x2", "--gamma-ratio", "0.09"],
+                "gamma_ratio",
+                id="gamma-ratio-past-quadrature-window",
+            ),
             pytest.param(None, ["--varpi-window", "30000"], "varpi_window", id="window-past-zero-wavenumber"),
             pytest.param({"temperatures": [True]}, [], "temperatures", id="temperatures-bool"),
         ],
@@ -201,6 +209,40 @@ class TestFormfuncCommand:
         err = capsys.readouterr().err
         assert "SeriesDivergence" in err
         assert "theta" in err and "varpi" in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_exit_3(self, tmp_path, capsys, monkeypatch, bad):
+        from fermipulse import cli
+
+        real = cli.coherent_form
+
+        def poisoned(req):
+            values = real(req).copy()
+            values[1, 2] = bad
+            return values
+
+        monkeypatch.setattr(cli, "coherent_form", poisoned)
+        out = tmp_path / "nf"
+        rc = main(["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x4", "--output", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "FormFunctionError" in err and "non-finite" in err
+        # the rows before the bad one are on disk
+        lines = (tmp_path / "nf_formfunc_coh_fd_1EF.csv").read_text().splitlines()
+        assert len(lines) == 2 + 1 * 4 + 2
+
+    def test_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch):
+        from fermipulse import cli
+
+        def failing(req):
+            raise fp.ToleranceNotMet("series did not settle", index=7)
+
+        monkeypatch.setattr(cli, "incoherent_form", failing)
+        rc = main(["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x5", "--output", str(tmp_path / "f")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        # flat index 7 of a 3x5 grid is theta row 1 (90 degrees), varpi column 2 (0)
+        assert f"at theta={math.pi / 2:.6g}, varpi=0: series did not settle" in err
 
 
 class TestSpectrumCommand:

@@ -7,7 +7,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 import fermipulse as fp
@@ -337,3 +337,63 @@ class TestInvariants:
         # Maxwell-Boltzmann occupations exceed 1
         p_max = 1.0 if statistics == "fd" else max(1.0, float(st.occupations.max()))
         assert inc0 <= p_max * n_atoms * (1 + 1e-9)
+
+
+class TestArrayCalls:
+    """An array of momentum transfers gives, bit for bit, the values of one
+    call per point, for every method valid for the state."""
+
+    @staticmethod
+    def valid(method, st):
+        if method is Method.POWER_SERIES:
+            return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN or st.log_fugacity < 0.0
+        if method is Method.CLOSED_FORM_MB:
+            return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN
+        if method is Method.QUAD_SUM:
+            return st.n_max <= QUAD_SUM_CEILING
+        return True
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_atoms=st_.integers(2, 2000),
+        t_over_ef=st_.floats(0.01, 3.0),
+        statistics=st_.sampled_from(["fd", "mb"]),
+        kla=st_.floats(0.5, 20.0),
+        method=st_.sampled_from(list(Method)),
+        thetas=st_.lists(st_.one_of(st_.just(0.0), st_.floats(0.0, math.pi)), max_size=5),
+        varpi=st_.one_of(st_.just(0.0), st_.floats(-6.0, 6.0)),
+    )
+    @example(n_atoms=50, t_over_ef=0.5, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[], varpi=0.0)
+    @example(n_atoms=50, t_over_ef=2.0, statistics="fd", kla=3.0, method=Method.QUAD_SUM, thetas=[0.0, 1.0], varpi=0.0)
+    @example(n_atoms=800, t_over_ef=1.0, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[0.0, 0.3], varpi=0.0)
+    @example(n_atoms=300, t_over_ef=0.3, statistics="fd", kla=5.0, method=Method.CONVOLUTION_SUM, thetas=[0.0, 0.2, 2.5], varpi=0.0)
+    @example(n_atoms=800, t_over_ef=0.05, statistics="mb", kla=12.5, method=Method.CLOSED_FORM_MB, thetas=[0.0, 2.0], varpi=0.0)
+    def test_array_equals_point_calls(self, n_atoms, t_over_ef, statistics, kla, method, thetas, varpi):
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
+        assume(self.valid(method, st))
+        trap = fp.TrapModel(kla=kla)
+        # repeat the first points, so that x holds repeated values
+        thetas = np.array(thetas + thetas[:2], dtype=np.float64)
+        batch = fp.kinematics(trap, thetas, varpi)
+        points = [fp.kinematics(trap, t, varpi) for t in thetas.tolist()]
+        for field in ("x_total", "x_x", "x_z"):
+            assert getattr(batch, field).tolist() == [getattr(p, field) for p in points]
+        for form in (fp.coherent_form, fp.incoherent_form):
+            got = form(fp.FormFunctionRequest(st, batch, method))
+            assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+            want = [form(fp.FormFunctionRequest(st, p, method)) for p in points]
+            assert all(isinstance(w, float) for w in want)
+            assert got.tolist() == want
+
+    def test_grid_shape(self, state_cache, trap):
+        st = state_cache(1000, 1.0 * fp.fermi_energy(1000))
+        thetas = np.linspace(0.0, math.pi, 4)
+        varpis = np.linspace(-2.0, 2.0, 3)
+        pt = fp.kinematics(trap, thetas[:, None], varpis[None, :])
+        req = fp.FormFunctionRequest(st, pt)
+        for form in (fp.coherent_form, fp.incoherent_form):
+            got = form(req)
+            assert got.shape == (4, 3)
+            for i, t in enumerate(thetas.tolist()):
+                for j, v in enumerate(varpis.tolist()):
+                    assert got[i, j] == form(fp.FormFunctionRequest(st, fp.kinematics(trap, t, v)))

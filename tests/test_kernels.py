@@ -27,3 +27,25 @@ def test_fc_weighted_sum_matches_matrix(rng, x):
     weights = rng.uniform(0.0, 1.0, rows.shape[0])
     want = float(weights @ _kernels.fc_matrix(size, x)[rows + diag, rows])
     assert _kernels.fc_weighted_sum(weights, size, x) == pytest.approx(want, rel=1e-12)
+    # several x in one call, x itself among them twice
+    xs = np.array([x, 0.01 * x, x, 3.0 * x])
+    batch = _kernels.fc_weighted_sum(weights, size, xs)
+    assert batch.shape == xs.shape
+    for xi, got in zip(xs.tolist(), batch.tolist()):
+        want = float(weights @ _kernels.fc_matrix(size, xi)[rows + diag, rows])
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == _kernels.fc_weighted_sum(weights, size, xi)
+
+
+def test_batched_kernels_chunk_like_single_calls(rng, monkeypatch):
+    # a chunk of one x at a time gives the values of one big chunk
+    occupations = rng.uniform(0.0, 1.0, 40)
+    size = 30
+    weights = rng.uniform(0.0, 1.0, (size + 1) * (size + 2) // 2)
+    xs = rng.uniform(0.01, 200.0, 37)
+    lag = _kernels.laguerre_weighted_sum(occupations, 2.0, xs)
+    fc = _kernels.fc_weighted_sum(weights, size, xs)
+    monkeypatch.setattr(_kernels, "CHUNK_DOUBLES", 1)
+    assert _kernels.laguerre_weighted_sum(occupations, 2.0, xs).tolist() == lag.tolist()
+    assert _kernels.fc_weighted_sum(weights, size, xs).tolist() == fc.tolist()
+    assert _kernels.laguerre_weighted_sum(occupations, 2.0, xs[:0]).shape == (0,)

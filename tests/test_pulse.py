@@ -47,14 +47,14 @@ class TestPulseArea:
         p = fp.PulseModel.two_pi()
         for t in (-2.0, 0.0, 1.5):
             want = adaptive_simpson(
-                lambda s: 0.5 * p.peak_rabi / math.cosh(s), -40.0, t, rel_tol=1e-10
+                lambda s: 0.5 * p.peak_rabi / np.cosh(s), -40.0, t, rel_tol=1e-10
             )
             assert fp.pulse_area(p, t) == pytest.approx(want, rel=1e-8)
 
     def test_gaussian_area_quadrature(self):
         p = fp.PulseModel.two_pi(shape=fp.PulseShape.GAUSSIAN)
         want = adaptive_simpson(
-            lambda s: 0.5 * p.peak_rabi * math.exp(-s * s), -10.0, 1.0, rel_tol=1e-10
+            lambda s: 0.5 * p.peak_rabi * np.exp(-s * s), -10.0, 1.0, rel_tol=1e-10
         )
         assert fp.pulse_area(p, 1.0) == pytest.approx(want, rel=1e-8)
 

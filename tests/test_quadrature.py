@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from fermipulse.quadrature import QuadratureFailure, adaptive_simpson
+from fermipulse.quadrature import PANELS_PER_CALL, QuadratureFailure, adaptive_simpson
 
 
 def test_polynomial_is_exact():
@@ -10,18 +11,18 @@ def test_polynomial_is_exact():
 
 
 def test_sine():
-    assert adaptive_simpson(math.sin, 0.0, math.pi, rel_tol=1e-10) == pytest.approx(2.0, rel=1e-9)
+    assert adaptive_simpson(np.sin, 0.0, math.pi, rel_tol=1e-10) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_narrow_peak_with_seeds():
     w = 1e-3
-    f = lambda x: math.exp(-((x / w) ** 2))
+    f = lambda x: np.exp(-((x / w) ** 2))
     got = adaptive_simpson(f, 0.0, math.pi, rel_tol=1e-8, seeds=[w, 4 * w, 16 * w, 128 * w])
     assert got == pytest.approx(0.5 * w * math.sqrt(math.pi), rel=1e-6)
 
 
 def test_decaying_exponential():
-    got = adaptive_simpson(lambda x: math.exp(-abs(x) * math.pi), -12, 12, rel_tol=1e-9)
+    got = adaptive_simpson(lambda x: np.exp(-abs(x) * math.pi), -12, 12, rel_tol=1e-9)
     assert got == pytest.approx(2.0 / math.pi, rel=1e-7)
 
 
@@ -30,7 +31,7 @@ def test_zero_function():
 
 
 def test_failure_carries_worst_panel():
-    wild = lambda x: math.sin(1.0 / (x + 1e-9))
+    wild = lambda x: np.sin(1.0 / (x + 1e-9))
     with pytest.raises(QuadratureFailure) as info:
         adaptive_simpson(wild, 0.0, 1.0, rel_tol=1e-12, max_depth=4)
     assert info.value.a is not None
@@ -40,4 +41,50 @@ def test_failure_carries_worst_panel():
 
 def test_rejects_empty_interval():
     with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 1.0, 1.0)
+        adaptive_simpson(np.sin, 1.0, 1.0)
+
+
+def distinct_nodes(f, *args, **kwargs):
+    """Integral and number of distinct nodes f was called on."""
+    seen = set()
+
+    def g(x):
+        seen.update(x.tolist())
+        return f(x)
+
+    return adaptive_simpson(g, *args, **kwargs), len(seen)
+
+
+@pytest.mark.parametrize(
+    "f, args, kwargs, nodes",
+    [
+        # counts of one-panel-at-a-time depth-first refinement with the same
+        # accept rule; batching the refinement must not change the node set
+        (lambda x: np.exp(-abs(x) * math.pi), (-12, 12), dict(rel_tol=1e-9), 1201),
+        (
+            lambda x: np.exp(-((x / 1e-3) ** 2)),
+            (0.0, math.pi),
+            dict(rel_tol=1e-8, seeds=[1e-3, 4e-3, 16e-3, 128e-3]),
+            1253,
+        ),
+        (np.sin, (0.0, math.pi), dict(rel_tol=1e-10), 425),
+    ],
+    ids=["decaying-exponential", "seeded-narrow-peak", "sine"],
+)
+def test_distinct_node_count(f, args, kwargs, nodes):
+    _, count = distinct_nodes(f, *args, **kwargs)
+    assert count == nodes
+
+
+def test_integrand_called_on_arrays():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.exp(-abs(x) * math.pi)
+
+    adaptive_simpson(f, -12, 12, rel_tol=1e-9)
+    assert all(len(shape) == 1 for shape in calls)
+    # at most PANELS_PER_CALL panels, two new nodes each, after the first call
+    assert max(shape[0] for shape in calls[1:]) <= 2 * PANELS_PER_CALL
+    assert len(calls) < 40

@@ -106,6 +106,30 @@ class TestAngularDistribution:
         assert peaks[0] > peaks[1] * 1.02
 
 
+    def test_known_full_mode_failure_is_cheap(self, trap, state_cache, monkeypatch):
+        # Fermi-Dirac, 10^4 atoms, 1.0 E_F, 40 degrees: the coherent power
+        # series returns cancellation noise where F2_coh underflows, so the
+        # detuning quadrature cannot converge.  Refining a block of panels
+        # per call must reach the depth limit in few integrand calls.
+        from fermipulse import spectra
+
+        calls = []
+        real = spectra.adaptive_simpson
+
+        def counting(f, *args, **kwargs):
+            def g(x):
+                calls.append(x.size)
+                return f(x)
+
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "adaptive_simpson", counting)
+        st = state_cache(10**4, 1.0 * fp.fermi_energy(10**4))
+        with pytest.raises(fp.QuadratureFailure):
+            fp.angular_distribution(st, trap, math.radians(40.0), fp.AngularMode.FULL)
+        assert len(calls) <= 100
+
+
 class TestCoherentCone:
     @staticmethod
     def half_width(state, trap):
