@@ -344,13 +344,9 @@ def cmd_spectrum(cfg):
     for temp, stat, state in _solve_states(cfg):
         progress = _Progress(nt + nv, f"spectrum {temp.label()} {stat.value}")
 
-        def at_theta(theta):
-            out = angular_distribution(state, trap, theta, mode, method, cfg.tolerance)
-            progress.step()
-            return out
-
-        ang = parallel_map(at_theta, thetas)
-        rows = [(math.degrees(theta), dc, di) for theta, (dc, di) in zip(thetas, ang)]
+        d_coh, d_in = angular_distribution(state, trap, np.array(thetas), mode, method, cfg.tolerance)
+        progress.step(nt)
+        rows = [(math.degrees(theta), dc, di) for theta, dc, di in zip(thetas, d_coh.tolist(), d_in.tolist())]
         written.append(_write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows))
 
         frozen = None

@@ -230,35 +230,41 @@ def _split_zero(zero, at_zero, fn):
     return out
 
 
-def _alternating_series(x, tol, first, stop_from, last, term):
-    """sum_l (-1)^(l - first) term(l, x) over l = first..last for every x.
+def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
+    """sum_l (-1)^(l - first) term_l(x) over l = first..last for every x.
 
-    Each x stops at the first l >= stop_from whose term has not grown and
-    lies below tol times the partial sum, the rule one x alone would follow.
+    terms(ls, xs) returns the (xs.size, ls.size) magnitudes of a block of
+    consecutive terms.  Each x stops at the first l >= stop_from whose term
+    has not grown and lies below tol times the partial sum, the rule one x
+    alone would follow; the partial sums accumulate term by term, so the
+    blocks change nothing but how many terms past its stop an x computes.
+    The first block ends at stop_from; later ones double up to max_block.
     Returns the sums and the position of the first x still running after
     term last (None when every x settled).
     """
     out = np.empty(x.shape)
-    for lo in range(0, x.size, _kernels.CHUNK_DOUBLES):
-        xs = x[lo : lo + _kernels.CHUNK_DOUBLES]
+    step = max(1, _kernels.CHUNK_DOUBLES // max(max_block, stop_from - first + 1))
+    for lo in range(0, x.size, step):
+        xs = x[lo : lo + step]
         idx = np.arange(lo, lo + xs.size)
         acc = np.zeros(xs.size)
         prev = np.full(xs.size, math.inf)
-        for l in range(first, last + 1):
-            mag = term(l, xs)
-            if (l - first) % 2:
-                acc -= mag
-            else:
-                acc += mag
-            if l >= stop_from:
-                done = (mag <= prev) & (mag <= tol * np.maximum(np.abs(acc), 1e-300))
-                if done.any():
-                    out[idx[done]] = acc[done]
-                    keep = ~done
-                    idx, xs, acc, mag = idx[keep], xs[keep], acc[keep], mag[keep]
-                    if not idx.size:
-                        break
-            prev = mag
+        start, block = first, stop_from - first + 1
+        while start <= last:
+            ls = np.arange(start, min(start + block, last + 1))
+            start += block
+            block = min(2 * block, max_block)
+            mag = terms(ls, xs)
+            signed = np.where((ls - first) % 2 == 1, -mag, mag)
+            partial = np.cumsum(np.concatenate((acc[:, None], signed), axis=1), axis=1)[:, 1:]
+            before = np.concatenate((prev[:, None], mag[:, :-1]), axis=1)
+            stop = (ls >= stop_from) & (mag <= before) & (mag <= tol * np.maximum(np.abs(partial), 1e-300))
+            hit = stop.any(axis=1)
+            out[idx[hit]] = partial[hit, stop[hit].argmax(axis=1)]
+            keep = ~hit
+            idx, xs, acc, prev = idx[keep], xs[keep], partial[keep, -1], mag[keep, -1]
+            if not idx.size:
+                break
         else:
             return out, int(idx[0])
     return out, None
@@ -298,12 +304,15 @@ def _coherent_power_series(state, x, tol):
     tau = state.tau
     log_z = state.log_fugacity
 
-    def term(l, xs):
-        log_mag = l * log_z - 3.0 * math.log(-math.expm1(-l / tau)) - 0.5 * xs / math.tanh(0.5 * l / tau)
+    def terms(ls, xs):
+        ls = ls.tolist()
+        head = np.array([l * log_z - 3.0 * math.log(-math.expm1(-l / tau)) for l in ls])
+        width = np.array([math.tanh(0.5 * l / tau) for l in ls])
+        log_mag = head - 0.5 * xs[:, None] / width
         return np.where(log_mag > -745.0, np.exp(log_mag), 0.0)
 
     def at(live):
-        acc, unsettled = _alternating_series(x[live], tol, 1, 8, _POWER_SERIES_MAX_TERMS, term)
+        acc, unsettled = _alternating_series(x[live], tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
         if unsettled is not None:
             raise ToleranceNotMet(
                 f"coherent power series did not settle within {_POWER_SERIES_MAX_TERMS} terms",
@@ -350,8 +359,13 @@ def _incoherent_power_series(state, x, tol):
         )
         return math.exp(log_pref) * block
 
+    def terms(ls, xs):
+        return np.array([term(total_l, xs) for total_l in ls.tolist()]).T
+
     def at(live):
-        acc, unsettled = _alternating_series(x[live], tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, term)
+        # a term costs O(total_l) per x, so past the first block of
+        # terms, which every x needs, they are computed one at a time
+        acc, unsettled = _alternating_series(x[live], tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
         if unsettled is not None:
             raise ToleranceNotMet("incoherent power series did not settle", index=unsettled)
         negative = np.nonzero(acc < 0.0)[0]

@@ -63,13 +63,12 @@ def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
     tol = rel_tol * abs(total0)
 
     span = b - a
-    # open panels, rightmost last: columns u, v, f(u), f(m), f(v), S, depth
-    stack = np.column_stack([u, v, fe[:-1], fm, fe[1:], s, np.zeros_like(s)])
+    # open panels, rightmost last: rows u, v, f(u), f(m), f(v), S, depth
+    stack = np.array([u, v, fe[:-1], fm, fe[1:], s, np.zeros_like(s)])
     done_u, done_val = [], []
-    while stack.shape[0]:
-        top = stack[-PANELS_PER_CALL:]
-        stack = stack[:-PANELS_PER_CALL]
-        u, v, fu, fm, fv, s, depth = top.T
+    while stack.shape[1]:
+        u, v, fu, fm, fv, s, depth = stack[:, -PANELS_PER_CALL:]
+        stack = stack[:, :-PANELS_PER_CALL]
         m = 0.5 * (u + v)
         lm = 0.5 * (u + m)
         rm = 0.5 * (m + v)
@@ -93,15 +92,10 @@ def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
         done_u.append(u[ok])
         done_val.append((sl + sr + err)[ok])
         split = ~ok
-        d1 = depth[split] + 1.0
-        left = np.column_stack([u, m, fu, flm, fm, sl, depth])[split]
-        right = np.column_stack([m, v, fm, frm, fv, sr, depth])[split]
-        left[:, 6] = d1
-        right[:, 6] = d1
-        children = np.empty((2 * left.shape[0], 7))
-        children[0::2] = left
-        children[1::2] = right
-        stack = np.concatenate([stack, children])
+        children = np.empty((7, 2 * np.count_nonzero(split)))
+        children[:, 0::2] = np.array([u, m, fu, flm, fm, sl, depth + 1.0])[:, split]
+        children[:, 1::2] = np.array([m, v, fm, frm, fv, sr, depth + 1.0])[:, split]
+        stack = np.concatenate([stack, children], axis=1)
     order = np.argsort(-np.concatenate(done_u), kind="stable")
     acc = 0.0
     for val in np.concatenate(done_val)[order].tolist():

@@ -166,8 +166,16 @@ def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
 
 
 def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
-    """Photon densities (dN_coh/dtheta, dN_in/dtheta) at one angle."""
+    """Photon densities (dN_coh/dtheta, dN_in/dtheta) at theta.
+
+    theta may be an array: frozen form factors then take one call per form
+    function, and the full mode one detuning quadrature per angle.
+    """
     mode = resolve_mode(mode, trap)
+    if mode is AngularMode.FULL and np.ndim(theta):
+        values = [angular_distribution(state, trap, t, mode, method, tolerance) for t in np.ravel(theta).tolist()]
+        values = np.array(values, dtype=np.float64).reshape(np.shape(theta) + (2,))
+        return values[..., 0], values[..., 1]
     norm = photon_norm(trap)
     w = angular_weight(theta)
     n = state.n_atoms

@@ -397,3 +397,59 @@ class TestArrayCalls:
             for i, t in enumerate(thetas.tolist()):
                 for j, v in enumerate(varpis.tolist()):
                     assert got[i, j] == form(fp.FormFunctionRequest(st, fp.kinematics(trap, t, v)))
+
+
+def reference_coherent_series(st, x, tol):
+    """The coherent power series for one x, one term at a time."""
+    if x == 0.0:
+        return st.total_atoms**2
+    acc, prev, l = 0.0, math.inf, 1
+    while True:
+        log_mag = l * st.log_fugacity - 3.0 * math.log(-math.expm1(-l / st.tau)) - 0.5 * x / math.tanh(0.5 * l / st.tau)
+        mag = math.exp(log_mag) if log_mag > -745.0 else 0.0
+        acc += mag if l % 2 == 1 else -mag
+        if l >= 8 and mag <= prev and mag <= tol * max(abs(acc), 1e-300):
+            return acc * acc
+        prev, l = mag, l + 1
+
+
+def reference_incoherent_series(st, x, tol):
+    """The blocked incoherent power series for one x, one block at a time."""
+    if x == 0.0:
+        return _incoherent_x0(st)
+    lq = -1.0 / st.tau
+    acc, prev = 0.0, math.inf
+    for total_l in range(2, 40_000):
+        l1 = np.arange(1, total_l, dtype=np.float64)
+        fshape = -np.expm1(l1 * lq) * np.expm1((total_l - l1) * lq) / math.expm1(total_l * lq)
+        block = float(np.exp(-x * fshape).sum())
+        log_pref = total_l * st.log_fugacity - 3.0 * math.log(-math.expm1(total_l * lq))
+        mag = math.exp(log_pref) * block if log_pref > -700.0 else 0.0
+        acc += mag if total_l % 2 == 0 else -mag
+        if total_l >= 9 and mag <= prev and mag <= tol * max(abs(acc), 1e-300):
+            return acc
+        prev = mag
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        lambda: from_fugacity(math.log(0.5), 20.0, 900),
+        lambda: from_fugacity(math.log(0.05), 3.0, 200),
+        lambda: fp.solve_fugacity(10**4, 1.36 * fp.fermi_energy(10**4)),
+    ],
+    ids=["z0.5", "z0.05", "1e4-1.36EF"],
+)
+def test_batched_series_match_one_x_at_a_time(state):
+    # np.exp and math.exp may differ in the last bit, which the coherent
+    # sum carries into its square; the incoherent blocks use np.exp on both
+    # sides, so each x must stop at the same block with the same sum
+    st = state()
+    xs = np.concatenate([np.linspace(0.0, 625.0, 26), [3.0, 3.0]])
+    pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
+    coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-10))
+    inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-10))
+    peak = st.total_atoms**2
+    for x, c, i in zip(xs.tolist(), coh.tolist(), inc.tolist()):
+        assert abs(c - reference_coherent_series(st, x, 1e-10)) <= 1e-15 * peak
+        assert i == reference_incoherent_series(st, x, 1e-10)

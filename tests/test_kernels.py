@@ -37,6 +37,16 @@ def test_fc_weighted_sum_matches_matrix(rng, x):
         assert got == _kernels.fc_weighted_sum(weights, size, xi)
 
 
+def test_laguerre_weighted_sum_matches_table(rng):
+    w = rng.uniform(0.0, 1.0, 60)
+    xs = np.array([0.0, 0.7, 33.0, 0.7, 410.0])
+    got = _kernels.laguerre_weighted_sum(w, 2.0, xs)
+    assert got.shape == xs.shape
+    for x, g in zip(xs.tolist(), got.tolist()):
+        table = _kernels.laguerre_scaled_table(w.size - 1, 2.0, x)
+        assert g == pytest.approx(float(w @ table), rel=1e-12, abs=1e-12 * float(np.abs(w * table).sum()))
+
+
 def test_batched_kernels_chunk_like_single_calls(rng, monkeypatch):
     # a chunk of one x at a time gives the values of one big chunk
     occupations = rng.uniform(0.0, 1.0, 40)

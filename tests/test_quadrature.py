@@ -88,3 +88,43 @@ def test_integrand_called_on_arrays():
     # at most PANELS_PER_CALL panels, two new nodes each, after the first call
     assert max(shape[0] for shape in calls[1:]) <= 2 * PANELS_PER_CALL
     assert len(calls) < 40
+
+
+def depth_first_simpson(f, a, b, rel_tol, seeds=(), max_depth=48):
+    """Reference: one panel at a time from a LIFO stack, f on scalars."""
+    edges = sorted({a, b, *(a + (b - a) * k / 8.0 for k in range(1, 8)), *(s for s in seeds if a < s < b)})
+    stack = []
+    total0 = 0.0
+    for u, v in zip(edges[:-1], edges[1:]):
+        m = 0.5 * (u + v)
+        fu, fm, fv = f(u), f(m), f(v)
+        s = (v - u) / 6.0 * (fu + 4.0 * fm + fv)
+        stack.append((u, v, fu, fm, fv, s, 0))
+        total0 += s
+    tol = rel_tol * abs(total0)
+    acc = 0.0
+    while stack:
+        u, v, fu, fm, fv, s, depth = stack.pop()
+        m = 0.5 * (u + v)
+        flm, frm = f(0.5 * (u + m)), f(0.5 * (m + v))
+        sl = (m - u) / 6.0 * (fu + 4.0 * flm + fm)
+        sr = (v - m) / 6.0 * (fm + 4.0 * frm + fv)
+        err = (sl + sr - s) / 15.0
+        if abs(err) <= tol * (v - u) / (b - a) or sl + sr == s:
+            acc += sl + sr + err
+        elif depth >= max_depth:
+            raise QuadratureFailure("unresolved")
+        else:
+            stack.append((u, m, fu, flm, fm, sl, depth + 1))
+            stack.append((m, v, fm, frm, fv, sr, depth + 1))
+    return acc
+
+
+@pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+def test_equals_depth_first_refinement(rel_tol):
+    # arithmetic only, so the scalar and array integrands agree bit for bit;
+    # the batched refinement then returns the depth-first sum exactly
+    f = lambda x: 1.0 / (1.0 + (x * 100.0) ** 2) + x**3
+    seeds = [0.01, 0.1]
+    want = depth_first_simpson(f, -1.3, 2.0, rel_tol, seeds)
+    assert adaptive_simpson(f, -1.3, 2.0, rel_tol=rel_tol, seeds=seeds) == want

@@ -106,6 +106,15 @@ class TestAngularDistribution:
         assert peaks[0] > peaks[1] * 1.02
 
 
+    @pytest.mark.parametrize("mode", [fp.AngularMode.FROZEN, fp.AngularMode.FULL])
+    def test_array_of_angles_equals_point_calls(self, trap, state_cache, mode):
+        st = state_cache(100, 1.0)
+        thetas = np.array([[0.0, 0.7], [2.0, 0.7]])
+        d_coh, d_in = fp.angular_distribution(st, trap, thetas, mode)
+        assert d_coh.shape == d_in.shape == thetas.shape
+        for t, dc, di in zip(thetas.ravel().tolist(), d_coh.ravel().tolist(), d_in.ravel().tolist()):
+            assert (dc, di) == fp.angular_distribution(st, trap, t, mode)
+
     def test_known_full_mode_failure_is_cheap(self, trap, state_cache, monkeypatch):
         # Fermi-Dirac, 10^4 atoms, 1.0 E_F, 40 degrees: the coherent power
         # series returns cancellation noise where F2_coh underflows, so the
