@@ -255,10 +255,19 @@ def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
             start += block
             block = min(2 * block, max_block)
             mag = terms(ls, xs)
-            signed = np.where((ls - first) % 2 == 1, -mag, mag)
-            partial = np.cumsum(np.concatenate((acc[:, None], signed), axis=1), axis=1)[:, 1:]
-            before = np.concatenate((prev[:, None], mag[:, :-1]), axis=1)
-            stop = (ls >= stop_from) & (mag <= before) & (mag <= tol * np.maximum(np.abs(partial), 1e-300))
+            # partial sums after each term, in one buffer led by the carried sum
+            sums = np.empty((xs.size, ls.size + 1))
+            sums[:, 0] = acc
+            np.multiply(mag, np.where((ls - first) % 2 == 1, -1.0, 1.0), out=sums[:, 1:])
+            np.cumsum(sums, axis=1, out=sums)
+            partial = sums[:, 1:]
+            stop = np.abs(partial)
+            np.maximum(stop, 1e-300, out=stop)
+            stop *= tol
+            stop = mag <= stop
+            stop[:, 0] &= mag[:, 0] <= prev
+            stop[:, 1:] &= mag[:, 1:] <= mag[:, :-1]
+            stop &= ls >= stop_from
             hit = stop.any(axis=1)
             out[idx[hit]] = partial[hit, stop[hit].argmax(axis=1)]
             keep = ~hit
@@ -308,8 +317,11 @@ def _coherent_power_series(state, x, tol):
         ls = ls.tolist()
         head = np.array([l * log_z - 3.0 * math.log(-math.expm1(-l / tau)) for l in ls])
         width = np.array([math.tanh(0.5 * l / tau) for l in ls])
-        log_mag = head - 0.5 * xs[:, None] / width
-        return np.where(log_mag > -745.0, np.exp(log_mag), 0.0)
+        log_mag = 0.5 * xs[:, None] / width
+        np.subtract(head, log_mag, out=log_mag)
+        mag = np.exp(log_mag)
+        mag[log_mag <= -745.0] = 0.0
+        return mag
 
     def at(live):
         acc, unsettled = _alternating_series(x[live], tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
