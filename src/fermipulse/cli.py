@@ -291,7 +291,8 @@ def parallel_map(fn, items):
     """Ordered map in the calling thread.
 
     The name stays only because ``fermibench/tracer.py`` wraps
-    ``cli.parallel_map`` as its ``cli.pool`` span.
+    ``cli.parallel_map`` as its ``cli.pool`` span; ``formfunc`` maps its
+    two form functions through it, so that span still covers them.
     """
     return [fn(item) for item in items]
 
@@ -318,14 +319,14 @@ def cmd_formfunc(cfg):
         progress = _Progress(nt * nv, f"formfunc {temp.label()} {stat.value}")
         try:
             req = FormFunctionRequest(state, pt, method, cfg.tolerance)
-            channels = (("coh", coherent_form(req) / total**2), ("in", incoherent_form(req) / total))
+            f2_coh, f2_in = parallel_map(lambda form: form(req), (coherent_form, incoherent_form))
         except FormFunctionError as e:
             i, j = np.unravel_index(e.index or 0, pt.x_total.shape)
             raise type(e)(
                 f"method {method.value} at theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}: {e}"
             ) from e
         progress.step(nt * nv)
-        for channel, values in channels:
+        for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
             rows = np.column_stack([cells, values.ravel()]).tolist()
             written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", rows))
@@ -347,7 +348,9 @@ def cmd_spectrum(cfg):
         d_coh, d_in = angular_distribution(state, trap, np.array(thetas), mode, method, cfg.tolerance)
         progress.step(nt)
         rows = [(math.degrees(theta), dc, di) for theta, dc, di in zip(thetas, d_coh.tolist(), d_in.tolist())]
-        written.append(_write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows))
+        written.append(
+            _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows)
+        )
 
         frozen = None
         if mode is AngularMode.FROZEN:

@@ -60,7 +60,8 @@ class TrapModel:
 class ScatterPoint:
     """One (theta, varpi) evaluation point with momentum-transfer components.
 
-    Fields are floats for one point, or arrays of one shape for many.
+    Fields are floats for one point; for many, the momentum transfers are
+    arrays of one shape.
 
     theta   -- polar angle between the scattered wavevector and the laser axis
     varpi   -- detuning of the scattered photon in units of the pulse bandwidth
@@ -83,8 +84,8 @@ def kinematics(trap, theta, varpi):
     laser propagates along z, so dk_z a = ka cos(theta) - kla and
     dk_x a = ka sin(theta).  theta may be signed in [-pi, pi]; everything is
     even in theta.  theta and varpi may be arrays, which broadcast against
-    each other; the point then holds arrays of that shape, and floats when
-    both are scalars.
+    each other; the momentum-transfer fields are then arrays of the
+    broadcast shape.  All fields are floats when both are scalars.
     """
     theta = np.asarray(theta, dtype=np.float64)
     varpi = np.asarray(varpi, dtype=np.float64)

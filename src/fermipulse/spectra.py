@@ -173,7 +173,9 @@ def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Metho
     """
     mode = resolve_mode(mode, trap)
     if mode is AngularMode.FULL and np.ndim(theta):
-        values = [angular_distribution(state, trap, t, mode, method, tolerance) for t in np.ravel(theta).tolist()]
+        values = [
+            angular_distribution(state, trap, t, mode, method, tolerance) for t in np.ravel(theta).tolist()
+        ]
         values = np.array(values, dtype=np.float64).reshape(np.shape(theta) + (2,))
         return values[..., 0], values[..., 1]
     norm = photon_norm(trap)
@@ -249,7 +251,9 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
 
     def each_varpi(form, varpis, seeds=None):
         # one angular quadrature per detuning node
-        return np.array([_over_theta(form, state, trap, v, method, tolerance, seeds) for v in varpis.tolist()])
+        return np.array(
+            [_over_theta(form, state, trap, v, method, tolerance, seeds) for v in varpis.tolist()]
+        )
 
     n_coh = norm * _over_varpi(lambda varpis: each_varpi(coherent_form, varpis, seeds))
     sub = _over_varpi(lambda varpis: each_varpi(incoherent_form, varpis))

@@ -223,7 +223,9 @@ class TestFormfuncCommand:
 
         monkeypatch.setattr(cli, "coherent_form", poisoned)
         out = tmp_path / "nf"
-        rc = main(["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x4", "--output", str(out)])
+        rc = main(
+            ["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x4", "--output", str(out)]
+        )
         assert rc == 3
         err = capsys.readouterr().err
         assert "FormFunctionError" in err and "non-finite" in err
@@ -238,7 +240,10 @@ class TestFormfuncCommand:
             raise fp.ToleranceNotMet("series did not settle", index=7)
 
         monkeypatch.setattr(cli, "incoherent_form", failing)
-        rc = main(["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x5", "--output", str(tmp_path / "f")])
+        out = tmp_path / "f"
+        rc = main(
+            ["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "3x5", "--output", str(out)]
+        )
         assert rc == 3
         err = capsys.readouterr().err
         # flat index 7 of a 3x5 grid is theta row 1 (90 degrees), varpi column 2 (0)

@@ -363,11 +363,33 @@ class TestArrayCalls:
         thetas=st_.lists(st_.one_of(st_.just(0.0), st_.floats(0.0, math.pi)), max_size=5),
         varpi=st_.one_of(st_.just(0.0), st_.floats(-6.0, 6.0)),
     )
-    @example(n_atoms=50, t_over_ef=0.5, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[], varpi=0.0)
-    @example(n_atoms=50, t_over_ef=2.0, statistics="fd", kla=3.0, method=Method.QUAD_SUM, thetas=[0.0, 1.0], varpi=0.0)
-    @example(n_atoms=800, t_over_ef=1.0, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[0.0, 0.3], varpi=0.0)
-    @example(n_atoms=300, t_over_ef=0.3, statistics="fd", kla=5.0, method=Method.CONVOLUTION_SUM, thetas=[0.0, 0.2, 2.5], varpi=0.0)
-    @example(n_atoms=800, t_over_ef=0.05, statistics="mb", kla=12.5, method=Method.CLOSED_FORM_MB, thetas=[0.0, 2.0], varpi=0.0)
+    @example(
+        n_atoms=50, t_over_ef=0.5, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[], varpi=0.0
+    )
+    @example(
+        n_atoms=50, t_over_ef=2.0, statistics="fd", kla=3.0, method=Method.QUAD_SUM, thetas=[0.0, 1.0], varpi=0.0
+    )
+    @example(
+        n_atoms=800, t_over_ef=1.0, statistics="fd", kla=12.5, method=Method.AUTO, thetas=[0.0, 0.3], varpi=0.0
+    )
+    @example(
+        n_atoms=300,
+        t_over_ef=0.3,
+        statistics="fd",
+        kla=5.0,
+        method=Method.CONVOLUTION_SUM,
+        thetas=[0.0, 0.2, 2.5],
+        varpi=0.0,
+    )
+    @example(
+        n_atoms=800,
+        t_over_ef=0.05,
+        statistics="mb",
+        kla=12.5,
+        method=Method.CLOSED_FORM_MB,
+        thetas=[0.0, 2.0],
+        varpi=0.0,
+    )
     def test_array_equals_point_calls(self, n_atoms, t_over_ef, statistics, kla, method, thetas, varpi):
         st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
         assume(self.valid(method, st))
@@ -405,7 +427,11 @@ def reference_coherent_series(st, x, tol):
         return st.total_atoms**2
     acc, prev, l = 0.0, math.inf, 1
     while True:
-        log_mag = l * st.log_fugacity - 3.0 * math.log(-math.expm1(-l / st.tau)) - 0.5 * x / math.tanh(0.5 * l / st.tau)
+        log_mag = (
+            l * st.log_fugacity
+            - 3.0 * math.log(-math.expm1(-l / st.tau))
+            - 0.5 * x / math.tanh(0.5 * l / st.tau)
+        )
         mag = math.exp(log_mag) if log_mag > -745.0 else 0.0
         acc += mag if l % 2 == 1 else -mag
         if l >= 8 and mag <= prev and mag <= tol * max(abs(acc), 1e-300):
