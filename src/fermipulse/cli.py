@@ -338,16 +338,16 @@ def cmd_spectrum(cfg):
     method = Method.parse(cfg.method)
     mode = resolve_mode(cfg.mode, trap)
     nt, nv = cfg.grid
-    # lists of floats, so that every CSV cell is a float
-    thetas = np.linspace(0.0, math.pi, nt).tolist()
+    thetas = np.linspace(0.0, math.pi, nt)
+    # a list of floats, so that every CSV cell is a float
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv).tolist()
     written = []
     for temp, stat, state in _solve_states(cfg):
         progress = _Progress(nt + nv, f"spectrum {temp.label()} {stat.value}")
 
-        d_coh, d_in = angular_distribution(state, trap, np.array(thetas), mode, method, cfg.tolerance)
+        d_coh, d_in = angular_distribution(state, trap, thetas, mode, method, cfg.tolerance)
         progress.step(nt)
-        rows = [(math.degrees(theta), dc, di) for theta, dc, di in zip(thetas, d_coh.tolist(), d_in.tolist())]
+        rows = zip(np.degrees(thetas).tolist(), d_coh.tolist(), d_in.tolist())
         written.append(
             _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows)
         )
