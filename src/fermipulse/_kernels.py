@@ -1,15 +1,17 @@
 """Hot numeric kernels, one sequential numpy implementation each.
 
-``laguerre_scaled_table`` and ``laguerre_weighted_sum`` run the scaled
-Laguerre recurrence; ``fc_matrix`` builds the squared displacement
-matrix; ``fc_weighted_sum`` contracts it with packed weights without
-forming the matrix; ``quad_sum`` is the direct four-index oracle sum.
+Each recurrence is written once, as a generator of its rows:
+``_laguerre_rows`` yields the scaled Laguerre values e^{-x/2} L_n^alpha(x)
+for n = 0, 1, ..., which ``laguerre_scaled_table`` stacks and
+``laguerre_weighted_sum`` sums with weights; ``_fc_amplitude_rows``
+yields the normalized displacement amplitudes over the triangle
+m + d <= size, row m at a time, which ``fc_matrix`` squares into the
+dense matrix and ``fc_weighted_sum`` contracts with packed weights
+without forming it.  ``quad_sum`` is the direct four-index oracle sum.
 The two weighted sums take an array of x and advance their recurrences
 for a chunk of x at a time, at most CHUNK_DOUBLES doubles per working
 array.
 """
-
-import math
 
 import numpy as np
 from scipy.special import gammaln
@@ -35,20 +37,28 @@ def _chunked(x, step, kernel):
 # catastrophically already at x ~ few hundred).
 # ---------------------------------------------------------------------------
 
-def laguerre_scaled_table(n_max, alpha, x):
-    out = np.empty(n_max + 1)
-    l0 = math.exp(-0.5 * x)
-    out[0] = l0
+def _laguerre_rows(n_max, alpha, x):
+    """e^{-x/2} L_n^alpha(x) for n = 0..n_max, one value per x of a float
+    or an array.  The next two rows are built from each row, so a
+    consumer must not write to it."""
+    l0 = np.exp(-0.5 * x)
+    yield l0
     if n_max == 0:
-        return out
+        return
     l1 = (alpha + 1.0 - x) * l0
-    out[1] = l1
+    yield l1
     for n in range(1, n_max):
-        l2 = ((2.0 * n + alpha + 1.0 - x) * l1 - (n + alpha) * l0) / (n + 1.0)
-        out[n + 1] = l2
+        l2 = 2.0 * n + alpha + 1.0 - x
+        l2 *= l1
+        l2 -= (n + alpha) * l0
+        l2 /= n + 1.0
+        yield l2
         l0 = l1
         l1 = l2
-    return out
+
+
+def laguerre_scaled_table(n_max, alpha, x):
+    return np.fromiter(_laguerre_rows(n_max, alpha, x), np.float64, n_max + 1)
 
 
 def laguerre_weighted_sum(w, alpha, x):
@@ -59,21 +69,12 @@ def laguerre_weighted_sum(w, alpha, x):
 
 
 def _laguerre_weighted_chunk(w, alpha, x):
-    l0 = np.exp(-0.5 * x)
-    acc = w[0] * l0
-    n_top = w.shape[0] - 1
-    if n_top == 0:
-        return acc
-    l1 = (alpha + 1.0 - x) * l0
-    acc += w[1] * l1
-    for n in range(1, n_top):
-        l2 = 2.0 * n + alpha + 1.0 - x
-        l2 *= l1
-        l2 -= (n + alpha) * l0
-        l2 /= n + 1.0
-        acc += w[n + 1] * l2
-        l0 = l1
-        l1 = l2
+    # one x runs on a numpy scalar: the same operations, bit for bit, at a
+    # tenth of the cost of a one-element array
+    rows = _laguerre_rows(w.shape[0] - 1, alpha, x[0] if x.size == 1 else x)
+    acc = w[0] * next(rows)
+    for wn, ln in zip(w[1:], rows):
+        acc += wn * ln
     return acc
 
 
@@ -84,58 +85,19 @@ def _laguerre_weighted_chunk(w, alpha, x):
 # a_m is bounded by 1, so the recurrence cannot overflow.
 # ---------------------------------------------------------------------------
 
-def fc_matrix(size, x):
-    # the recurrence advanced for all diagonals d at once
-    d = np.arange(size + 1, dtype=np.float64)
-    if x == 0.0:
-        return np.eye(size + 1)
-    a0 = np.exp(-0.5 * x + 0.5 * (d * np.log(x) - gammaln(d + 1.0)))
-    a0[0] = math.exp(-0.5 * x)
-    amp = np.empty((size + 1, size + 1))
-    amp[0] = a0
-    am1 = np.zeros(size + 1)
-    am = a0.copy()
-    for m in range(size):
-        anext = ((2.0 * m + d + 1.0 - x) * am - np.sqrt(m * (m + d)) * am1) / np.sqrt(
-            (m + 1.0) * (m + 1.0 + d)
-        )
-        amp[m + 1] = anext
-        am1 = am
-        am = anext
-    out = np.zeros((size + 1, size + 1))
-    rows = np.arange(size + 1)
-    for m in range(size + 1):
-        dmax = size - m
-        v = amp[m, : dmax + 1] ** 2
-        out[rows[m : size + 1], m] = v
-        out[m, rows[m : size + 1]] = v
-    return out
-
-
-def fc_weighted_sum(weights, size, x):
-    """sum_{m, d} |<m+d|D(xi)|m>|^2 weights[m, d] over m + d <= size, for
-    every x > 0 of an array; the result has the shape of x.
-
-    ``weights`` packs the triangle row by row: row m holds d = 0..size-m
-    and starts at m*(size+1) - m*(m-1)/2.  The normalized amplitudes are
-    those of ``fc_matrix``, advanced along m for every diagonal still
-    inside the triangle and every x of a chunk, so the working array
-    shrinks by one column per step and no (size+1)^2 matrix is formed.
-    """
-    return _chunked(x, max(1, CHUNK_DOUBLES // (size + 1)), lambda xs: _fc_weighted_chunk(weights, size, xs))
-
-
-def _fc_weighted_chunk(weights, size, x):
+def _fc_amplitude_rows(size, x):
+    """Rows m = 0..size of the amplitudes a_m^d, d = 0..size-m, for every
+    x > 0 of a 1-D array: row m has shape (x.size, size + 1 - m), so the
+    recurrence advances only the diagonals still inside the triangle
+    m + d <= size.  The next two rows are built from each row, so a
+    consumer must not write to it."""
     d = np.arange(size + 1, dtype=np.float64)
     xc = x[:, None]
     am = np.exp(-0.5 * xc + 0.5 * (d * np.log(xc) - gammaln(d + 1.0)))
     am[:, 0] = np.exp(-0.5 * x)
-    # row sums reduce each x on its own, so a value does not depend on the
-    # other x of its chunk
-    acc = (am * am * weights[: size + 1]).sum(axis=1)
+    yield am
     am1 = np.zeros_like(am)
     root = np.zeros(size + 1)  # sqrt(m (m + d)), the coefficient of a_{m-1}
-    start = size + 1
     for m in range(size):
         k = size - m  # diagonals d < k reach row m + 1
         dk = d[:k]
@@ -144,11 +106,44 @@ def _fc_weighted_chunk(weights, size, x):
         anext *= am[:, :k]
         anext -= root[:k] * am1[:, :k]
         anext /= root_next
-        sq = anext * anext
+        yield anext
+        am1, am, root = am, anext, root_next
+
+
+def fc_matrix(size, x):
+    if x == 0.0:
+        return np.eye(size + 1)
+    out = np.empty((size + 1, size + 1))
+    for m, am in enumerate(_fc_amplitude_rows(size, np.array([x]))):
+        v = am[0] ** 2
+        out[m:, m] = v
+        out[m, m:] = v
+    return out
+
+
+def fc_weighted_sum(weights, size, x):
+    """sum_{m, d} |<m+d|D(xi)|m>|^2 weights[m, d] over m + d <= size, for
+    every x > 0 of an array; the result has the shape of x.
+
+    ``weights`` packs the triangle row by row: row m holds d = 0..size-m
+    and starts at m*(size+1) - m*(m-1)/2, the layout in which
+    ``_fc_amplitude_rows`` yields the amplitudes, so no (size+1)^2 matrix
+    is formed.
+    """
+    return _chunked(x, max(1, CHUNK_DOUBLES // (size + 1)), lambda xs: _fc_weighted_chunk(weights, size, xs))
+
+
+def _fc_weighted_chunk(weights, size, x):
+    # row sums reduce each x on its own, so a value does not depend on the
+    # other x of its chunk
+    acc = np.zeros(x.shape)
+    start = 0
+    for am in _fc_amplitude_rows(size, x):
+        k = am.shape[1]
+        sq = am * am
         sq *= weights[start : start + k]
         acc += sq.sum(axis=1)
         start += k
-        am1, am, root = am, anext, root_next
     return acc
 
 
@@ -170,4 +165,3 @@ def quad_sum(p2, mx, mz):
         anti = rmat[r[: s + 1], s - r[: s + 1]]
         tot += anti.sum()
     return float(tot)
-

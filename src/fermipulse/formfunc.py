@@ -33,6 +33,7 @@ import numpy as np
 import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
+from .model import ScatterPoint
 from .statmech import Statistics, ThermalState, _degeneracy_array
 
 QUAD_SUM_CEILING = 60
@@ -105,8 +106,8 @@ class FormFunctionRequest:
     def __post_init__(self):
         if isinstance(self.method, str):
             self.method = Method.parse(self.method)
-        if not (self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         st = self.state
         if self.method is Method.POWER_SERIES:
             if st.statistics is Statistics.FERMI_DIRAC and st.log_fugacity >= 0.0:
@@ -208,9 +209,9 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation: every branch below takes a 1-D array of x and returns
-# the form function at each; a FormFunctionError tied to one point carries
-# that point's position in the array as .index
+# batched evaluation: every branch below takes a 1-D array of x > 0 and
+# returns the form function at each; a FormFunctionError tied to one point
+# carries that point's position in the array as .index
 # ---------------------------------------------------------------------------
 
 
@@ -279,13 +280,6 @@ def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
     return out, None
 
 
-def _require_series(state):
-    if state.log_fugacity >= 0.0:
-        raise SeriesDivergence(
-            f"power series requires z < 1, state has log z = {state.log_fugacity:.4g}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # coherent branch
 # ---------------------------------------------------------------------------
@@ -296,20 +290,15 @@ def _coherent_x0(state):
 
 
 def _coherent_laguerre(state, x):
-    def at(live):
-        s = _kernels.laguerre_weighted_sum(state.occupations, 2.0, x[live])
-        return s * s
-
-    return _split_zero(x == 0.0, lambda: _coherent_x0(state), at)
+    s = _kernels.laguerre_weighted_sum(state.occupations, 2.0, x)
+    return s * s
 
 
 def _coherent_closed_mb(state, x):
-    # exactly N^2 at x = 0, where the exponential is 1
     return state.total_atoms**2 * np.exp(-x / math.tanh(0.5 / state.tau))
 
 
 def _coherent_power_series(state, x, tol):
-    _require_series(state)
     tau = state.tau
     log_z = state.log_fugacity
 
@@ -323,16 +312,13 @@ def _coherent_power_series(state, x, tol):
         mag[log_mag <= -745.0] = 0.0
         return mag
 
-    def at(live):
-        acc, unsettled = _alternating_series(x[live], tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
-        if unsettled is not None:
-            raise ToleranceNotMet(
-                f"coherent power series did not settle within {_POWER_SERIES_MAX_TERMS} terms",
-                index=unsettled,
-            )
-        return acc * acc
-
-    return _split_zero(x == 0.0, lambda: _coherent_x0(state), at)
+    acc, unsettled = _alternating_series(x, tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
+    if unsettled is not None:
+        raise ToleranceNotMet(
+            f"coherent power series did not settle within {_POWER_SERIES_MAX_TERMS} terms",
+            index=unsettled,
+        )
+    return acc * acc
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +327,8 @@ def _coherent_power_series(state, x, tol):
 
 
 def _incoherent_x0(state):
+    # displacement matrices are identities at zero momentum transfer, so the
+    # whole sum collapses to sum_n g(n) P(n)^2
     g = _degeneracy_array(state.n_max)
     return float(g @ (state.occupations**2))
 
@@ -351,9 +339,6 @@ def _incoherent_closed_mb(state, x):
 
 
 def _incoherent_power_series(state, x, tol):
-    if state.statistics is Statistics.MAXWELL_BOLTZMANN:
-        return _incoherent_closed_mb(state, x)
-    _require_series(state)
     log_z = state.log_fugacity
     lq = -1.0 / state.tau
 
@@ -374,19 +359,16 @@ def _incoherent_power_series(state, x, tol):
     def terms(ls, xs):
         return np.array([term(total_l, xs) for total_l in ls.tolist()]).T
 
-    def at(live):
-        # a term costs O(total_l) per x, so past the first block of
-        # terms, which every x needs, they are computed one at a time
-        acc, unsettled = _alternating_series(x[live], tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
-        if unsettled is not None:
-            raise ToleranceNotMet("incoherent power series did not settle", index=unsettled)
-        negative = np.nonzero(acc < 0.0)[0]
-        if negative.size:
-            i = int(negative[0])
-            raise ToleranceNotMet(f"incoherent power series returned {acc[i]:.3g} < 0", index=i)
-        return acc
-
-    return _split_zero(x == 0.0, lambda: _incoherent_x0(state), at)
+    # a term costs O(total_l) per x, so past the first block of terms,
+    # which every x needs, they are computed one at a time
+    acc, unsettled = _alternating_series(x, tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
+    if unsettled is not None:
+        raise ToleranceNotMet("incoherent power series did not settle", index=unsettled)
+    negative = np.nonzero(acc < 0.0)[0]
+    if negative.size:
+        i = int(negative[0])
+        raise ToleranceNotMet(f"incoherent power series returned {acc[i]:.3g} < 0", index=i)
+    return acc
 
 
 def _incoherent_quad(state, x_x, x_z):
@@ -406,17 +388,13 @@ def _incoherent_quad(state, x_x, x_z):
 
 def _incoherent_conv(state, x, tol):
     """F2_in at total transfer x: the single-axis contraction over shells <= n_eff."""
-
-    def at(live):
-        n_eff = _effective_shell_cutoff(state, tol)
-        if n_eff > CONVOLUTION_SUM_CEILING:
-            raise BudgetExceeded(
-                f"single-axis contraction capped at n_eff <= {CONVOLUTION_SUM_CEILING}, "
-                f"state has n_eff = {n_eff}"
-            )
-        return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, x[live])
-
-    return _split_zero(x == 0.0, lambda: _incoherent_x0(state), at)
+    n_eff = _effective_shell_cutoff(state, tol)
+    if n_eff > CONVOLUTION_SUM_CEILING:
+        raise BudgetExceeded(
+            f"single-axis contraction capped at n_eff <= {CONVOLUTION_SUM_CEILING}, "
+            f"state has n_eff = {n_eff}"
+        )
+    return _kernels.fc_weighted_sum(_weight_diagonals(state, n_eff), n_eff, x)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +412,74 @@ def _auto_method(state, incoherent):
     return Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
 
 
-def _check_point(state, x):
-    """Momentum transfer for the auto cross-check.
+def _branch(state, method, incoherent, tol, point, x):
+    """The branch a forced method runs in one channel, as fn(live) at the
+    positions live of x, the flattened transfers of point, where x > 0.
 
-    Damped so the true value stays within ~e^{-25} of the zero-transfer
-    peak: beyond that the signed Laguerre sum drowns in cancellation
-    round-off for high-temperature states and the comparison is void.
+    A Maxwell-Boltzmann power series is the closed form.  LAGUERRE_SUM is
+    the general coherent path and CONVOLUTION_SUM the general incoherent
+    one; the other channel's method names fall through to them, so one
+    forced method works for both channels.  Only the direct four-index
+    sum reads the per-axis transfers of the point.
     """
-    return min(x, 25.0 * math.tanh(0.5 / state.tau), 0.5 * state.n_max + 1.0)
+    if method is Method.POWER_SERIES and state.statistics is Statistics.MAXWELL_BOLTZMANN:
+        method = Method.CLOSED_FORM_MB
+    if method is Method.CLOSED_FORM_MB:
+        closed = _incoherent_closed_mb if incoherent else _coherent_closed_mb
+        return lambda live: closed(state, x[live])
+    if method is Method.POWER_SERIES:
+        series = _incoherent_power_series if incoherent else _coherent_power_series
+        return lambda live: series(state, x[live], tol)
+    if not incoherent:
+        return lambda live: _coherent_laguerre(state, x[live])
+    if method is Method.QUAD_SUM:
+        x_x, x_z = (
+            np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(point.x_total)).ravel()
+            for v in (point.x_x, point.x_z)
+        )
+        return lambda live: _incoherent_quad(state, x_x[live], x_z[live])
+    return lambda live: _incoherent_conv(state, x[live], tol)
+
+
+def _evaluate(state, point, method, tol, incoherent):
+    """One form-function evaluation in one channel: the zero-transfer value
+    where x = 0 and the method's branch elsewhere, a float for a point of
+    floats, else an array in the point's shape.  The auto cross-check runs
+    at the first x."""
+    x = np.asarray(point.x_total, dtype=np.float64)
+    flat = x.ravel()
+    if method is Method.AUTO:
+        method = _auto_method(state, incoherent)
+        if method is Method.POWER_SERIES and flat.size:
+            _auto_cross_check(state, incoherent, float(flat[0]), tol)
+    x0 = _incoherent_x0 if incoherent else _coherent_x0
+    out = _split_zero(flat == 0.0, lambda: x0(state), _branch(state, method, incoherent, tol, point, flat))
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _auto_cross_check(state, incoherent, x, tol):
+    """Compare the auto power series with its channel's general table sum,
+    once per state, at a transfer derived from the first x.
+
+    The transfer is damped so the true value stays within ~e^{-25} of the
+    zero-transfer peak: beyond that the signed Laguerre sum drowns in
+    cancellation round-off for high-temperature states and the comparison
+    is void.  At x = 0 both sides return the zero-transfer value, so the
+    coherent check moves to the damped cap.  The incoherent check stays
+    there, void: at the cap it would build the contraction's weight table,
+    which an auto power-series state otherwise never needs.
+    """
+    if incoherent and _effective_shell_cutoff(state, tol) > _CROSS_CHECK_CONV_LIMIT:
+        return
+    cap = min(25.0 * math.tanh(0.5 / state.tau), 0.5 * state.n_max + 1.0)
+    at_x = min(x, cap) if x > 0.0 or incoherent else cap
+
+    def by(method):
+        return lambda v: _evaluate(state, ScatterPoint(0.0, 0.0, v, v, 0.0), method, tol, incoherent)
+
+    general = Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
+    key = "auto_checked_inc" if incoherent else "auto_checked_coh"
+    _cross_check_once(state, key, by(Method.POWER_SERIES), by(general), at_x, tol)
 
 
 def _cross_check_once(state, key, fast, other, scale_x, tol):
@@ -464,16 +502,6 @@ def _cross_check_once(state, key, fast, other, scale_x, tol):
     state.cached(key, check)
 
 
-def _at_point(branch):
-    """A batched branch as a function of one momentum transfer."""
-    return lambda x: float(branch(np.array([x]))[0])
-
-
-def _shaped(values, x):
-    # a float for a scalar point, else an array in the point's shape
-    return float(values[0]) if x.ndim == 0 else values.reshape(x.shape)
-
-
 def coherent_form(req):
     """Coherent form function F2_coh >= 0 at the request's momentum transfer.
 
@@ -481,33 +509,7 @@ def coherent_form(req):
     their shape, each value equal to that of the point alone.  The auto
     cross-check runs at the first x.
     """
-    st = req.state
-    x = np.asarray(req.point.x_total, dtype=np.float64)
-    flat = x.ravel()
-    method = req.method
-    if method is Method.AUTO:
-        method = _auto_method(st, incoherent=False)
-        if method is Method.POWER_SERIES and flat.size:
-            _cross_check_once(
-                st,
-                "auto_checked_coh",
-                _at_point(lambda xs: _coherent_power_series(st, xs, req.tolerance)),
-                _at_point(lambda xs: _coherent_laguerre(st, xs)),
-                _check_point(st, float(flat[0])),
-                req.tolerance,
-            )
-    if method is Method.CLOSED_FORM_MB or (
-        method is Method.POWER_SERIES and st.statistics is Statistics.MAXWELL_BOLTZMANN
-    ):
-        out = _coherent_closed_mb(st, flat)
-    elif method is Method.POWER_SERIES:
-        out = _coherent_power_series(st, flat, req.tolerance)
-    else:
-        # LAGUERRE_SUM is the general coherent path; the incoherent-only
-        # method names fall through to it so a single forced method works
-        # for surfaces
-        out = _coherent_laguerre(st, flat)
-    return _shaped(out, x)
+    return _evaluate(req.state, req.point, req.method, req.tolerance, incoherent=False)
 
 
 def incoherent_form(req):
@@ -515,38 +517,4 @@ def incoherent_form(req):
 
     Shapes, values and the cross-check point as for ``coherent_form``.
     """
-    st = req.state
-    pt = req.point
-    x = np.asarray(pt.x_total, dtype=np.float64)
-    flat = x.ravel()
-    method = req.method
-    if method is Method.AUTO:
-        method = _auto_method(st, incoherent=True)
-        if (
-            method is Method.POWER_SERIES
-            and flat.size
-            and _effective_shell_cutoff(st, req.tolerance) <= _CROSS_CHECK_CONV_LIMIT
-        ):
-            _cross_check_once(
-                st,
-                "auto_checked_inc",
-                _at_point(lambda xs: _incoherent_power_series(st, xs, req.tolerance)),
-                _at_point(lambda xs: _incoherent_conv(st, xs, req.tolerance)),
-                _check_point(st, float(flat[0])),
-                req.tolerance,
-            )
-    if method is Method.POWER_SERIES:
-        return _shaped(_incoherent_power_series(st, flat, req.tolerance), x)
-    x_x = np.broadcast_to(np.asarray(pt.x_x, dtype=np.float64), x.shape).ravel()
-    x_z = np.broadcast_to(np.asarray(pt.x_z, dtype=np.float64), x.shape).ravel()
-    if method is Method.CLOSED_FORM_MB:
-        branch = lambda live: _incoherent_closed_mb(st, flat[live])
-    elif method is Method.QUAD_SUM:
-        branch = lambda live: _incoherent_quad(st, x_x[live], x_z[live])
-    else:
-        # CONVOLUTION_SUM; LAGUERRE_SUM falls through as the general alias
-        branch = lambda live: _incoherent_conv(st, flat[live], req.tolerance)
-    # zero momentum transfer: displacement matrices are identities and the
-    # whole sum collapses to sum_n g(n) P(n)^2
-    out = _split_zero((x_x == 0.0) & (x_z == 0.0), lambda: _incoherent_x0(st), branch)
-    return _shaped(out, x)
+    return _evaluate(req.state, req.point, req.method, req.tolerance, incoherent=True)

@@ -11,6 +11,7 @@ symmetrized in (n, m): with mn = min(n, m) and d = |n - m|,
     |<n|D(xi)|m>|^2 = (mn!/(mn+d)!) x^d e^{-x} [L_mn^d(x)]^2,  x = |xi|^2.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -55,26 +56,17 @@ class LaguerreTable:
 def franck_condon_sq(n, m, x):
     """|<n|D(xi)|m>|^2 with x = |xi|^2, symmetric in (n, m), in [0, 1].
 
-    Evaluated by recurrence on the normalized amplitude sequence at fixed
-    index difference; every intermediate is bounded by 1.
+    The (n, m) element of ``fc_matrix``: its amplitude recurrence run to
+    row min(n, m) only, without forming the matrix.
     """
     _check_indices(n=n, m=m)
     if x < 0.0 or not math.isfinite(x):
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
     mn, d = (int(min(n, m)), int(abs(n - m)))
-    if d == 0:
-        a = math.exp(-0.5 * x)
-    elif x == 0.0:
-        return 0.0
-    else:
-        a = math.exp(-0.5 * x + 0.5 * (d * math.log(x) - math.lgamma(d + 1.0)))
-    prev = 0.0
-    for k in range(mn):
-        a, prev = (
-            ((2.0 * k + d + 1.0 - x) * a - math.sqrt(k * (k + d)) * prev)
-            / math.sqrt((k + 1.0) * (k + 1.0 + d)),
-            a,
-        )
+    if x == 0.0:
+        return 1.0 if d == 0 else 0.0
+    rows = _kernels._fc_amplitude_rows(mn + d, np.array([float(x)]))
+    a = float(next(itertools.islice(rows, mn, None))[0, d])
     return a * a
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 import fermipulse as fp
-from fermipulse import from_fugacity
+from fermipulse import _kernels, from_fugacity
 from fermipulse.formfunc import (
     BudgetExceeded,
     CONVOLUTION_SUM_CEILING,
@@ -101,6 +101,23 @@ class TestCoherentForm:
         st = state_cache(100, 2.0)
         with pytest.raises(ValueError):
             fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
+
+    def test_auto_cross_check_runs_when_first_x_is_zero(self, monkeypatch):
+        # a table sum off by 1e-3 must fail the check even when the first x
+        # is 0, where both routes return N^2; a fresh state, never checked
+        st = fp.solve_fugacity(1000, 1.36 * fp.fermi_energy(1000))
+        lag = _kernels.laguerre_weighted_sum
+        monkeypatch.setattr(_kernels, "laguerre_weighted_sum", lambda w, a, x: lag(w, a, x) * (1.0 + 1e-3))
+        xs = np.array([0.0, 1.0])
+        pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
+        with pytest.raises(ToleranceNotMet):
+            fp.coherent_form(fp.FormFunctionRequest(st, pt))
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, state_cache, tolerance):
+        st = state_cache(100, 2.0)
+        with pytest.raises(ValueError):
+            fp.FormFunctionRequest(st, point(1.0, 0.0), tolerance=tolerance)
 
 
 class TestIncoherentWeight:
@@ -259,6 +276,15 @@ class TestIncoherentForm:
         want0 = float(g @ st.occupations**2)
         got0 = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CLOSED_FORM_MB))
         assert got0 == pytest.approx(want0, rel=1e-10)
+        # every method returns the zero-transfer value itself at x = 0
+        for m in (
+            Method.AUTO,
+            Method.CLOSED_FORM_MB,
+            Method.POWER_SERIES,
+            Method.CONVOLUTION_SUM,
+            Method.LAGUERRE_SUM,
+        ):
+            assert fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), m)) == _incoherent_x0(st)
         for x in (1.0, 12.0):
             pt = point(0.5 * x, 0.5 * x)
             a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CLOSED_FORM_MB))
