@@ -21,7 +21,6 @@ import numbers
 import operator
 import os
 import sys
-import time
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -39,14 +38,7 @@ from .model import (
 )
 from .pulse import PulseModel
 from .quadrature import QuadratureFailure
-from .spectra import (
-    AngularMode,
-    angular_distribution,
-    frequency_distribution,
-    resolve_mode,
-    theta_integrals,
-    total_photons,
-)
+from .spectra import AngularMode, angular_distribution, frequency_distribution, total_photons
 from .statmech import ConvergenceFailure, Statistics, fermi_energy, solve_fugacity
 
 
@@ -116,6 +108,9 @@ class RunConfig:
         integral = isinstance(atoms, numbers.Integral) or (isinstance(atoms, float) and atoms.is_integer())
         if isinstance(atoms, bool) or not integral or atoms < 1:
             raise ConfigError("atoms", f"must be a positive integer, got {atoms!r}")
+        # atoms is stored as int and the ratios as float, so that 1000 and
+        # 1000.0 (or 3 and 3.0) hash and print alike
+        self.atoms = int(atoms)
         if not self.temperatures:
             raise ConfigError("temperatures", "must be non-empty")
         self.temperatures = [Temperature.parse(t) for t in self.temperatures]
@@ -125,6 +120,7 @@ class RunConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ConfigError(name, f"must be positive, got {v!r}")
+            setattr(self, name, float(v))
         if self.gamma_ratio >= MAX_GAMMA_RATIO:
             raise ConfigError("gamma_ratio", f"must be < {MAX_GAMMA_RATIO}, got {self.gamma_ratio!r}")
         # full-mode spectra reach |varpi| = VARPI_QUAD_WINDOW whatever the grid
@@ -233,49 +229,31 @@ def load_config(path, overrides):
 # ---------------------------------------------------------------------------
 
 
-class _Progress:
-    def __init__(self, total, label):
-        self.total = total
-        self.label = label
-        self.done = 0
-        self.t0 = time.monotonic()
-        self.last = 0.0
-
-    def step(self, k=1):
-        self.done += k
-        now = time.monotonic()
-        if now - self.last >= 0.5 or self.done == self.total:
-            self.last = now
-            rate = self.done / max(now - self.t0, 1e-9)
-            eta = (self.total - self.done) / max(rate, 1e-9)
-            print(
-                f"{self.label}: {self.done}/{self.total} points, {rate:.1f}/s, ETA {eta:.0f}s",
-                file=sys.stderr,
-                flush=True,
-            )
-
-
 def _write_csv(cfg, suffix, header, rows):
     """Write <output>_<suffix>.csv: the config line, the header, then rows.
 
     A row is a sequence of floats and strings; str() writes a float as its
     repr and a string verbatim.  A row with a non-finite number raises
     FormFunctionError.  rows may be lazy, so the rows already computed stay
-    on disk when a later one fails.
+    on disk when a later one fails.  A path that cannot be written raises
+    ConfigError on the output field.
     """
     path = f"{cfg.output}_{suffix}.csv"
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            line = ",".join(map(str, row))
-            # a float prints as inf, -inf or nan exactly when it is not finite
-            if "inf" in line or "nan" in line:
-                raise FormFunctionError(f"non-finite value in output row {line}")
-            fh.write(line + "\n")
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
+            fh.write(header + "\n")
+            for row in rows:
+                line = ",".join(map(str, row))
+                # a float prints as inf, -inf or nan exactly when it is not finite
+                if "inf" in line or "nan" in line:
+                    raise FormFunctionError(f"non-finite value in output row {line}")
+                fh.write(line + "\n")
+    except OSError as e:
+        raise ConfigError("output", f"cannot write {path}: {e}") from None
     return path
 
 
@@ -316,7 +294,6 @@ def cmd_formfunc(cfg):
     written = []
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
-        progress = _Progress(nt * nv, f"formfunc {temp.label()} {stat.value}")
         try:
             req = FormFunctionRequest(state, pt, method, cfg.tolerance)
             f2_coh, f2_in = parallel_map(lambda form: form(req), (coherent_form, incoherent_form))
@@ -325,45 +302,31 @@ def cmd_formfunc(cfg):
             raise type(e)(
                 f"method {method.value} at theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}: {e}"
             ) from e
-        progress.step(nt * nv)
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
             rows = np.column_stack([cells, values.ravel()]).tolist()
             written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", rows))
+        print(f"formfunc: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
     return written
 
 
 def cmd_spectrum(cfg):
     trap = cfg.trap()
     method = Method.parse(cfg.method)
-    mode = resolve_mode(cfg.mode, trap)
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
-    # a list of floats, so that every CSV cell is a float
-    varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv).tolist()
+    varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
     written = []
     for temp, stat, state in _solve_states(cfg):
-        progress = _Progress(nt + nv, f"spectrum {temp.label()} {stat.value}")
-
-        d_coh, d_in = angular_distribution(state, trap, thetas, mode, method, cfg.tolerance)
-        progress.step(nt)
+        d_coh, d_in = angular_distribution(state, trap, thetas, cfg.mode, method, cfg.tolerance)
         rows = zip(np.degrees(thetas).tolist(), d_coh.tolist(), d_in.tolist())
         written.append(
             _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows)
         )
-
-        frozen = None
-        if mode is AngularMode.FROZEN:
-            frozen = theta_integrals(state, trap, method, cfg.tolerance)
-
-        def at_varpi(varpi):
-            out = frequency_distribution(state, trap, varpi, method, cfg.tolerance, frozen_integrals=frozen)
-            progress.step()
-            return out
-
-        freq = parallel_map(at_varpi, varpis)
-        rows = [(varpi, dc, di) for varpi, (dc, di) in zip(varpis, freq)]
+        d_coh, d_in = frequency_distribution(state, trap, varpis, method, cfg.tolerance, cfg.mode)
+        rows = zip(varpis.tolist(), d_coh.tolist(), d_in.tolist())
         written.append(_write_csv(cfg, f"frequency_{stat.value}_{temp.label()}", "varpi,dN_coh,dN_in", rows))
+        print(f"spectrum: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
     return written
 
 
@@ -475,12 +438,10 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        _COMMANDS[args.command](load_config(args.config, _overrides_from_args(args)))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    try:
-        _COMMANDS[args.command](cfg)
     except (FormFunctionError, QuadratureFailure, ConvergenceFailure) as e:
         print(f"numerical failure [{type(e).__name__}]: {e}", file=sys.stderr)
         return 3

@@ -10,6 +10,12 @@ Physical photon numbers attach the polarization-summed azimuthal weight
 pi (1 + cos^2 theta) |sin theta| and the normalization 3 (gamma/gamma_L) /
 (8 pi^2), under which a single atom scatters (4/pi)(gamma/gamma_L) photons
 in total.
+
+Each distribution runs in one of two regimes (AngularMode): frozen form
+factors, evaluated at varpi = 0, or the full (theta, varpi) integral.
+angular_distribution and total_photons tell them apart only in the
+detuning integral _over_varpi; frequency_distribution, which has none,
+takes its frozen angular integrals from theta_integrals.
 """
 
 import enum
@@ -33,6 +39,8 @@ from .quadrature import adaptive_simpson
 THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
 # relative tolerance of every angular and detuning quadrature
 QUAD_REL_TOL = 1e-6
+# the line shapes decay like e^{-pi |w|}: only |w| below this carries weight
+LINE_SUPPORT = 2.5
 
 
 class AngularMode(enum.Enum):
@@ -64,12 +72,11 @@ def angular_weight(theta):
     return float(w) if np.ndim(w) == 0 else w
 
 
-def resolve_mode(mode, trap, support=2.5):
+def resolve_mode(mode, trap):
     """Pick frozen form factors when the detuning leaves them unchanged.
 
-    The line shapes decay like e^{-pi |w|}, so only |w| below ~2.5 carries
-    weight; the frozen approximation error is governed by how much the
-    momentum transfer drifts across that support, gamma_ratio * support *
+    The frozen approximation error is governed by how much the momentum
+    transfer drifts across the line support, gamma_ratio * LINE_SUPPORT *
     (kla)^2.  The drift enters the line integrals only through its even
     part, so a drift bound of 0.05 keeps the frozen error well under 1e-3.
     """
@@ -77,7 +84,7 @@ def resolve_mode(mode, trap, support=2.5):
         mode = AngularMode.parse(mode)
     if mode is not AngularMode.AUTO:
         return mode
-    drift = trap.gamma_ratio * support * trap.kla**2
+    drift = trap.gamma_ratio * LINE_SUPPORT * trap.kla**2
     return AngularMode.FROZEN if drift <= 0.05 else AngularMode.FULL
 
 
@@ -130,12 +137,16 @@ def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
     return adaptive_simpson(f, 0.0, math.pi, rel_tol=QUAD_REL_TOL, seeds=seeds)
 
 
-def _over_varpi(g):
+def _over_varpi(g, mode):
     """int s_coh(varpi) g(varpi) dvarpi over the detuning window.
 
-    g takes an array of detunings; it is not called where s_coh vanishes
-    (varpi = 0 and the far tails).
+    Frozen form factors do not depend on varpi, so in frozen mode this is
+    S_COH_LINE_INTEGRAL * g(0.0).  In full mode g takes an array of
+    detunings; it is not called where s_coh vanishes (varpi = 0 and the
+    far tails).
     """
+    if mode is AngularMode.FROZEN:
+        return S_COH_LINE_INTEGRAL * g(0.0)
 
     def f(varpi):
         s_coh, _ = single_atom_spectra(varpi)
@@ -178,89 +189,75 @@ def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Metho
         ]
         values = np.array(values, dtype=np.float64).reshape(np.shape(theta) + (2,))
         return values[..., 0], values[..., 1]
-    norm = photon_norm(trap)
-    w = angular_weight(theta)
+
+    def at(form):
+        return lambda varpi: form(FormFunctionRequest(state, kinematics(trap, theta, varpi), method, tolerance))
+
+    norm_w = photon_norm(trap) * angular_weight(theta)
+    i_coh = _over_varpi(at(coherent_form), mode)
+    i_sub = _over_varpi(at(incoherent_form), mode)
+    return norm_w * i_coh, norm_w * (state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - i_sub)
+
+
+def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-8, mode=AngularMode.FULL):
+    """Photon densities (dN_coh/dvarpi, dN_in/dvarpi) at varpi.
+
+    varpi may be an array; floats for a scalar.  Frozen form factors take
+    one theta_integrals call per call, so pass the detunings as one array.
+    The full mode runs one pair of angular quadratures per detuning, and
+    none where s_coh vanishes (varpi = 0): the form-function terms carry
+    s_coh and drop out, leaving the closed weight total.  The default is
+    the full mode, the exact (theta, varpi) integral.
+    """
+    mode = resolve_mode(mode, trap)
+    s_coh, s_in = (np.asarray(s) for s in single_atom_spectra(varpi))
     n = state.n_atoms
+    norm = photon_norm(trap)
+    live = s_coh != 0.0
     if mode is AngularMode.FROZEN:
-        pt = kinematics(trap, theta, 0.0)
-        req = FormFunctionRequest(state, pt, method, tolerance)
-        f2c = coherent_form(req)
-        f2i = incoherent_form(req)
-        d_coh = norm * w * S_COH_LINE_INTEGRAL * f2c
-        d_in = norm * w * (
-            n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - S_COH_LINE_INTEGRAL * f2i
-        )
-        return d_coh, d_in
-
-    def at(form, varpi):
-        return form(FormFunctionRequest(state, kinematics(trap, theta, varpi), method, tolerance))
-
-    i_coh = _over_varpi(lambda varpi: at(coherent_form, varpi))
-    i_sub = _over_varpi(lambda varpi: at(incoherent_form, varpi))
-    d_coh = norm * w * i_coh
-    d_in = norm * w * (n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - i_sub)
+        i_coh, i_sub = theta_integrals(state, trap, method, tolerance)
+    else:
+        i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
+        seeds = _theta_seeds(trap)
+        varpis = np.ravel(varpi).tolist()
+        for k in np.flatnonzero(live).tolist():
+            i_coh.flat[k] = _over_theta(coherent_form, state, trap, varpis[k], method, tolerance, seeds)
+            i_sub.flat[k] = _over_theta(incoherent_form, state, trap, varpis[k], method, tolerance)
+    d_coh = norm * s_coh * i_coh
+    d_in = norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
+    if mode is AngularMode.FULL:
+        # where s_coh vanishes, the closed weight total alone
+        d_in = np.where(live, d_in, norm * n * s_in * THETA_WEIGHT_TOTAL)
+    if d_coh.ndim == 0:
+        return float(d_coh), float(d_in)
     return d_coh, d_in
 
 
-def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-8, frozen_integrals=None):
-    """Photon densities (dN_coh/dvarpi, dN_in/dvarpi) at one detuning.
-
-    With frozen_integrals (a ThetaIntegrals) the angular integrals of the
-    form functions are reused across detunings; otherwise they are done by
-    adaptive quadrature at this varpi.
-    """
-    s_coh, s_in = single_atom_spectra(varpi)
-    n = state.n_atoms
-    norm = photon_norm(trap)
-    if frozen_integrals is not None:
-        return (
-            norm * s_coh * frozen_integrals.coherent,
-            norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * frozen_integrals.incoherent),
-        )
-    if s_coh == 0.0:
-        # the form-function terms carry s_coh and vanish exactly; the
-        # remaining angular integral is the closed weight total
-        return 0.0, norm * n * s_in * THETA_WEIGHT_TOTAL
-    ic = _over_theta(coherent_form, state, trap, varpi, method, tolerance, _theta_seeds(trap))
-    ii = _over_theta(incoherent_form, state, trap, varpi, method, tolerance)
-    return (
-        norm * s_coh * ic,
-        norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * ii),
-    )
-
-
 def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
-    """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse."""
+    """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse.
+
+    Each detuning node of the full mode takes one angular quadrature per
+    form function; frozen form factors take one, at varpi = 0.
+    """
     if pulse.shape is not PulseShape.SECH or not math.isclose(
         pulse.total_area, 2.0 * math.pi, rel_tol=1e-9
     ):
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
-    norm = photon_norm(trap)
-    n = state.n_atoms
-    if mode is AngularMode.FROZEN:
-        ti = theta_integrals(state, trap, method, tolerance)
-        n_coh = norm * S_COH_LINE_INTEGRAL * ti.coherent
-        n_in = norm * (
-            n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL
-            - S_COH_LINE_INTEGRAL * ti.incoherent
-        )
-        return n_coh, n_in
 
     seeds = _theta_seeds(trap)
 
     def each_varpi(form, varpis, seeds=None):
-        # one angular quadrature per detuning node
-        return np.array(
-            [_over_theta(form, state, trap, v, method, tolerance, seeds) for v in varpis.tolist()]
-        )
+        values = [_over_theta(form, state, trap, v, method, tolerance, seeds) for v in np.ravel(varpis).tolist()]
+        return np.reshape(values, np.shape(varpis))
 
-    n_coh = norm * _over_varpi(lambda varpis: each_varpi(coherent_form, varpis, seeds))
-    sub = _over_varpi(lambda varpis: each_varpi(incoherent_form, varpis))
+    norm = photon_norm(trap)
+    n_coh = norm * _over_varpi(lambda varpis: each_varpi(coherent_form, varpis, seeds), mode)
+    sub = _over_varpi(lambda varpis: each_varpi(incoherent_form, varpis), mode)
     n_in = norm * (
-        n * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
+        state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )
-    return n_coh, n_in
+    return float(n_coh), float(n_in)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,21 @@ class TestConfig:
                 },
                 "c81a61eca003",
             ),
+            # a number hashes by its value, not by how it was written
+            ({"atoms": 100.0}, "3e44f74de110"),
+            (
+                {
+                    "atoms": 5000,
+                    "temperatures": ["0.1EF", "3trap"],
+                    "grid": (5, 7),
+                    "method": "convolution",
+                    "mode": "full",
+                    "tolerance": 1e-9,
+                    "statistics": "both",
+                    "kla": 3,
+                },
+                "c81a61eca003",
+            ),
         ],
     )
     def test_config_hash_pinned(self, overrides, digest):
@@ -294,6 +309,15 @@ class TestSpectrumCommand:
         assert rows["0.001EF"][0.0] == rows["1EF"][0.0]
 
 
+    def test_one_stderr_line_per_state(self, tmp_path, capsys):
+        out = tmp_path / "sp4"
+        args = ["--atoms", "100", "--temperature", "0.5EF,1EF", "--grid", "3x3", "--output", str(out)]
+        for command in ("spectrum", "formfunc"):
+            assert main([command, *args]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"{command}: 0.5EF fd done", f"{command}: 1EF fd done"]
+
+
 class TestTotalCommand:
     def test_sweep_with_both_statistics(self, tmp_path):
         out = tmp_path / "tot"
@@ -328,6 +352,14 @@ class TestTotalCommand:
         _, rows = read_rows(tmp_path / "flat_total.csv")
         n_in = [float(r[2]) for r in rows]
         assert (max(n_in) - min(n_in)) / min(n_in) < 0.05
+
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["total", "--atoms", "300", "--temperature", "1EF", "--output", str(blocker / "run")])
+        assert rc == 2
+        assert "output" in capsys.readouterr().err
 
 
 class TestFugacityCommand:

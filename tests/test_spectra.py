@@ -190,12 +190,20 @@ class TestFrequencyDistribution:
 
     def test_frozen_integrals_reproduce_full(self, trap, state_cache):
         st = state_cache(1000, 1.36 * fp.fermi_energy(1000))
-        ti = fp.theta_integrals(st, trap)
         for varpi in (0.3, 1.5):
-            fast = fp.frequency_distribution(st, trap, varpi, frozen_integrals=ti)
+            fast = fp.frequency_distribution(st, trap, varpi, mode=fp.AngularMode.FROZEN)
             full = fp.frequency_distribution(st, trap, varpi)
             assert fast[0] == pytest.approx(full[0], rel=1e-3)
             assert fast[1] == pytest.approx(full[1], rel=1e-3)
+
+    @pytest.mark.parametrize("mode", [fp.AngularMode.FROZEN, fp.AngularMode.FULL])
+    def test_array_of_detunings_equals_point_calls(self, trap, state_cache, mode):
+        st = state_cache(100, 1.0)
+        varpis = np.array([[0.0, 0.8], [-2.0, 0.8]])
+        d_coh, d_in = fp.frequency_distribution(st, trap, varpis, mode=mode)
+        assert d_coh.shape == d_in.shape == varpis.shape
+        for v, dc, di in zip(varpis.ravel().tolist(), d_coh.ravel().tolist(), d_in.ravel().tolist()):
+            assert (dc, di) == fp.frequency_distribution(st, trap, v, mode=mode)
 
 
 class TestTotalPhotons:
