@@ -298,10 +298,13 @@ def cmd_formfunc(cfg):
             req = FormFunctionRequest(state, pt, method, cfg.tolerance)
             f2_coh, f2_in = parallel_map(lambda form: form(req), (coherent_form, incoherent_form))
         except FormFunctionError as e:
-            i, j = np.unravel_index(e.index or 0, pt.x_total.shape)
-            raise type(e)(
-                f"method {method.value} at theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}: {e}"
-            ) from e
+            if e.index is None:
+                # a failure of the whole state, not of one point
+                where = f"{temp.label()} {stat.value}"
+            else:
+                i, j = np.unravel_index(e.index, pt.x_total.shape)
+                where = f"theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}"
+            raise type(e)(f"method {method.value} at {where}: {e}") from e
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
             rows = np.column_stack([cells, values.ravel()]).tolist()

@@ -2,48 +2,73 @@
 
 import numpy as np
 
-# panels refined per integrand call, taken from the top of the LIFO stack
+# panels refined per integrand call and row, taken from the top of the row's LIFO stack
 PANELS_PER_CALL = 64
 
 
 class QuadratureFailure(Exception):
-    """Adaptive refinement hit the depth limit before meeting tolerance."""
+    """Adaptive refinement hit the depth limit before meeting tolerance.
 
-    def __init__(self, message, a=None, b=None, err=None):
+    row is the failing integrand's index in a simpson_family call (0 for
+    adaptive_simpson).
+    """
+
+    def __init__(self, message, a=None, b=None, err=None, row=None):
         super().__init__(message)
         self.a = a
         self.b = b
         self.err = err
+        self.row = row
 
 
 def _simpson(fa, fm, fb, h):
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _call(f, nodes):
+def _call(f, rows, nodes):
     # a constant integrand may return a scalar
-    return np.broadcast_to(np.asarray(f(nodes), dtype=np.float64), nodes.shape)
+    return np.broadcast_to(np.asarray(f(rows, nodes), dtype=np.float64), nodes.shape)
 
 
-def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
-    """Integrate f over [a, b] by adaptive Simpson with Richardson correction.
+def _row_sums(rows, values, n_rows):
+    """Sum each row's values in their given order, from 0.0, one at a time.
 
-    f takes a 1-D float array of nodes and returns an array of the same
-    length.  seeds, if given, are extra initial panel edges (clipped to
-    (a, b)); use them to pre-split around known sharp features so the first
+    rows must be sorted.  Each row sums as a Python loop would: the
+    accumulator starts at +0.0, so it is never -0.0 and the zeros padding
+    the shorter rows leave it unchanged.
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    padded = np.zeros((n_rows, counts.max() + 1))
+    padded[rows, 1 + np.arange(rows.size) - starts[rows]] = values
+    return np.cumsum(padded, axis=1)[:, -1]
+
+
+def simpson_family(f, a, b, n_rows, *, rel_tol=1e-6, max_depth=48, seeds=None):
+    """Integrate n_rows integrands over [a, b] in one adaptive refinement.
+
+    f(rows, nodes) takes two 1-D arrays of one length, integer row indices
+    and float nodes, and returns the value of integrand rows[i] at nodes[i]
+    for each i.  Returns an array of the n_rows integrals.  seeds, if given,
+    are extra initial panel edges (clipped to (a, b)), shared by every row;
+    use them to pre-split around known sharp features so the first
     estimate already samples them.  Raises QuadratureFailure carrying the
-    worst panel when max_depth is exhausted.
+    failing row and its worst panel when max_depth is exhausted.
 
-    The first call evaluates the initial edges and midpoints, whose
-    composite estimate fixes the absolute error budget.  Every later call
-    refines up to PANELS_PER_CALL panels from the top of a LIFO stack kept
-    in left-to-right order.  Whether a panel is accepted depends only on
-    its own values, so the panels visited, and hence the nodes, are those
-    of one-panel-at-a-time depth-first refinement; the accepted panels are
-    summed right to left, the order depth-first refinement accepts them in.
+    The first call evaluates the initial edges and midpoints of every row,
+    row by row; each row's composite estimate fixes its own absolute error
+    budget.  Every later call refines up to PANELS_PER_CALL panels per row
+    from the top of that row's LIFO stack, kept in left-to-right order.
+    Whether a panel is accepted depends only on its own values and its
+    row's budget, so each row visits the nodes of its own one-panel-at-a-
+    time depth-first refinement; its accepted panels are summed right to
+    left, the order depth-first refinement accepts them in.  Each row's
+    integral thus equals a one-row call on that integrand bit for bit.
     """
     if not b > a:
         raise ValueError(f"need b > a, got [{a}, {b}]")
+    if n_rows == 0:
+        return np.zeros(0)
     edges = {a, b}
     for k in range(1, 8):
         edges.add(a + (b - a) * k / 8.0)
@@ -53,51 +78,85 @@ def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
                 edges.add(float(s))
     edges = np.array(sorted(edges))
     mids = 0.5 * (edges[:-1] + edges[1:])
-    values = _call(f, np.concatenate([edges, mids]))
-    fe, fm = values[: edges.size], values[edges.size :]
+    first = np.concatenate([edges, mids])
+    row0 = np.repeat(np.arange(n_rows), first.size)
+    values = _call(f, row0, np.tile(first, n_rows)).reshape(n_rows, first.size)
+    fe, fm = values[:, : edges.size], values[:, edges.size :]
     u, v = edges[:-1], edges[1:]
-    s = _simpson(fe[:-1], fm, fe[1:], v - u)
-    total0 = 0.0
-    for si in s.tolist():
-        total0 += si
-    tol = rel_tol * abs(total0)
+    s = _simpson(fe[:, :-1], fm, fe[:, 1:], v - u)
+    panel_row = np.repeat(np.arange(n_rows), u.size)
+    tol = rel_tol * np.abs(_row_sums(panel_row, s.ravel(), n_rows))
 
     span = b - a
-    # open panels, rightmost last: rows u, v, f(u), f(m), f(v), S, depth
-    stack = np.array([u, v, fe[:-1], fm, fe[1:], s, np.zeros_like(s)])
-    done_u, done_val = [], []
+    # open panels grouped by row, each row's rightmost last:
+    # rows row, u, v, f(u), f(m), f(v), S, depth
+    stack = np.array(
+        [
+            panel_row,
+            np.tile(u, n_rows),
+            np.tile(v, n_rows),
+            fe[:, :-1].ravel(),
+            fm.ravel(),
+            fe[:, 1:].ravel(),
+            s.ravel(),
+            np.zeros(s.size),
+        ]
+    )
+    done_row, done_u, done_val = [], [], []
     while stack.shape[1]:
-        u, v, fu, fm, fv, s, depth = stack[:, -PANELS_PER_CALL:]
-        stack = stack[:, :-PANELS_PER_CALL]
+        owner = stack[0].astype(np.intp)
+        ends = np.cumsum(np.bincount(owner, minlength=n_rows))
+        top = ends[owner] - np.arange(owner.size) <= PANELS_PER_CALL
+        row, u, v, fu, fm, fv, s, depth = stack[:, top]
+        stack = stack[:, ~top]
+        owner = owner[top]
         m = 0.5 * (u + v)
         lm = 0.5 * (u + m)
         rm = 0.5 * (m + v)
-        values = _call(f, np.concatenate([lm, rm]))
+        values = _call(f, np.concatenate([owner, owner]), np.concatenate([lm, rm]))
         flm, frm = values[: u.size], values[u.size :]
         sl = _simpson(fu, flm, fm, m - u)
         sr = _simpson(fm, frm, fv, v - m)
         err = (sl + sr - s) / 15.0
-        budget = tol * (v - u) / span
+        budget = tol[owner] * (v - u) / span
         ok = (np.abs(err) <= budget) | (sl + sr == s)
         failed = ~ok & (depth >= max_depth)
         if failed.any():
-            i = np.nonzero(failed)[0][-1]  # the rightmost, the first depth-first pops
+            # the first failing row's rightmost panel, the first depth-first pops
+            r = owner[failed].min()
+            i = np.nonzero(failed & (owner == r))[0][-1]
             raise QuadratureFailure(
                 f"panel [{u[i]:.6g}, {v[i]:.6g}] unresolved at depth {int(depth[i])} "
                 f"(estimated error {abs(err[i]):.3g}, budget {budget[i]:.3g})",
                 a=float(u[i]),
                 b=float(v[i]),
                 err=float(abs(err[i])),
+                row=int(r),
             )
+        done_row.append(owner[ok])
         done_u.append(u[ok])
         done_val.append((sl + sr + err)[ok])
         split = ~ok
-        children = np.empty((7, 2 * np.count_nonzero(split)))
-        children[:, 0::2] = np.array([u, m, fu, flm, fm, sl, depth + 1.0])[:, split]
-        children[:, 1::2] = np.array([m, v, fm, frm, fv, sr, depth + 1.0])[:, split]
+        children = np.empty((8, 2 * np.count_nonzero(split)))
+        children[:, 0::2] = np.array([row, u, m, fu, flm, fm, sl, depth + 1.0])[:, split]
+        children[:, 1::2] = np.array([row, m, v, fm, frm, fv, sr, depth + 1.0])[:, split]
+        # children go on top of their own row's stack: regroup by row unless
+        # the rows left below them all come first
+        regroup = stack.shape[1] and children.shape[1] and stack[0, -1] > children[0, 0]
         stack = np.concatenate([stack, children], axis=1)
-    order = np.argsort(-np.concatenate(done_u), kind="stable")
-    acc = 0.0
-    for val in np.concatenate(done_val)[order].tolist():
-        acc += val
-    return acc
+        if regroup:
+            stack = stack[:, np.argsort(stack[0], kind="stable")]
+    done_row = np.concatenate(done_row)
+    order = np.lexsort((-np.concatenate(done_u), done_row))
+    return _row_sums(done_row[order], np.concatenate(done_val)[order], n_rows)
+
+
+def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):
+    """Integrate f over [a, b] by adaptive Simpson with Richardson correction.
+
+    f takes a 1-D float array of nodes and returns an array of the same
+    length.  This is the one-row simpson_family: the same seeds, nodes,
+    calls and QuadratureFailure, and a float result.
+    """
+    (value,) = simpson_family(lambda rows, x: f(x), a, b, 1, rel_tol=rel_tol, max_depth=max_depth, seeds=seeds)
+    return float(value)

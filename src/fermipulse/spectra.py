@@ -33,7 +33,7 @@ from .pulse import (
     S_IN_LINE_INTEGRAL,
     single_atom_spectra,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import QuadratureFailure, adaptive_simpson, simpson_family
 
 # azimuth-integrated polarization weight integrates to 8*pi/3 over [0, pi]
 THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
@@ -127,14 +127,27 @@ def _theta_seeds(trap):
 
 
 def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
-    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function,
-    evaluated on the quadrature's arrays of angles."""
+    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function.
 
-    def f(theta):
-        pt = kinematics(trap, theta, varpi)
+    varpi may be an array: its angular integrals are one simpson_family
+    refinement, one row per detuning, so every integrand call evaluates
+    the form function on one array of (theta, varpi) points.  A float for
+    a scalar varpi.  A QuadratureFailure names the detuning of its row.
+    """
+    varpi = np.asarray(varpi, dtype=np.float64)
+    varpis = varpi.ravel()
+
+    def f(rows, theta):
+        pt = kinematics(trap, theta, varpis[rows])
         return angular_weight(theta) * form(FormFunctionRequest(state, pt, method, tolerance))
 
-    return adaptive_simpson(f, 0.0, math.pi, rel_tol=QUAD_REL_TOL, seeds=seeds)
+    try:
+        values = simpson_family(f, 0.0, math.pi, varpis.size, rel_tol=QUAD_REL_TOL, seeds=seeds)
+    except QuadratureFailure as e:
+        raise QuadratureFailure(
+            f"theta integral at varpi={varpis[e.row]:.6g}: {e}", a=e.a, b=e.b, err=e.err, row=e.row
+        ) from e
+    return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
 
 
 def _over_varpi(g, mode):
@@ -204,10 +217,11 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
 
     varpi may be an array; floats for a scalar.  Frozen form factors take
     one theta_integrals call per call, so pass the detunings as one array.
-    The full mode runs one pair of angular quadratures per detuning, and
-    none where s_coh vanishes (varpi = 0): the form-function terms carry
-    s_coh and drop out, leaving the closed weight total.  The default is
-    the full mode, the exact (theta, varpi) integral.
+    The full mode integrates the angles of all detunings in one refinement
+    per form function, one row per detuning, and has no row where s_coh
+    vanishes (varpi = 0): the form-function terms carry s_coh and drop
+    out, leaving the closed weight total.  The default is the full mode,
+    the exact (theta, varpi) integral.
     """
     mode = resolve_mode(mode, trap)
     s_coh, s_in = (np.asarray(s) for s in single_atom_spectra(varpi))
@@ -218,11 +232,9 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
         i_coh, i_sub = theta_integrals(state, trap, method, tolerance)
     else:
         i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
-        seeds = _theta_seeds(trap)
-        varpis = np.ravel(varpi).tolist()
-        for k in np.flatnonzero(live).tolist():
-            i_coh.flat[k] = _over_theta(coherent_form, state, trap, varpis[k], method, tolerance, seeds)
-            i_sub.flat[k] = _over_theta(incoherent_form, state, trap, varpis[k], method, tolerance)
+        varpis = np.asarray(varpi, dtype=np.float64)[live]
+        i_coh[live] = _over_theta(coherent_form, state, trap, varpis, method, tolerance, _theta_seeds(trap))
+        i_sub[live] = _over_theta(incoherent_form, state, trap, varpis, method, tolerance)
     d_coh = norm * s_coh * i_coh
     d_in = norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
     if mode is AngularMode.FULL:
@@ -236,8 +248,10 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
 def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
     """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse.
 
-    Each detuning node of the full mode takes one angular quadrature per
-    form function; frozen form factors take one, at varpi = 0.
+    In the full mode, each integrand call of the detuning quadrature
+    integrates the angles of all its detuning nodes in one refinement per
+    form function; frozen form factors take one angular integral per form
+    function, at varpi = 0.
     """
     if pulse.shape is not PulseShape.SECH or not math.isclose(
         pulse.total_area, 2.0 * math.pi, rel_tol=1e-9
@@ -245,15 +259,12 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
 
-    seeds = _theta_seeds(trap)
-
-    def each_varpi(form, varpis, seeds=None):
-        values = [_over_theta(form, state, trap, v, method, tolerance, seeds) for v in np.ravel(varpis).tolist()]
-        return np.reshape(values, np.shape(varpis))
+    def over_theta(form, seeds=None):
+        return lambda varpi: _over_theta(form, state, trap, varpi, method, tolerance, seeds)
 
     norm = photon_norm(trap)
-    n_coh = norm * _over_varpi(lambda varpis: each_varpi(coherent_form, varpis, seeds), mode)
-    sub = _over_varpi(lambda varpis: each_varpi(incoherent_form, varpis), mode)
+    n_coh = norm * _over_varpi(over_theta(coherent_form, _theta_seeds(trap)), mode)
+    sub = _over_varpi(over_theta(incoherent_form), mode)
     n_in = norm * (
         state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )

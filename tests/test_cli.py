@@ -223,7 +223,9 @@ class TestFormfuncCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "SeriesDivergence" in err
-        assert "theta" in err and "varpi" in err
+        # z >= 1 fails the whole state, so the state is named, not a point
+        assert "method power-series at 0.2EF fd: power series requires z < 1" in err
+        assert "theta=" not in err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_exit_3(self, tmp_path, capsys, monkeypatch, bad):
@@ -263,6 +265,23 @@ class TestFormfuncCommand:
         err = capsys.readouterr().err
         # flat index 7 of a 3x5 grid is theta row 1 (90 degrees), varpi column 2 (0)
         assert f"at theta={math.pi / 2:.6g}, varpi=0: series did not settle" in err
+
+    def test_state_wide_failure_names_the_state(self, tmp_path, capsys):
+        # the direct sum refuses the whole state before any point is evaluated
+        rc = main(
+            [
+                "formfunc",
+                "--atoms", "1000",
+                "--temperature", "1EF",
+                "--method", "quad-sum",
+                "--grid", "3x3",
+                "--output", str(tmp_path / "q"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "method quad-sum at 1EF fd: direct four-index sum capped" in err
+        assert "theta=" not in err
 
 
 class TestSpectrumCommand:

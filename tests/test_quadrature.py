@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fermipulse.quadrature import PANELS_PER_CALL, QuadratureFailure, adaptive_simpson
+from fermipulse.quadrature import PANELS_PER_CALL, QuadratureFailure, adaptive_simpson, simpson_family
 
 
 def test_polynomial_is_exact():
@@ -45,14 +45,29 @@ def test_rejects_empty_interval():
 
 
 def distinct_nodes(f, *args, **kwargs):
-    """Integral and number of distinct nodes f was called on."""
+    """Integral and the set of distinct nodes f was called on."""
     seen = set()
 
     def g(x):
         seen.update(x.tolist())
         return f(x)
 
-    return adaptive_simpson(g, *args, **kwargs), len(seen)
+    return adaptive_simpson(g, *args, **kwargs), seen
+
+
+def family_nodes(fs, *args, **kwargs):
+    """simpson_family over the integrands fs, and each row's set of distinct nodes."""
+    seen = [set() for _ in fs]
+
+    def g(rows, x):
+        out = np.empty(x.shape)
+        for r, f in enumerate(fs):
+            mine = rows == r
+            seen[r].update(x[mine].tolist())
+            out[mine] = f(x[mine])
+        return out
+
+    return simpson_family(g, *args, len(fs), **kwargs), seen
 
 
 @pytest.mark.parametrize(
@@ -72,8 +87,16 @@ def distinct_nodes(f, *args, **kwargs):
     ids=["decaying-exponential", "seeded-narrow-peak", "sine"],
 )
 def test_distinct_node_count(f, args, kwargs, nodes):
-    _, count = distinct_nodes(f, *args, **kwargs)
-    assert count == nodes
+    _, seen = distinct_nodes(f, *args, **kwargs)
+    assert len(seen) == nodes
+    # in a family, each row visits exactly the nodes of its one-row call
+    rows = [f, lambda x: 3.7 * f(x), lambda x: np.zeros(x.shape), lambda x: -1e-5 * f(x)]
+    values, seen = family_nodes(rows, *args, **kwargs)
+    for g, value, nodes_of_row in zip(rows, values.tolist(), seen):
+        alone, alone_seen = distinct_nodes(g, *args, **kwargs)
+        assert value == alone
+        assert nodes_of_row == alone_seen
+    assert len(seen[0]) == nodes
 
 
 def test_integrand_called_on_arrays():
@@ -123,8 +146,57 @@ def depth_first_simpson(f, a, b, rel_tol, seeds=(), max_depth=48):
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
 def test_equals_depth_first_refinement(rel_tol):
     # arithmetic only, so the scalar and array integrands agree bit for bit;
-    # the batched refinement then returns the depth-first sum exactly
+    # the batched refinement then returns the depth-first sum exactly, for
+    # one integrand and for each row of a family whose rows are scaled
+    # differently (each with its own budget), one of them all zero
     f = lambda x: 1.0 / (1.0 + (x * 100.0) ** 2) + x**3
     seeds = [0.01, 0.1]
     want = depth_first_simpson(f, -1.3, 2.0, rel_tol, seeds)
     assert adaptive_simpson(f, -1.3, 2.0, rel_tol=rel_tol, seeds=seeds) == want
+    scales = np.array([1.0, 1e-7, 0.0, -3.1, 2.0**40])
+    got = simpson_family(lambda rows, x: scales[rows] * f(x), -1.3, 2.0, scales.size, rel_tol=rel_tol, seeds=seeds)
+    for c, value in zip(scales.tolist(), got.tolist()):
+        assert value == depth_first_simpson(lambda x: c * f(x), -1.3, 2.0, rel_tol, seeds)
+
+
+def test_family_first_call_is_row_by_row():
+    calls = []
+
+    def f(rows, x):
+        calls.append((rows.copy(), x.copy()))
+        return np.exp(-abs(x)) * (1.0 + rows)
+
+    simpson_family(f, -1.0, 1.0, 3, rel_tol=1e-9)
+    rows, x = calls[0]
+    assert rows.tolist() == sorted(rows.tolist())
+    n = x.size // 3
+    assert x[:n].tolist() == x[n : 2 * n].tolist() == x[2 * n :].tolist()
+
+
+def test_family_failure_names_the_wild_row():
+    wild = lambda x: np.sin(1.0 / (x + 1e-9))
+    tame = lambda x: np.exp(3.0 * x)
+    per_row = []
+
+    def f(rows, x):
+        per_row.append(np.bincount(rows, minlength=5))
+        return np.where(rows == 2, wild(x), (1.0 + rows) * tame(x))
+
+    with pytest.raises(QuadratureFailure) as info:
+        simpson_family(f, 0.0, 1.0, 5, rel_tol=1e-12, max_depth=8)
+    assert info.value.row == 2
+    # the tame rows converge alone; the wild row raises the panel it raises alone
+    assert adaptive_simpson(tame, 0.0, 1.0, rel_tol=1e-12, max_depth=8) > 0.0
+    with pytest.raises(QuadratureFailure) as alone:
+        adaptive_simpson(wild, 0.0, 1.0, rel_tol=1e-12, max_depth=8)
+    assert (info.value.a, info.value.b, info.value.err) == (alone.value.a, alone.value.b, alone.value.err)
+    assert alone.value.row == 0
+    # while all rows refine, each call still takes at most PANELS_PER_CALL panels per row
+    assert max(counts.max() for counts in per_row[1:]) == 2 * PANELS_PER_CALL
+
+
+def test_empty_family_makes_no_call():
+    def f(rows, x):
+        raise AssertionError("called")
+
+    assert simpson_family(f, 0.0, 1.0, 0).shape == (0,)

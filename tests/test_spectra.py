@@ -196,6 +196,19 @@ class TestFrequencyDistribution:
             assert fast[0] == pytest.approx(full[0], rel=1e-3)
             assert fast[1] == pytest.approx(full[1], rel=1e-3)
 
+    def test_failing_angular_integral_names_its_detuning(self, trap, state_cache, monkeypatch):
+        from fermipulse import spectra
+
+        def noisy_at_one_detuning(req):
+            # digits of theta: noise on every scale, so refinement never settles
+            noise = np.modf(req.point.theta * 1e15)[0]
+            return np.where(req.point.varpi == 1.5, noise, 1.0)
+
+        monkeypatch.setattr(spectra, "coherent_form", noisy_at_one_detuning)
+        with pytest.raises(fp.QuadratureFailure, match=r"theta integral at varpi=1\.5: panel") as info:
+            fp.frequency_distribution(state_cache(100, 1.0), trap, np.array([-1.0, 1.5, 2.0]))
+        assert info.value.row == 1
+
     @pytest.mark.parametrize("mode", [fp.AngularMode.FROZEN, fp.AngularMode.FULL])
     def test_array_of_detunings_equals_point_calls(self, trap, state_cache, mode):
         st = state_cache(100, 1.0)
@@ -234,6 +247,49 @@ class TestTotalPhotons:
             out[n] = fp.total_photons(st, trap, pulse)
         assert out[1000][0] / out[500][0] == pytest.approx(4.0, rel=0.05)
         assert out[1000][1] / out[500][1] == pytest.approx(2.0, rel=0.05)
+
+
+class TestFullModePins:
+    """FD, 300 atoms, 3.0 E_F, default trap, full mode.
+
+    The values were recorded from the code that ran one angular quadrature
+    per detuning (2240 coherent and 1600 incoherent form-function calls for
+    the total); one angular refinement over all detunings must reproduce
+    them bit for bit, on the same points, in far fewer calls.
+    """
+
+    @pytest.fixture
+    def state(self, state_cache):
+        return state_cache(300, 3.0 * fp.fermi_energy(300))
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from fermipulse import spectra
+
+        counts = {"coh": [0, 0], "inc": [0, 0]}
+
+        def counting(channel, form):
+            def wrapped(req):
+                counts[channel][0] += 1
+                counts[channel][1] += np.size(req.point.x_total)
+                return form(req)
+
+            return wrapped
+
+        monkeypatch.setattr(spectra, "coherent_form", counting("coh", spectra.coherent_form))
+        monkeypatch.setattr(spectra, "incoherent_form", counting("inc", spectra.incoherent_form))
+        return counts
+
+    def test_total(self, trap, pulse, state, counts):
+        got = fp.total_photons(state, trap, pulse, mode=fp.AngularMode.FULL)
+        assert got == (0.00021799807524208414, 0.05999739087616451)
+        assert counts["coh"][0] <= 100 and counts["inc"][0] <= 100
+        assert (counts["coh"][1], counts["inc"][1]) == (111_680, 36_160)
+
+    def test_frequency_distribution(self, trap, state, counts):
+        d_coh, d_in = fp.frequency_distribution(state, trap, np.linspace(-6.0, 6.0, 25))
+        assert (d_coh[3], d_in[3]) == (3.0156805037958925e-08, 5.533930648620738e-06)
+        assert counts["coh"][0] <= 10 and counts["inc"][0] <= 10
 
 
 class TestResolveMode:
