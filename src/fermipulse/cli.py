@@ -137,9 +137,11 @@ class RunConfig:
         if nt < 2 or nv < 2:
             raise ConfigError("grid", f"grid counts must be >= 2, got {self.grid!r}")
         try:
-            Method.parse(self.method)
+            method = Method.parse(self.method)
         except ValueError as e:
             raise ConfigError("method", str(e)) from None
+        if method is Method.CLOSED_FORM_MB and self.statistics != "mb":
+            raise ConfigError("method", f"closed-form-mb requires statistics mb, got {self.statistics!r}")
         try:
             AngularMode.parse(self.mode)
         except ValueError as e:

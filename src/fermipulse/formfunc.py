@@ -33,7 +33,6 @@ import numpy as np
 import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
-from .model import ScatterPoint
 from .statmech import Statistics, ThermalState, _degeneracy_array
 
 QUAD_SUM_CEILING = 60
@@ -123,25 +122,28 @@ class FormFunctionRequest:
 # ---------------------------------------------------------------------------
 
 
-def _occupation_pair_block(state, size):
-    """Table W[s, t] = sum_y P(s+y) P(t+y) for s, t <= size.
+def _reversed_tails(state, size):
+    """For d = 0..size, the running sums of P(n) P(n+d) taken from the top
+    of the occupation table down: entry j sums n = n_top-d-j..n_top-d, so
+    the sums run to the end of the table (occupations beyond n_max are
+    zero)."""
+    p = state.occupations
+    n_top = p.shape[0] - 1
+    for d in range(size + 1):
+        yield np.cumsum((p[: n_top + 1 - d] * p[d:])[::-1])
 
-    Built by reverse cumulative sums along diagonals; the y sum runs to the
-    end of the occupation table (occupations beyond n_max are zero).
-    """
+
+def _occupation_pair_block(state, size):
+    """Table W[s, t] = sum_y P(s+y) P(t+y) for s, t <= size."""
 
     def build():
-        p = state.occupations
-        n_top = p.shape[0] - 1
         out = np.empty((size + 1, size + 1))
         idx = np.arange(size + 1)
-        for d in range(size + 1):
-            prod = p[: n_top + 1 - d] * p[d:]
-            tail = np.cumsum(prod[::-1])[::-1]
+        for d, rev in enumerate(_reversed_tails(state, size)):
             take = size + 1 - d
-            out[idx[:take], idx[:take] + d] = tail[:take]
-            if d:
-                out[idx[:take] + d, idx[:take]] = tail[:take]
+            tail = rev[::-1][:take]
+            out[idx[:take], idx[:take] + d] = tail
+            out[idx[:take] + d, idx[:take]] = tail
         out.flags.writeable = False
         return out
 
@@ -153,21 +155,18 @@ def _weight_diagonals(state, size):
 
     Row m holds d = 0..size-m, the layout ``_kernels.fc_weighted_sum``
     reads; entries with d > 0 are doubled, because |<a|D|b>|^2 is symmetric
-    in a and b.  Each diagonal is a double reverse cumulative sum of
-    P(n) P(n+d) that runs to the end of the occupation table.
+    in a and b.  Each diagonal is a second running sum of the reversed
+    tails.
     """
 
     def build():
-        p = state.occupations
-        n_top = p.shape[0] - 1
         rows = np.arange(size + 1)
         start = rows * (size + 1) - rows * (rows - 1) // 2
         out = np.empty(start[-1] + 1)
-        for d in range(size + 1):
-            prod = p[: n_top + 1 - d] * p[d:]
-            tail = np.cumsum(np.cumsum(prod[::-1]))[::-1]
+        for d, rev in enumerate(_reversed_tails(state, size)):
             take = size + 1 - d
-            out[start[:take] + d] = tail[:take] if d == 0 else 2.0 * tail[:take]
+            tail = np.cumsum(rev)[::-1][:take]
+            out[start[:take] + d] = tail if d == 0 else 2.0 * tail
         out.flags.writeable = False
         return out
 
@@ -196,10 +195,9 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
     budget = 0.5 * min(tolerance, 1e-6)
 
     def build():
-        g = _degeneracy_array(state.n_max)
         p = state.occupations
-        tail = np.cumsum((g * p)[::-1])[::-1]
-        peak = float(g @ (p * p))
+        tail = np.cumsum((_degeneracy_array(state.n_max) * p)[::-1])[::-1]
+        peak = _incoherent_x0(state)
         p_max = float(p.max()) if p.size else 0.0
         cut = budget * peak / max(2.0 * p_max, 1e-300)
         keep = np.nonzero(tail > max(cut, 1e-300))[0]
@@ -215,23 +213,7 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _split_zero(zero, at_zero, fn):
-    """at_zero where zero holds, fn(positions) at the other positions."""
-    out = np.empty(zero.shape)
-    if zero.any():
-        out[zero] = at_zero()
-    live = np.nonzero(~zero)[0]
-    if live.size:
-        try:
-            out[live] = fn(live)
-        except FormFunctionError as e:
-            if e.index is not None:
-                e.index = int(live[e.index])
-            raise
-    return out
-
-
-def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
+def _alternating_series(name, x, tol, first, stop_from, last, terms, max_block):
     """sum_l (-1)^(l - first) term_l(x) over l = first..last for every x.
 
     terms(ls, xs) returns the (xs.size, ls.size) magnitudes of a block of
@@ -240,8 +222,8 @@ def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
     alone would follow; the partial sums accumulate term by term, so the
     blocks change nothing but how many terms past its stop an x computes.
     The first block ends at stop_from; later ones double up to max_block.
-    Returns the sums and the position of the first x still running after
-    term last (None when every x settled).
+    An x still running after term last raises ToleranceNotMet, naming the
+    series by name and carrying the position of the first such x as index.
     """
     out = np.empty(x.shape)
     step = max(1, _kernels.CHUNK_DOUBLES // max(max_block, stop_from - first + 1))
@@ -276,17 +258,15 @@ def _alternating_series(x, tol, first, stop_from, last, terms, max_block):
             if not idx.size:
                 break
         else:
-            return out, int(idx[0])
-    return out, None
+            raise ToleranceNotMet(
+                f"{name} power series did not settle within {last - first + 1} terms", index=int(idx[0])
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
 # coherent branch
 # ---------------------------------------------------------------------------
-
-
-def _coherent_x0(state):
-    return state.total_atoms**2
 
 
 def _coherent_laguerre(state, x):
@@ -312,12 +292,7 @@ def _coherent_power_series(state, x, tol):
         mag[log_mag <= -745.0] = 0.0
         return mag
 
-    acc, unsettled = _alternating_series(x, tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
-    if unsettled is not None:
-        raise ToleranceNotMet(
-            f"coherent power series did not settle within {_POWER_SERIES_MAX_TERMS} terms",
-            index=unsettled,
-        )
+    acc = _alternating_series("coherent", x, tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
     return acc * acc
 
 
@@ -351,9 +326,7 @@ def _incoherent_power_series(state, x, tol):
         l1 = np.arange(1, total_l, dtype=np.float64)
         fshape = -np.expm1(l1 * lq) * np.expm1((total_l - l1) * lq) / math.expm1(total_l * lq)
         rows = max(1, _kernels.CHUNK_DOUBLES // fshape.size)
-        block = np.concatenate(
-            [np.exp(-xs[lo : lo + rows, None] * fshape).sum(axis=1) for lo in range(0, xs.size, rows)]
-        )
+        block = _kernels._chunked(xs, rows, lambda chunk: np.exp(-chunk[:, None] * fshape).sum(axis=1))
         return math.exp(log_pref) * block
 
     def terms(ls, xs):
@@ -361,9 +334,7 @@ def _incoherent_power_series(state, x, tol):
 
     # a term costs O(total_l) per x, so past the first block of terms,
     # which every x needs, they are computed one at a time
-    acc, unsettled = _alternating_series(x, tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
-    if unsettled is not None:
-        raise ToleranceNotMet("incoherent power series did not settle", index=unsettled)
+    acc = _alternating_series("incoherent", x, tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
     negative = np.nonzero(acc < 0.0)[0]
     if negative.size:
         i = int(negative[0])
@@ -412,9 +383,10 @@ def _auto_method(state, incoherent):
     return Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
 
 
-def _branch(state, method, incoherent, tol, point, x):
-    """The branch a forced method runs in one channel, as fn(live) at the
-    positions live of x, the flattened transfers of point, where x > 0.
+def _branch(state, method, incoherent, tol, point, live, x):
+    """A forced method's values in one channel at the transfers x > 0 (the
+    power series takes x = 0 too), found at the positions live of the
+    point's flattened transfers.
 
     A Maxwell-Boltzmann power series is the closed form.  LAGUERRE_SUM is
     the general coherent path and CONVOLUTION_SUM the general incoherent
@@ -425,20 +397,18 @@ def _branch(state, method, incoherent, tol, point, x):
     if method is Method.POWER_SERIES and state.statistics is Statistics.MAXWELL_BOLTZMANN:
         method = Method.CLOSED_FORM_MB
     if method is Method.CLOSED_FORM_MB:
-        closed = _incoherent_closed_mb if incoherent else _coherent_closed_mb
-        return lambda live: closed(state, x[live])
+        return (_incoherent_closed_mb if incoherent else _coherent_closed_mb)(state, x)
     if method is Method.POWER_SERIES:
-        series = _incoherent_power_series if incoherent else _coherent_power_series
-        return lambda live: series(state, x[live], tol)
+        return (_incoherent_power_series if incoherent else _coherent_power_series)(state, x, tol)
     if not incoherent:
-        return lambda live: _coherent_laguerre(state, x[live])
+        return _coherent_laguerre(state, x)
     if method is Method.QUAD_SUM:
         x_x, x_z = (
-            np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(point.x_total)).ravel()
+            np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(point.x_total)).ravel()[live]
             for v in (point.x_x, point.x_z)
         )
-        return lambda live: _incoherent_quad(state, x_x[live], x_z[live])
-    return lambda live: _incoherent_conv(state, x[live], tol)
+        return _incoherent_quad(state, x_x, x_z)
+    return _incoherent_conv(state, x, tol)
 
 
 def _evaluate(state, point, method, tol, incoherent):
@@ -452,54 +422,61 @@ def _evaluate(state, point, method, tol, incoherent):
         method = _auto_method(state, incoherent)
         if method is Method.POWER_SERIES and flat.size:
             _auto_cross_check(state, incoherent, float(flat[0]), tol)
-    x0 = _incoherent_x0 if incoherent else _coherent_x0
-    out = _split_zero(flat == 0.0, lambda: x0(state), _branch(state, method, incoherent, tol, point, flat))
+    out = np.empty(flat.shape)
+    zero = flat == 0.0
+    if zero.any():
+        out[zero] = _incoherent_x0(state) if incoherent else state.total_atoms**2
+    live = np.nonzero(~zero)[0]
+    if live.size:
+        try:
+            out[live] = _branch(state, method, incoherent, tol, point, live, flat[live])
+        except FormFunctionError as e:
+            if e.index is not None:
+                e.index = int(live[e.index])
+            raise
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _auto_cross_check(state, incoherent, x, tol):
-    """Compare the auto power series with its channel's general table sum,
-    once per state, at a transfer derived from the first x.
+    """On the first auto power-series use per state, compare the series
+    with an independent sum over the occupation table at one transfer
+    derived from the first x.  The state counts as checked only after a
+    comparison passes, so a failing check raises on every call.
 
-    The transfer is damped so the true value stays within ~e^{-25} of the
-    zero-transfer peak: beyond that the signed Laguerre sum drowns in
-    cancellation round-off for high-temperature states and the comparison
-    is void.  At x = 0 both sides return the zero-transfer value, so the
-    coherent check moves to the damped cap.  The incoherent check stays
-    there, void: at the cap it would build the contraction's weight table,
-    which an auto power-series state otherwise never needs.
+    The coherent check compares with the Laguerre sum at x, damped so the
+    true value stays within ~e^{-25} of the zero-transfer peak: beyond
+    that the signed Laguerre sum drowns in cancellation round-off for
+    high-temperature states and the comparison is void.  At x = 0 both
+    would return N^2, so there the check moves to the damped cap.  The
+    incoherent check compares with the contraction at the damped x; where
+    x = 0, or where n_eff exceeds _CROSS_CHECK_CONV_LIMIT and the weight
+    table would cost more than the evaluation it checks, it compares the
+    series at x = 0 with sum_n g(n) P(n)^2 instead, which needs no table.
     """
-    if incoherent and _effective_shell_cutoff(state, tol) > _CROSS_CHECK_CONV_LIMIT:
-        return
-    cap = min(25.0 * math.tanh(0.5 / state.tau), 0.5 * state.n_max + 1.0)
-    at_x = min(x, cap) if x > 0.0 or incoherent else cap
-
-    def by(method):
-        return lambda v: _evaluate(state, ScatterPoint(0.0, 0.0, v, v, 0.0), method, tol, incoherent)
-
-    general = Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
-    key = "auto_checked_inc" if incoherent else "auto_checked_coh"
-    _cross_check_once(state, key, by(Method.POWER_SERIES), by(general), at_x, tol)
-
-
-def _cross_check_once(state, key, fast, other, scale_x, tol):
-    """On the first auto power-series use per state, verify one point against
-    the occupation-table branch at a damped momentum transfer.  The state
-    counts as checked only after a comparison passes, so a failing check
-    raises on every call."""
 
     def check():
-        a = fast(scale_x)
-        b = other(scale_x)
+        cap = min(25.0 * math.tanh(0.5 / state.tau), 0.5 * state.n_max + 1.0)
+        if not incoherent:
+            at_x = min(x, cap) if x > 0.0 else cap
+        elif x > 0.0 and _effective_shell_cutoff(state, tol) <= _CROSS_CHECK_CONV_LIMIT:
+            at_x = min(x, cap)
+        else:
+            at_x = 0.0
+        one = np.array([at_x])
+        a = float(_branch(state, Method.POWER_SERIES, incoherent, tol, None, None, one)[0])
+        if at_x == 0.0:
+            b = _incoherent_x0(state)
+        else:
+            general = Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
+            b = float(_branch(state, general, incoherent, tol, None, None, one)[0])
         bound = max(1e-6, 100.0 * tol)
         if abs(a - b) > bound * max(abs(a), abs(b), 1e-300):
             raise ToleranceNotMet(
-                f"auto cross-check failed at x={scale_x:.4g}: power series {a:.12g} "
-                f"vs table sum {b:.12g}"
+                f"auto cross-check failed at x={at_x:.4g}: power series {a:.12g} vs table sum {b:.12g}"
             )
         return True
 
-    state.cached(key, check)
+    state.cached("auto_checked_inc" if incoherent else "auto_checked_coh", check)
 
 
 def coherent_form(req):

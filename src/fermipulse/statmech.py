@@ -184,8 +184,11 @@ def _shell_cutoff(log_z, tau, n_atoms, n_floor):
     return hi if _log_shell_tail(log_z, tau, lo) >= target else lo
 
 
-def _fd_occupations(log_z, tau, n_max):
+def _occupations(statistics, log_z, tau, n_max):
+    """Mean occupation P(n) of one state on shells n = 0..n_max at fugacity e^log_z."""
     n = np.arange(n_max + 1, dtype=np.float64)
+    if statistics is Statistics.MAXWELL_BOLTZMANN:
+        return np.exp(log_z - n / tau)
     return expit(log_z - n / tau)
 
 
@@ -193,7 +196,7 @@ def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter):
     g = _degeneracy_array(n_max)
 
     def shortfall(log_z):
-        return float(g @ _fd_occupations(log_z, tau, n_max)) - n_atoms
+        return float(g @ _occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)) - n_atoms
 
     # FD occupations at fixed z are below MB ones, so the MB fugacity is a
     # lower bracket for the FD root
@@ -259,33 +262,26 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC, *, rel_tol=1
     log_z_mb = math.log(n_atoms) + 3.0 * math.log(-math.expm1(-1.0 / tau))
 
     if statistics is Statistics.MAXWELL_BOLTZMANN:
-        n_max = _shell_cutoff(log_z_mb, tau, n_atoms, n_floor)
-        n = np.arange(n_max + 1, dtype=np.float64)
-        occ = np.exp(log_z_mb - n / tau)
-        return ThermalState(
-            n_atoms=float(n_atoms),
-            tau=tau,
-            log_fugacity=log_z_mb,
-            n_max=n_max,
-            statistics=statistics,
-            occupations=occ,
-        )
-
-    # FD: the true z exceeds the MB estimate; pad the cutoff estimate and
-    # verify against the solved value
-    n_max = _shell_cutoff(log_z_mb + 0.5, tau, n_atoms, n_floor)
-    for _ in range(4):
-        log_z = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter)
-        needed = _shell_cutoff(log_z, tau, n_atoms, n_floor)
-        if needed <= n_max:
-            break
-        n_max = needed
+        log_z = log_z_mb
+        n_max = _shell_cutoff(log_z, tau, n_atoms, n_floor)
     else:
-        raise ConvergenceFailure("shell cutoff failed to stabilize")
+        # the true FD z exceeds the MB estimate; pad the cutoff estimate and
+        # verify against the solved value
+        n_max = _shell_cutoff(log_z_mb + 0.5, tau, n_atoms, n_floor)
+        for _ in range(4):
+            log_z = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter)
+            needed = _shell_cutoff(log_z, tau, n_atoms, n_floor)
+            if needed <= n_max:
+                break
+            n_max = needed
+        else:
+            raise ConvergenceFailure("shell cutoff failed to stabilize")
 
-    occ = _fd_occupations(log_z, tau, n_max)
-    g = _degeneracy_array(n_max)
-    if abs(float(g @ occ) - n_atoms) > rel_tol * n_atoms:
+    occ = _occupations(statistics, log_z, tau, n_max)
+    if (
+        statistics is Statistics.FERMI_DIRAC
+        and abs(float(_degeneracy_array(n_max) @ occ) - n_atoms) > rel_tol * n_atoms
+    ):
         raise ConvergenceFailure("number constraint violated after solve")
     return ThermalState(
         n_atoms=float(n_atoms),
@@ -310,14 +306,9 @@ def from_fugacity(log_z, tau, n_max, statistics=Statistics.FERMI_DIRAC):
         raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     statistics = Statistics.parse(statistics) if isinstance(statistics, str) else statistics
     n_max = int(n_max)
-    if statistics is Statistics.MAXWELL_BOLTZMANN:
-        n = np.arange(n_max + 1, dtype=np.float64)
-        occ = np.exp(log_z - n / tau)
-    else:
-        occ = _fd_occupations(log_z, tau, n_max)
-    g = _degeneracy_array(n_max)
+    occ = _occupations(statistics, log_z, tau, n_max)
     return ThermalState(
-        n_atoms=float(g @ occ),
+        n_atoms=float(_degeneracy_array(n_max) @ occ),
         tau=tau,
         log_fugacity=log_z,
         n_max=n_max,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -98,6 +99,14 @@ class TestConfig:
             ),
             pytest.param(None, ["--varpi-window", "30000"], "varpi_window", id="window-past-zero-wavenumber"),
             pytest.param({"temperatures": [True]}, [], "temperatures", id="temperatures-bool"),
+            # the Maxwell-Boltzmann closed forms have no Fermi-Dirac state to run on
+            pytest.param(None, ["--method", "closed-form-mb"], "method", id="closed-form-mb-with-fd"),
+            pytest.param(
+                None,
+                ["--method", "closed-form-mb", "--statistics", "both"],
+                "method",
+                id="closed-form-mb-with-both",
+            ),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, config, flags, fieldname):
@@ -421,3 +430,84 @@ class TestDeterminism:
         assert rc1 == rc2 == 0
         for suffix in ("angular_fd_0.5EF.csv", "frequency_fd_0.5EF.csv"):
             assert (tmp_path / f"a_{suffix}").read_bytes() == (tmp_path / f"b_{suffix}").read_bytes()
+
+
+def _formfunc_runs():
+    # each forced method valid for each statistics, at the temperatures
+    # where it is valid: 0.1 E_F is degenerate (n_max 46, so quad-sum
+    # runs), 1 E_F has z < 1 (so the FD power series runs, and auto takes
+    # it and its cross-check)
+    valid = {
+        "fd": {
+            "auto": "0.1EF,1EF",
+            "power-series": "1EF",
+            "laguerre": "0.1EF,1EF",
+            "quad-sum": "0.1EF",
+            "convolution": "0.1EF,1EF",
+        },
+        "mb": {
+            "auto": "0.1EF,1EF",
+            "power-series": "0.1EF,1EF",
+            "laguerre": "0.1EF,1EF",
+            "closed-form-mb": "0.1EF,1EF",
+            "quad-sum": "0.1EF",
+            "convolution": "0.1EF,1EF",
+        },
+    }
+    for stat, methods in valid.items():
+        for method, temps in methods.items():
+            args = ["formfunc", "--atoms", "200", "--grid", "9x7", "--statistics", stat]
+            yield f"formfunc-{stat}-{method}", [*args, "--method", method, "--temperature", temps]
+
+
+_PINNED_RUNS = {
+    **dict(_formfunc_runs()),
+    "total-frozen": [
+        "total", "--atoms", "300", "--statistics", "both", "--mode", "frozen", "--temperature", "0.1EF,1EF",
+    ],
+    "spectrum-frozen": [
+        "spectrum", "--atoms", "300", "--statistics", "both", "--mode", "frozen",
+        "--grid", "9x7", "--temperature", "0.1EF,1EF",
+    ],
+    "spectrum-full": [
+        "spectrum", "--atoms", "300", "--statistics", "both", "--mode", "full",
+        "--grid", "7x5", "--temperature", "0.05EF,3EF",
+    ],
+}
+
+# sha256 (first 16 hex digits) over every CSV a run writes, in name order,
+# each file's name followed by its bytes
+_PINNED_DIGESTS = {
+    "formfunc-fd-auto": "f21ba3d3deec666a",
+    "formfunc-fd-power-series": "0fdbb88897c667f2",
+    "formfunc-fd-laguerre": "e63a0f8ca85f3e24",
+    "formfunc-fd-quad-sum": "0aa76c2ddd979dc2",
+    "formfunc-fd-convolution": "6e53b079341e1d2a",
+    "formfunc-mb-auto": "21fa8539362b8f4d",
+    "formfunc-mb-power-series": "22538d4aab3f5de8",
+    "formfunc-mb-laguerre": "901ae3eb09e8c17e",
+    "formfunc-mb-closed-form-mb": "8f4604945c36c8bc",
+    "formfunc-mb-quad-sum": "a54c9d8042385a60",
+    "formfunc-mb-convolution": "16d1b99068b6315a",
+    "total-frozen": "9bfc9603f20458c0",
+    "spectrum-frozen": "12cf11a2c7d92659",
+    "spectrum-full": "28159c7d4a14dd09",
+}
+
+
+class TestPinnedOutput:
+    """The CSVs of small runs, pinned byte for byte.
+
+    A refactor must leave every digest as it is.  A change that moves a
+    number on purpose re-records the digests and says which runs moved
+    and why.
+    """
+
+    @pytest.mark.parametrize("name", list(_PINNED_RUNS))
+    def test_csv_digest(self, tmp_path, name):
+        assert main([*_PINNED_RUNS[name], "--output", str(tmp_path / "run")]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.glob("*.csv")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest()[:16] == _PINNED_DIGESTS[name]

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st_
 
 import fermipulse as fp
-from fermipulse import _kernels, from_fugacity
+from fermipulse import _kernels, formfunc, from_fugacity
 from fermipulse.formfunc import (
     BudgetExceeded,
     CONVOLUTION_SUM_CEILING,
@@ -19,7 +19,6 @@ from fermipulse.formfunc import (
     QUAD_SUM_CEILING,
     SeriesDivergence,
     ToleranceNotMet,
-    _cross_check_once,
     _incoherent_x0,
 )
 from fermipulse.statmech import _degeneracy_array
@@ -264,11 +263,44 @@ class TestIncoherentForm:
         assert "BudgetExceeded" in proc.stderr
         assert str(CONVOLUTION_SUM_CEILING) in proc.stderr
 
-    def test_failed_cross_check_raises_every_call(self):
+    @staticmethod
+    def skew_zero_transfer_sum(monkeypatch):
+        # sum g P^2 off by 1e-3: the power series at x = 0 must disagree
+        x0 = formfunc._incoherent_x0
+        monkeypatch.setattr(formfunc, "_incoherent_x0", lambda st: x0(st) * (1.0 + 1e-3))
+
+    def test_auto_cross_check_runs_when_first_x_is_zero(self, monkeypatch):
+        # at x = 0 the contraction returns sum g P^2 too, so the check
+        # compares the series there with the table's zero-transfer sum
         st = from_fugacity(math.log(0.5), 1.2, 46)
+        self.skew_zero_transfer_sum(monkeypatch)
+        xs = np.array([0.0, 1.0])
+        pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
+        with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
+            fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+
+    def test_auto_cross_check_runs_above_contraction_limit(self, monkeypatch):
+        # 10^6 atoms at 1.36 EF: n_eff = 6891, past the limit on the weight
+        # table, so the check compares at x = 0 whatever the first x
+        n = 10**6
+        st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
+        req = fp.FormFunctionRequest(st, point(10.0, 30.0))
+        with monkeypatch.context() as m:
+            self.skew_zero_transfer_sum(m)
+            with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
+                fp.incoherent_form(req)
+        assert fp.incoherent_form(req) > 0.0
+        assert st._cache["auto_checked_inc"] is True
+        # the check built no weight table
+        assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
+
+    def test_failed_cross_check_raises_every_call(self, monkeypatch):
+        st = from_fugacity(math.log(0.5), 1.2, 46)
+        self.skew_zero_transfer_sum(monkeypatch)
         for _ in range(2):
             with pytest.raises(ToleranceNotMet):
-                _cross_check_once(st, "auto_checked_inc", lambda x: 1.0, lambda x: 2.0, 3.0, 1e-8)
+                fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+            assert "auto_checked_inc" not in st._cache
 
     def test_mb_closed_form_matches_table_sum(self):
         st = fp.solve_fugacity(300, 4.0, "mb")
@@ -335,6 +367,17 @@ class TestDecay:
         assert inc / inc0 == pytest.approx(envelope, rel=2e-2)
 
 
+def valid_for(method, st):
+    """Whether a forced method may run on the state."""
+    if method is Method.POWER_SERIES:
+        return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN or st.log_fugacity < 0.0
+    if method is Method.CLOSED_FORM_MB:
+        return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN
+    if method is Method.QUAD_SUM:
+        return st.n_max <= QUAD_SUM_CEILING
+    return True
+
+
 class TestInvariants:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -342,10 +385,11 @@ class TestInvariants:
         t_over_ef=st_.floats(0.01, 3.0),
         statistics=st_.sampled_from(["fd", "mb"]),
         x=st_.floats(0.0, 400.0),
-        method=st_.sampled_from([Method.AUTO, Method.CONVOLUTION_SUM, Method.LAGUERRE_SUM]),
+        method=st_.sampled_from(list(Method)),
     )
     def test_form_function_bounds(self, n_atoms, t_over_ef, statistics, x, method):
         st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
+        assume(valid_for(method, st))
 
         def forms(at):
             # the power series is accurate to the requested tolerance, which
@@ -368,16 +412,6 @@ class TestInvariants:
 class TestArrayCalls:
     """An array of momentum transfers gives, bit for bit, the values of one
     call per point, for every method valid for the state."""
-
-    @staticmethod
-    def valid(method, st):
-        if method is Method.POWER_SERIES:
-            return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN or st.log_fugacity < 0.0
-        if method is Method.CLOSED_FORM_MB:
-            return st.statistics is fp.Statistics.MAXWELL_BOLTZMANN
-        if method is Method.QUAD_SUM:
-            return st.n_max <= QUAD_SUM_CEILING
-        return True
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -418,7 +452,7 @@ class TestArrayCalls:
     )
     def test_array_equals_point_calls(self, n_atoms, t_over_ef, statistics, kla, method, thetas, varpi):
         st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
-        assume(self.valid(method, st))
+        assume(valid_for(method, st))
         trap = fp.TrapModel(kla=kla)
         # repeat the first points, so that x holds repeated values
         thetas = np.array(thetas + thetas[:2], dtype=np.float64)
