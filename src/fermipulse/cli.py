@@ -6,7 +6,8 @@ formfunc   coherent/incoherent form-function surfaces over a (theta, varpi)
            grid, one CSV per (temperature, statistics, channel)
 spectrum   angular and frequency photon distributions per temperature
 total      total coherent/incoherent photon numbers over a temperature sweep
-fugacity   print solved fugacity, Fermi energy and shell cutoff per state
+fugacity   print solved fugacity, Fermi energy, shell cutoff and the
+           form-function method of each channel per state
 
 A JSON config file mirrors the flag names; flags override the file.  Data
 goes to CSV files only, progress to standard error.  Exit codes: 0 success,
@@ -26,7 +27,14 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .formfunc import FormFunctionError, FormFunctionRequest, Method, coherent_form, incoherent_form
+from .formfunc import (
+    FormFunctionError,
+    FormFunctionRequest,
+    Method,
+    coherent_form,
+    describe_methods,
+    incoherent_form,
+)
 from .model import (
     DEFAULT_GAMMA_RATIO,
     DEFAULT_KLA,
@@ -351,12 +359,17 @@ def cmd_total(cfg):
 
 
 def cmd_fugacity(cfg):
+    method = Method.parse(cfg.method)
     for temp, stat, state in _solve_states(cfg):
         ef = fermi_energy(cfg.atoms)
+        methods = describe_methods(state, method, cfg.tolerance)
+        if "fit_bound" in methods:
+            methods["fit_bound"] = f"{methods['fit_bound']:.3g}"
         print(
             f"statistics={stat.value} kT={temp.label()} tau={state.tau!r} "
             f"log_z={state.log_fugacity!r} z={state.fugacity!r} "
-            f"n_max={state.n_max} EF={ef!r} atoms={cfg.atoms}"
+            f"n_max={state.n_max} EF={ef!r} atoms={cfg.atoms} "
+            + " ".join(f"{k}={v}" for k, v in methods.items())
         )
     return []
 
@@ -376,7 +389,7 @@ def _build_parser():
         ("formfunc", "form-function surfaces over a (theta, varpi) grid"),
         ("spectrum", "angular and frequency photon distributions"),
         ("total", "total photon numbers over a temperature sweep"),
-        ("fugacity", "print fugacity, Fermi energy and shell cutoff"),
+        ("fugacity", "print fugacity, Fermi energy, shell cutoff and methods"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")

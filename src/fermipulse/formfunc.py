@@ -5,10 +5,18 @@ phase factor, F2_coh = |sum_n P(n) stuff|^2; the incoherent one is the
 double occupation sum F2_in = sum_{n,n'} N_n N_n' |eta_nn'|^2 that is
 subtracted from N-proportional terms in the incoherent spectrum.
 
-Three strategies per quantity, valid in complementary regimes:
+Four strategies per quantity, valid in complementary regimes:
 
 * power series in the fugacity (z < 1, high temperature) -- single sum
   for the coherent branch, double sum for the incoherent one;
+* short exponential sums (Fermi-Dirac, 0.8 <= z <= e^4): the Fermi
+  function f(u) = 1/(1 + e^{u - log z}) is fitted as sum_k w_k e^{-s_k u}
+  and each term P(n) = r^n, r = e^{-s/tau}, has both form functions in
+  closed form (generating function of the Laguerre polynomials):
+  the coherent amplitude sum_n r^n e^{-x/2} L_n^(2)(x) is
+  (1-r)^{-3} exp(-x (1+r) / (2 (1-r))), and the incoherent pair (r, r')
+  gives (1 - r r')^{-3} exp(-x (1-r)(1-r') / (1 - r r')), so a point
+  costs O(K) and O(K^2) for K terms;
 * occupation-table sums (any z, the degenerate regime): a single scaled
   Laguerre sum for the coherent branch; for the incoherent branch either
   the direct four-index sum over per-axis displacement tables (small
@@ -17,12 +25,14 @@ Three strategies per quantity, valid in complementary regimes:
   x = x_x + x_z; with the momentum transfer along one axis the sum is
   F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair weight
   W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state;
-* closed forms for Maxwell-Boltzmann occupations.
+* closed forms for Maxwell-Boltzmann occupations (the K = 1 case of the
+  exponential sums).
 
 Every branch evaluates an array of x at once: the power series carry one
-partial sum per x, each stopped by its own rule, and the table sums
-advance their recurrences for a chunk of x at a time.  A value never
-depends on the other x of its array.
+partial sum per x, each stopped by its own rule, the exponential sums
+evaluate every x on its own, and the table sums advance their
+recurrences for a chunk of x at a time.  A value never depends on the
+other x of its array.
 """
 
 import enum
@@ -33,7 +43,7 @@ import numpy as np
 import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
-from .statmech import Statistics, ThermalState, _degeneracy_array
+from .statmech import Statistics, ThermalState, _degeneracy_array, _log_shell_tail
 
 QUAD_SUM_CEILING = 60
 # at this n_eff the packed weight table, (n_eff+1)(n_eff+2)/2 doubles, is about 1 GiB
@@ -369,40 +379,184 @@ def _incoherent_conv(state, x, tol):
 
 
 # ---------------------------------------------------------------------------
+# exponential-sum branch (Fermi-Dirac, both channels)
+# ---------------------------------------------------------------------------
+
+_EXP_SUM = "exp-sum"  # the branch auto may take; no Method forces it
+# no fit is tried above: from log z ~ 4.3 the fits leave more than 1e-11 N
+_EXP_SUM_MAX_LOG_Z = 4.0
+_EXP_SUM_MAX_TERMS = 32
+_EXP_SUM_STEP = 0.1  # sample step in u
+_EXP_SUM_SPAN = 40.0  # samples run to u = log z + span, where f ~ e^{-span}
+
+
+def _fermi_fit(log_z):
+    """Matrix-pencil fit f(u) ~ sum_k w_k e^{-s_k u} of the Fermi function
+    f(u) = 1/(1 + e^{u - log z}) sampled at u = 0, step, ..., log z + span
+    (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990)): the nodes are the
+    eigenvalues of the shift between the leading right singular vectors
+    of the samples' Hankel matrix, the weights a least-squares fit to the
+    samples.  Terms of weight below 1e-13 of the largest are dropped.
+    Returns (w, s), complex."""
+    size = int(math.ceil((max(log_z, 0.0) + _EXP_SUM_SPAN) / _EXP_SUM_STEP)) + 1
+    y = 0.5 * (1.0 - np.tanh(0.5 * (_EXP_SUM_STEP * np.arange(size) - log_z)))
+    pencil = size // 2
+    _, sv, vh = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(y, pencil + 1), full_matrices=False)
+    v = vh[: int(np.count_nonzero(sv > 1e-15 * sv[0]))].T
+    mu = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
+    w = np.linalg.lstsq(mu ** np.arange(size)[:, None], y.astype(complex), rcond=None)[0]
+    keep = np.abs(w) >= 1e-13 * np.abs(w).max()
+    return w[keep], -np.log(mu[keep]) / _EXP_SUM_STEP
+
+
+def _exp_sum_bound(state, w, s):
+    """sum_n g(n) |P(n) - sum_k w_k r_k^n| over all n >= 0: exact over the
+    table, and past n_max, where P is zero, the geometric tail of each
+    term, sum_{n > n_max} g(n) |w_k| |r_k|^n in closed form."""
+    if not (s.real > 0.0).all():
+        return math.inf
+    n = np.arange(state.n_max + 1, dtype=np.float64)
+    fit = np.exp(np.multiply.outer(n, -s / state.tau)) @ w
+    inside = float(_degeneracy_array(state.n_max) @ np.abs(state.occupations - fit))
+    tail = sum(
+        math.exp(_log_shell_tail(math.log(abs(wk)), state.tau / sk, state.n_max))
+        for wk, sk in zip(w.tolist(), s.real.tolist())
+    )
+    return inside + tail
+
+
+def _exp_sum(state):
+    """The state's occupations as a short exponential sum, P(n) ~ sum_k
+    w_k r_k^n with r_k = e^{-s_k/tau}: (w, r, bound), where bound is
+    ``_exp_sum_bound``.  For log z up to _EXP_SUM_MAX_LOG_Z it stays
+    below 1e-12 N.
+
+    The bound certifies both channels: |e^{-x/2} L_n^(2)(x)| <= g(n)
+    bounds the coherent amplitude's error by it, and each displacement
+    row sums to at most 1, so F2_in moves by at most about twice it."""
+
+    def build():
+        w, s = _fermi_fit(state.log_fugacity)
+        return w, np.exp(-s / state.tau), _exp_sum_bound(state, w, s)
+
+    return state.cached("exp_sum", build)
+
+
+def _exp_sum_certified(state, tol):
+    """Whether the exponential sums evaluate both channels to tol of their
+    peak: at most _EXP_SUM_MAX_TERMS terms, a fit bound below 1e-3 tol N,
+    and round-off below 0.1 tol of each peak.  The round-off estimate is
+    eps times the sum of the closed forms' magnitudes at x = 0, which
+    bound them at every x; it is what stops cold states of few atoms,
+    whose weights cancel to about |w|^2 eps in the pair sum."""
+
+    def check():
+        w, _, bound = _exp_sum(state)
+        if w.size > _EXP_SUM_MAX_TERMS or bound > 1e-3 * tol * state.total_atoms:
+            return False
+        amplitude = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state, False)[0]).sum())
+        pairs = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state, True)[0]).sum())
+        return 2.0 * amplitude <= 0.1 * tol * state.total_atoms and pairs <= 0.1 * tol * _incoherent_x0(state)
+
+    return state.cached(("exp_sum_certified", tol), check)
+
+
+def _exp_sum_terms(state, incoherent):
+    """(c, a) with the channel's amplitude Re sum_j c_j e^{-a_j x}: the K
+    coherent terms, or the K^2 incoherent pairs flattened."""
+
+    def build():
+        w, r, _ = _exp_sum(state)
+        if not incoherent:
+            return w / (1.0 - r) ** 3, 0.5 * (1.0 + r) / (1.0 - r)
+        rr = 1.0 - np.multiply.outer(r, r)
+        return (np.multiply.outer(w, w) / rr**3).ravel(), (np.multiply.outer(1.0 - r, 1.0 - r) / rr).ravel()
+
+    return state.cached(("exp_sum_terms", incoherent), build)
+
+
+def _exp_sum_form(state, x, incoherent):
+    c, a = _exp_sum_terms(state, incoherent)
+
+    def kernel(xs):
+        # each row reduces one x on its own
+        return (np.exp(np.multiply.outer(-xs, a)) * c).sum(axis=1).real
+
+    v = _kernels._chunked(x, max(1, _kernels.CHUNK_DOUBLES // (2 * a.size)), kernel)
+    return v if incoherent else v * v
+
+
+# ---------------------------------------------------------------------------
 # method resolution and the public entry points
 # ---------------------------------------------------------------------------
 
 _AUTO_POWER_SERIES_LOG_Z = math.log(0.8)
 
 
-def _auto_method(state, incoherent):
-    if state.statistics is Statistics.MAXWELL_BOLTZMANN:
-        return Method.CLOSED_FORM_MB
-    if state.log_fugacity < _AUTO_POWER_SERIES_LOG_Z:
-        return Method.POWER_SERIES
-    return Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
+def _resolve(state, method, incoherent, tol):
+    """The name of the branch that evaluates method in one channel.
 
+    auto takes the Maxwell-Boltzmann closed forms, the power series below
+    z = 0.8, the exponential sums up to log z = _EXP_SUM_MAX_LOG_Z where
+    the fit certifies the tolerance, and the table sums elsewhere.  The
+    series stays below z = 0.8 because it stops each x on its own
+    relative rule, so it keeps deep coherent tails that a fit, accurate
+    to a fraction of the peak, cannot.
 
-def _branch(state, method, incoherent, tol, point, live, x):
-    """A forced method's values in one channel at the transfers x > 0 (the
-    power series takes x = 0 too), found at the positions live of the
-    point's flattened transfers.
-
-    A Maxwell-Boltzmann power series is the closed form.  LAGUERRE_SUM is
-    the general coherent path and CONVOLUTION_SUM the general incoherent
+    A forced Maxwell-Boltzmann power series is the closed form.  laguerre
+    is the general coherent path and convolution the general incoherent
     one; the other channel's method names fall through to them, so one
-    forced method works for both channels.  Only the direct four-index
-    sum reads the per-axis transfers of the point.
+    forced method works for both channels.
     """
-    if method is Method.POWER_SERIES and state.statistics is Statistics.MAXWELL_BOLTZMANN:
-        method = Method.CLOSED_FORM_MB
-    if method is Method.CLOSED_FORM_MB:
-        return (_incoherent_closed_mb if incoherent else _coherent_closed_mb)(state, x)
-    if method is Method.POWER_SERIES:
-        return (_incoherent_power_series if incoherent else _coherent_power_series)(state, x, tol)
+    fd = state.statistics is Statistics.FERMI_DIRAC
+    if method is Method.AUTO:
+        if not fd:
+            return Method.CLOSED_FORM_MB.value
+        if state.log_fugacity < _AUTO_POWER_SERIES_LOG_Z:
+            return Method.POWER_SERIES.value
+        if state.log_fugacity <= _EXP_SUM_MAX_LOG_Z and _exp_sum_certified(state, tol):
+            return _EXP_SUM
+    elif method is Method.CLOSED_FORM_MB or (method is Method.POWER_SERIES and not fd):
+        return Method.CLOSED_FORM_MB.value
+    elif method is Method.POWER_SERIES:
+        return method.value
     if not incoherent:
+        return Method.LAGUERRE_SUM.value
+    return (Method.QUAD_SUM if method is Method.QUAD_SUM else Method.CONVOLUTION_SUM).value
+
+
+def describe_methods(state, method=Method.AUTO, tolerance=1e-8):
+    """What evaluates method on the state: {"coh_method", "inc_method"}
+    name each channel's branch, and where one is the exponential sum,
+    "K" and "fit_bound" give its number of terms and certified bound
+    sum_n g(n) |P(n) - fit(n)|.  A method the state refuses raises as
+    its FormFunctionRequest would."""
+    method = FormFunctionRequest(state, None, method, tolerance).method
+    out = {
+        "coh_method": _resolve(state, method, False, tolerance),
+        "inc_method": _resolve(state, method, True, tolerance),
+    }
+    if _EXP_SUM in out.values():
+        w, _, bound = _exp_sum(state)
+        out.update(K=int(w.size), fit_bound=bound)
+    return out
+
+
+def _branch(state, path, incoherent, tol, point, live, x):
+    """The values of the branch named path (see ``_resolve``) in one
+    channel at the transfers x > 0 (the power series takes x = 0 too),
+    found at the positions live of the point's flattened transfers.  Only
+    the direct four-index sum reads the per-axis transfers of the point.
+    """
+    if path == Method.CLOSED_FORM_MB.value:
+        return (_incoherent_closed_mb if incoherent else _coherent_closed_mb)(state, x)
+    if path == Method.POWER_SERIES.value:
+        return (_incoherent_power_series if incoherent else _coherent_power_series)(state, x, tol)
+    if path == _EXP_SUM:
+        return _exp_sum_form(state, x, incoherent)
+    if path == Method.LAGUERRE_SUM.value:
         return _coherent_laguerre(state, x)
-    if method is Method.QUAD_SUM:
+    if path == Method.QUAD_SUM.value:
         x_x, x_z = (
             np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(point.x_total)).ravel()[live]
             for v in (point.x_x, point.x_z)
@@ -418,10 +572,9 @@ def _evaluate(state, point, method, tol, incoherent):
     at the first x."""
     x = np.asarray(point.x_total, dtype=np.float64)
     flat = x.ravel()
-    if method is Method.AUTO:
-        method = _auto_method(state, incoherent)
-        if method is Method.POWER_SERIES and flat.size:
-            _auto_cross_check(state, incoherent, float(flat[0]), tol)
+    path = _resolve(state, method, incoherent, tol)
+    if method is Method.AUTO and path in _CHECKED_PATHS and flat.size:
+        _auto_cross_check(state, incoherent, path, float(flat[0]), tol)
     out = np.empty(flat.shape)
     zero = flat == 0.0
     if zero.any():
@@ -429,7 +582,7 @@ def _evaluate(state, point, method, tol, incoherent):
     live = np.nonzero(~zero)[0]
     if live.size:
         try:
-            out[live] = _branch(state, method, incoherent, tol, point, live, flat[live])
+            out[live] = _branch(state, path, incoherent, tol, point, live, flat[live])
         except FormFunctionError as e:
             if e.index is not None:
                 e.index = int(live[e.index])
@@ -437,11 +590,17 @@ def _evaluate(state, point, method, tol, incoherent):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _auto_cross_check(state, incoherent, x, tol):
-    """On the first auto power-series use per state, compare the series
-    with an independent sum over the occupation table at one transfer
-    derived from the first x.  The state counts as checked only after a
-    comparison passes, so a failing check raises on every call.
+# the branches auto checks against the table sums; a state takes at most
+# one of them (the power series below z = 0.8, the exponential sums above)
+_CHECKED_PATHS = (Method.POWER_SERIES.value, _EXP_SUM)
+
+
+def _auto_cross_check(state, incoherent, path, x, tol):
+    """On the first auto use per state of the branch named path (one of
+    _CHECKED_PATHS), compare it with an independent sum over the
+    occupation table at one transfer derived from the first x.  The state
+    counts as checked only after a comparison passes, so a failing check
+    raises on every call.
 
     The coherent check compares with the Laguerre sum at x, damped so the
     true value stays within ~e^{-25} of the zero-transfer peak: beyond
@@ -451,7 +610,7 @@ def _auto_cross_check(state, incoherent, x, tol):
     incoherent check compares with the contraction at the damped x; where
     x = 0, or where n_eff exceeds _CROSS_CHECK_CONV_LIMIT and the weight
     table would cost more than the evaluation it checks, it compares the
-    series at x = 0 with sum_n g(n) P(n)^2 instead, which needs no table.
+    branch at x = 0 with sum_n g(n) P(n)^2 instead, which needs no table.
     """
 
     def check():
@@ -463,16 +622,16 @@ def _auto_cross_check(state, incoherent, x, tol):
         else:
             at_x = 0.0
         one = np.array([at_x])
-        a = float(_branch(state, Method.POWER_SERIES, incoherent, tol, None, None, one)[0])
+        a = float(_branch(state, path, incoherent, tol, None, None, one)[0])
         if at_x == 0.0:
             b = _incoherent_x0(state)
         else:
-            general = Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM
+            general = (Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM).value
             b = float(_branch(state, general, incoherent, tol, None, None, one)[0])
         bound = max(1e-6, 100.0 * tol)
         if abs(a - b) > bound * max(abs(a), abs(b), 1e-300):
             raise ToleranceNotMet(
-                f"auto cross-check failed at x={at_x:.4g}: power series {a:.12g} vs table sum {b:.12g}"
+                f"auto cross-check failed at x={at_x:.4g}: {path} {a:.12g} vs table sum {b:.12g}"
             )
         return True
 

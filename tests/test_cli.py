@@ -337,6 +337,17 @@ class TestSpectrumCommand:
         assert rows["0.001EF"][0.0] == rows["1EF"][0.0]
 
 
+    @pytest.mark.parametrize("temperature", ["0.3EF", "0.5EF"])
+    def test_full_mode_fermi_dirac_few_hundred_atoms(self, tmp_path, temperature):
+        # the signed Laguerre sum's round-off once stopped the detuning
+        # quadrature of these states; the exponential sums decay cleanly
+        out = tmp_path / "sp5"
+        args = ["--atoms", "300", "--mode", "full", "--statistics", "fd", "--grid", "13x17"]
+        assert main(["spectrum", *args, "--temperature", temperature, "--output", str(out)]) == 0
+        for kind in ("angular", "frequency"):
+            _, rows = read_rows(tmp_path / f"sp5_{kind}_fd_{temperature}.csv")
+            assert all(math.isfinite(float(v)) and float(v) >= 0.0 for r in rows for v in r[1:])
+
     def test_one_stderr_line_per_state(self, tmp_path, capsys):
         out = tmp_path / "sp4"
         args = ["--atoms", "100", "--temperature", "0.5EF,1EF", "--grid", "3x3", "--output", str(out)]
@@ -396,6 +407,34 @@ class TestFugacityCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "log_z=" in out and "n_max=" in out and "EF=" in out
+
+    def test_prints_methods_per_channel(self, capsys):
+        args = ["fugacity", "--atoms", "300", "--statistics", "both", "--temperature", "0.1EF,0.5EF,1EF"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fields = [dict(f.split("=", 1) for f in line.split()) for line in lines]
+        methods = [(f["statistics"], f["kT"], f["coh_method"], f["inc_method"]) for f in fields]
+        assert methods == [
+            ("fd", "0.1EF", "laguerre", "convolution"),
+            ("mb", "0.1EF", "closed-form-mb", "closed-form-mb"),
+            ("fd", "0.5EF", "exp-sum", "exp-sum"),
+            ("mb", "0.5EF", "closed-form-mb", "closed-form-mb"),
+            ("fd", "1EF", "power-series", "power-series"),
+            ("mb", "1EF", "closed-form-mb", "closed-form-mb"),
+        ]
+        # the fit's size and bound only where it runs
+        assert [("K" in f, "fit_bound" in f) for f in fields] == [(f is fields[2],) * 2 for f in fields]
+        assert 1 <= int(fields[2]["K"]) <= 32
+        assert 0.0 < float(fields[2]["fit_bound"]) <= 1e-11 * 300
+
+    def test_prints_forced_method_per_channel(self, capsys):
+        args = ["fugacity", "--atoms", "300", "--temperature", "0.5EF", "--method", "quad-sum"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "coh_method=laguerre inc_method=quad-sum" in out and "K=" not in out
+        # a forced method the state refuses fails as in the other commands
+        assert main([*args[:-1], "power-series"]) == 3
+        assert "SeriesDivergence" in capsys.readouterr().err
 
     @pytest.mark.parametrize("temperature", ["1e20trap", "1e300trap"])
     def test_shell_cutoff_beyond_cap_exit_3(self, capsys, temperature):
@@ -473,6 +512,12 @@ _PINNED_RUNS = {
         "spectrum", "--atoms", "300", "--statistics", "both", "--mode", "full",
         "--grid", "7x5", "--temperature", "0.05EF,3EF",
     ],
+    # auto on the exponential sums: Fermi-Dirac at 0.5 E_F has z = 2.0 at
+    # 200 atoms and 1.7 at 300
+    "formfunc-fd-exp-sum": [
+        "formfunc", "--atoms", "200", "--statistics", "fd", "--temperature", "0.5EF", "--grid", "9x7",
+    ],
+    "total-fd-exp-sum": ["total", "--atoms", "300", "--statistics", "fd", "--temperature", "0.5EF"],
 }
 
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
@@ -492,6 +537,8 @@ _PINNED_DIGESTS = {
     "total-frozen": "9bfc9603f20458c0",
     "spectrum-frozen": "12cf11a2c7d92659",
     "spectrum-full": "28159c7d4a14dd09",
+    "formfunc-fd-exp-sum": "cca1dbd9c748153a",
+    "total-fd-exp-sum": "4675f4a9dbb140e9",
 }
 
 

@@ -343,6 +343,128 @@ class TestIncoherentForm:
             assert v <= 1000.0 * (1 + 1e-9)
 
 
+def on_exp_sum(st, tol=1e-8):
+    return formfunc.describe_methods(st, Method.AUTO, tol)["coh_method"] == formfunc._EXP_SUM
+
+
+def transfers(xs):
+    xs = np.asarray(xs, dtype=np.float64)
+    return fp.ScatterPoint(0.0, 0.0, xs, 0.3 * xs, 0.7 * xs)
+
+
+class TestExpSum:
+    """auto's exponential-sum branch: Fermi-Dirac states with
+    0.8 <= z <= e^{_EXP_SUM_MAX_LOG_Z} where the fit certifies."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        n_atoms=st_.integers(100, 3000),
+        t_over_ef=st_.floats(0.2, 0.7),
+        xs=st_.lists(st_.floats(0.0, 625.0), min_size=1, max_size=6),
+        zero_at=st_.integers(0, 6),
+    )
+    @example(n_atoms=300, t_over_ef=0.3, xs=[4.75, 625.0], zero_at=2)
+    @example(n_atoms=3000, t_over_ef=0.5, xs=[0.5], zero_at=0)
+    def test_auto_matches_table_sums(self, n_atoms, t_over_ef, xs, zero_at):
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        assume(math.log(0.8) <= st.log_fugacity <= formfunc._EXP_SUM_MAX_LOG_Z)
+        # auto takes the exponential sums in both channels wherever they
+        # certify, and the table sums elsewhere
+        methods = {formfunc._EXP_SUM} if formfunc._exp_sum_certified(st, 1e-8) else {"laguerre", "convolution"}
+        described = formfunc.describe_methods(st)
+        assert {described["coh_method"], described["inc_method"]} == methods
+        xs.insert(min(zero_at, len(xs)), 0.0)
+        pt = transfers(xs)
+        coh = fp.coherent_form(fp.FormFunctionRequest(st, pt))
+        inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+        lag = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.LAGUERRE_SUM))
+        conv = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+        n2, inc0 = st.total_atoms**2, _incoherent_x0(st)
+        assert np.abs(coh - lag).max() <= 1e-8 * n2
+        assert np.abs(inc - conv).max() <= 1e-8 * inc0
+        # the bounds of TestInvariants
+        assert ((coh >= 0.0) & (coh <= n2 * (1 + 1e-9))).all()
+        assert ((inc >= 0.0) & (inc <= inc0 * (1 + 1e-9))).all()
+
+    @pytest.mark.parametrize(
+        "n_atoms, t_over_ef",
+        [(100, 0.25), (300, 0.3), (300, 0.5), (3 * 10**4, 0.3), (3 * 10**4, 0.5), (10**6, 0.25), (10**6, 0.5)],
+    )
+    def test_regime_takes_exp_sum(self, state_cache, n_atoms, t_over_ef):
+        st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        assert math.log(0.8) <= st.log_fugacity <= formfunc._EXP_SUM_MAX_LOG_Z
+        assert on_exp_sum(st)
+
+    @pytest.mark.parametrize(
+        "log_z, tau, n_max",
+        [(math.log(0.8), 1.2, 60), (1.0, 1.2, 60), (2.5, 1.0, 60), (3.0, 1.3, 60)],
+    )
+    def test_auto_matches_quad_sum(self, log_z, tau, n_max):
+        # the table ends where P has fallen below e^{-40}, so the fit's tail
+        # past n_max stays inside the certificate
+        st = from_fugacity(log_z, tau, n_max)
+        assert on_exp_sum(st)
+        peak = _incoherent_x0(st)
+        for x in np.linspace(0.0, 120.0, 7):
+            pt = point(0.3 * x, 0.7 * x)
+            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
+            assert abs(a - b) <= 1e-8 * peak, (x, a, b)
+
+    def test_few_atoms_fall_back_on_round_off(self):
+        # 3 atoms at 0.28 E_F: the fit itself certifies, but its weights of
+        # ~1e4 cancel in the pair sum to ~1e-8 of the peak, so auto keeps
+        # the table sums
+        st = fp.solve_fugacity(3, 0.28 * fp.fermi_energy(3))
+        w, _, bound = formfunc._exp_sum(st)
+        assert w.size <= formfunc._EXP_SUM_MAX_TERMS and bound <= 1e-11 * st.total_atoms
+        assert formfunc.describe_methods(st) == {"coh_method": "laguerre", "inc_method": "convolution"}
+
+    def test_perturbed_fit_fails_certification(self, monkeypatch):
+        fit = formfunc._fermi_fit
+
+        def perturbed(log_z):
+            w, s = fit(log_z)
+            w = w.copy()
+            w[0] += 1e-6
+            return w, s
+
+        monkeypatch.setattr(formfunc, "_fermi_fit", perturbed)
+        st = fp.solve_fugacity(300, 0.5 * fp.fermi_energy(300))
+        assert not formfunc._exp_sum_certified(st, 1e-8)
+        assert formfunc.describe_methods(st) == {"coh_method": "laguerre", "inc_method": "convolution"}
+        pt = transfers([0.0, 2.0, 40.0])
+        for form, table in ((fp.coherent_form, Method.LAGUERRE_SUM), (fp.incoherent_form, Method.CONVOLUTION_SUM)):
+            got = form(fp.FormFunctionRequest(st, pt))
+            assert got.tolist() == form(fp.FormFunctionRequest(st, pt, table)).tolist()
+
+    def test_skewed_contraction_fails_cross_check(self, monkeypatch):
+        # 300 atoms at 0.5 EF: n_eff is far below the contraction limit, so
+        # the check compares with the contraction at the first x > 0
+        st = fp.solve_fugacity(300, 0.5 * fp.fermi_energy(300))
+        assert on_exp_sum(st)
+        conv = _kernels.fc_weighted_sum
+        monkeypatch.setattr(_kernels, "fc_weighted_sum", lambda w, n, x: conv(w, n, x) * (1.0 + 1e-3))
+        with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=1: exp-sum"):
+            fp.incoherent_form(fp.FormFunctionRequest(st, transfers([1.0, 0.0])))
+        assert "auto_checked_inc" not in st._cache
+
+    def test_no_fit_above_log_z_bound(self, monkeypatch):
+        def refuse(log_z):
+            raise AssertionError(f"fit tried at log z = {log_z}")
+
+        monkeypatch.setattr(formfunc, "_fermi_fit", refuse)
+        pt = transfers([0.0, 1.0, 30.0])
+        for log_z in (formfunc._EXP_SUM_MAX_LOG_Z + 0.01, 6.0, 20.0):
+            st = from_fugacity(log_z, 1.0, 60)
+            fp.coherent_form(fp.FormFunctionRequest(st, pt))
+            fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+            assert "exp_sum" not in st._cache
+        # just below the bound the fit is tried
+        with pytest.raises(AssertionError, match="fit tried"):
+            fp.coherent_form(fp.FormFunctionRequest(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt))
+
+
 class TestDecay:
     def test_coherent_collapses_at_back_scatter(self, state_cache):
         # phase matching: the coherent channel dies within a tiny forward
