@@ -18,23 +18,12 @@ from .formfunc import (
     ToleranceNotMet,
     coherent_form,
     incoherent_form,
-    incoherent_weight,
 )
 from .model import ScatterPoint, TrapModel, kinematics
-from .pulse import (
-    PulseModel,
-    PulseShape,
-    S_COH_LINE_INTEGRAL,
-    S_IN_LINE_INTEGRAL,
-    pulse_area,
-    rabi_evolve,
-    single_atom_spectra,
-)
+from .pulse import PulseModel, S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, adaptive_simpson
 from .spectra import (
     AngularMode,
-    SpectrumGrid,
-    ThetaIntegrals,
     angular_distribution,
     angular_weight,
     differential,
@@ -44,7 +33,6 @@ from .spectra import (
     total_photons,
 )
 from .specfun import (
-    LaguerreTable,
     fc_matrix,
     franck_condon_sq,
     franck_condon_sq_loggamma,
@@ -60,7 +48,6 @@ from .statmech import (
     fermi_energy,
     from_fugacity,
     occupation,
-    occupation_variance,
     solve_fugacity,
 )
 
@@ -71,19 +58,15 @@ __all__ = [
     "ConvergenceFailure",
     "FormFunctionError",
     "FormFunctionRequest",
-    "LaguerreTable",
     "Method",
     "PulseModel",
-    "PulseShape",
     "QuadratureFailure",
     "S_COH_LINE_INTEGRAL",
     "S_IN_LINE_INTEGRAL",
     "ScatterPoint",
     "SeriesDivergence",
-    "SpectrumGrid",
     "Statistics",
     "ThermalState",
-    "ThetaIntegrals",
     "ToleranceNotMet",
     "TrapModel",
     "adaptive_simpson",
@@ -99,16 +82,12 @@ __all__ = [
     "frequency_distribution",
     "from_fugacity",
     "incoherent_form",
-    "incoherent_weight",
     "kinematics",
     "laguerre_addition_check",
     "laguerre_scaled",
     "laguerre_scaled_table",
     "occupation",
-    "occupation_variance",
     "photon_norm",
-    "pulse_area",
-    "rabi_evolve",
     "single_atom_spectra",
     "solve_fugacity",
     "theta_integrals",

@@ -157,6 +157,10 @@ class RunConfig:
         if self.threads != "auto":
             if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
                 raise ConfigError("threads", f"must be 'auto' or a positive integer, got {self.threads!r}")
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError("output", f"must be a non-empty string, got {self.output!r}")
+        if not isinstance(self.strict, bool):
+            raise ConfigError("strict", f"must be true or false, got {self.strict!r}")
         return self
 
     def resolved_threads(self):
@@ -348,6 +352,8 @@ def cmd_total(cfg):
     method = Method.parse(cfg.method)
     pulse = PulseModel.two_pi()
     ef = fermi_energy(cfg.atoms)
+    if ef == 0.0:
+        raise ConfigError("atoms", "total reports kT/E_F, and E_F is 0 for a single atom")
 
     def rows():
         for temp, stat, state in _solve_states(cfg):

@@ -183,18 +183,6 @@ def _weight_diagonals(state, size):
     return state.cached(("weight_diagonals", size), build)
 
 
-def incoherent_weight(n, m, state):
-    """sum_y P(n+y) P(m+y), the shell-pair weight of the incoherent sum."""
-    if n < 0 or m < 0 or n != int(n) or m != int(m):
-        raise ValueError(f"indices must be non-negative integers, got {n!r}, {m!r}")
-    n, m = int(n), int(m)
-    p = state.occupations
-    length = p.shape[0] - max(n, m)
-    if length <= 0:
-        return 0.0
-    return float(np.dot(p[n : n + length], p[m : m + length]))
-
-
 def _effective_shell_cutoff(state, tolerance=1e-8):
     """Largest shell whose occupation tail matters for the incoherent sum.
 

@@ -1,12 +1,8 @@
-"""Coherent two-level pulse dynamics and single-atom emission line shapes.
+"""The 2*pi hyperbolic-secant pulse and its single-atom emission line shapes.
 
-Times are measured in units of 1/gamma_L (the inverse pulse bandwidth) and
-Rabi frequencies in units of gamma_L.  The spectral shapes implemented are
-those of a hyperbolic-secant pulse of area 2*pi; the Gaussian envelope is
-supported for area bookkeeping only.
+Rabi frequencies are measured in units of gamma_L, the pulse bandwidth.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,76 +14,25 @@ S_COH_LINE_INTEGRAL = 4.0 / 3.0
 S_IN_LINE_INTEGRAL = 8.0 / 3.0
 
 
-class PulseShape(enum.Enum):
-    SECH = "sech"
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class PulseModel:
-    """Pulse envelope with peak Rabi frequency Omega/gamma_L and total area.
+    """Sech pulse envelope with peak Rabi frequency Omega/gamma_L."""
 
-    The total area follows from the shape: pi*Omega/(2 gamma_L) for sech,
-    sqrt(pi)*Omega/(2 gamma_L) for the Gaussian exp(-(gamma_L t)^2).
-    """
-
-    shape: PulseShape
     peak_rabi: float
-    total_area: float = None
 
     def __post_init__(self):
         if self.peak_rabi < 0.0 or not math.isfinite(self.peak_rabi):
             raise ValueError(f"peak_rabi must be finite and >= 0, got {self.peak_rabi!r}")
-        area = _total_area(self.shape, self.peak_rabi)
-        if self.total_area is None:
-            object.__setattr__(self, "total_area", area)
-        elif not math.isclose(self.total_area, area, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                f"total_area {self.total_area!r} inconsistent with shape/peak_rabi (expected {area!r})"
-            )
+
+    @property
+    def total_area(self):
+        """Pulse area pi*Omega/(2 gamma_L) of the sech envelope."""
+        return 0.5 * math.pi * self.peak_rabi
 
     @classmethod
-    def two_pi(cls, k=1, shape=PulseShape.SECH):
-        """Pulse of area 2*pi*k, the non-destructive probe configuration."""
-        if k < 1 or k != int(k):
-            raise ValueError(f"k must be a positive integer, got {k!r}")
-        if shape is PulseShape.SECH:
-            return cls(shape=shape, peak_rabi=4.0 * k)
-        return cls(shape=shape, peak_rabi=4.0 * k * math.sqrt(math.pi))
-
-    def is_two_pi_multiple(self, tol=1e-9):
-        k = self.total_area / (2.0 * math.pi)
-        return k >= 0.5 and abs(k - round(k)) <= tol
-
-
-def _total_area(shape, peak_rabi):
-    if shape is PulseShape.SECH:
-        return 0.5 * math.pi * peak_rabi
-    if shape is PulseShape.GAUSSIAN:
-        return 0.5 * math.sqrt(math.pi) * peak_rabi
-    raise ValueError(f"unknown pulse shape {shape!r}")
-
-
-def pulse_area(pulse, t):
-    """Accumulated pulse area A(t) = (Omega/2) int_-inf^t envelope."""
-    if t == math.inf:
-        return pulse.total_area
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite or +inf, got {t!r}")
-    if pulse.shape is PulseShape.SECH:
-        return 0.5 * pulse.peak_rabi * (math.atan(math.sinh(t)) + 0.5 * math.pi)
-    return 0.25 * math.sqrt(math.pi) * pulse.peak_rabi * (1.0 + math.erf(t))
-
-
-def rabi_evolve(g0, f0, area):
-    """Two-level rotation by the accumulated area: unitary in (g, f).
-
-    Returns (g, f) = (g0 cos A - i f0 sin A, -i g0 sin A + f0 cos A); a
-    2*pi area returns the state unchanged.
-    """
-    c = math.cos(area)
-    s = math.sin(area)
-    return g0 * c - 1j * f0 * s, -1j * g0 * s + f0 * c
+    def two_pi(cls):
+        """Pulse of area 2*pi, the non-destructive probe configuration."""
+        return cls(peak_rabi=4.0)
 
 
 def single_atom_spectra(varpi):

@@ -35,24 +35,6 @@ def laguerre_scaled_table(n_max, alpha, x):
     return _kernels.laguerre_scaled_table(int(n_max), float(alpha), float(x))
 
 
-class LaguerreTable:
-    """Immutable table of scaled values e^{-x/2} L_n^alpha(x), n = 0..n_max."""
-
-    __slots__ = ("alpha", "x", "values")
-
-    def __init__(self, n_max, alpha, x):
-        self.alpha = int(alpha)
-        self.x = float(x)
-        self.values = laguerre_scaled_table(n_max, alpha, x)
-        self.values.flags.writeable = False
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, n):
-        return float(self.values[n])
-
-
 def franck_condon_sq(n, m, x):
     """|<n|D(xi)|m>|^2 with x = |xi|^2, symmetric in (n, m), in [0, 1].
 

@@ -20,19 +20,12 @@ takes its frozen angular integrals from theta_integrals.
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .formfunc import FormFunctionRequest, Method, coherent_form, incoherent_form
 from .model import VARPI_QUAD_WINDOW, kinematics
-from .pulse import (
-    PulseShape,
-    S_COH_LINE_INTEGRAL,
-    S_IN_LINE_INTEGRAL,
-    single_atom_spectra,
-)
+from .pulse import S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, adaptive_simpson, simpson_family
 
 # azimuth-integrated polarization weight integrates to 8*pi/3 over [0, pi]
@@ -172,20 +165,13 @@ def _over_varpi(g, mode):
     return adaptive_simpson(f, -VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW, rel_tol=QUAD_REL_TOL)
 
 
-class ThetaIntegrals(NamedTuple):
-    """Angular integrals of the form functions at zero detuning."""
-
-    coherent: float
-    incoherent: float
-
-
 def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
-    """int w(theta) F2(theta, 0) dtheta for both form functions."""
-    return ThetaIntegrals(
-        coherent=_over_theta(coherent_form, state, trap, 0.0, method, tolerance, _theta_seeds(trap)),
+    """(coherent, incoherent): int w(theta) F2(theta, 0) dtheta for both form functions."""
+    return (
+        _over_theta(coherent_form, state, trap, 0.0, method, tolerance, _theta_seeds(trap)),
         # the incoherent form function is broad in angle; forward-cone seeds
         # would only multiply the panel count
-        incoherent=_over_theta(incoherent_form, state, trap, 0.0, method, tolerance),
+        _over_theta(incoherent_form, state, trap, 0.0, method, tolerance),
     )
 
 
@@ -253,9 +239,7 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
     form function; frozen form factors take one angular integral per form
     function, at varpi = 0.
     """
-    if pulse.shape is not PulseShape.SECH or not math.isclose(
-        pulse.total_area, 2.0 * math.pi, rel_tol=1e-9
-    ):
+    if not math.isclose(pulse.total_area, 2.0 * math.pi, rel_tol=1e-9):
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
 
@@ -269,35 +253,3 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
         state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )
     return float(n_coh), float(n_in)
-
-
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Differential spectrum sampled on a rectangular (theta, varpi) grid."""
-
-    thetas: np.ndarray
-    varpis: np.ndarray
-    coherent: np.ndarray
-    incoherent: np.ndarray
-
-    @classmethod
-    def evaluate(
-        cls,
-        state,
-        trap,
-        thetas,
-        varpis,
-        method=Method.AUTO,
-        tolerance=1e-8,
-    ):
-        thetas = np.asarray(thetas, dtype=np.float64)
-        varpis = np.asarray(varpis, dtype=np.float64)
-        coherent, incoherent = differential(state, trap, thetas[:, None], varpis[None, :], method, tolerance)
-        return cls(thetas=thetas, varpis=varpis, coherent=coherent, incoherent=incoherent)
-
-    def write_csv(self, stream):
-        stream.write("theta_deg,varpi,c_coh,c_in\n")
-        for i, th in enumerate(self.thetas):
-            for j, w in enumerate(self.varpis):
-                cells = (math.degrees(th), float(w), float(self.coherent[i, j]), float(self.incoherent[i, j]))
-                stream.write(",".join(repr(c) for c in cells) + "\n")

@@ -139,14 +139,6 @@ def occupation(n, state):
     return float(state.occupations[n])
 
 
-def occupation_variance(n, state):
-    """Occupation variance P(n)(1 - P(n)); Fermi-Dirac only."""
-    if state.statistics is not Statistics.FERMI_DIRAC:
-        raise ValueError("occupation variance P(1-P) is defined for Fermi-Dirac states only")
-    p = occupation(n, state)
-    return p * (1.0 - p)
-
-
 def _log_shell_tail(log_z, tau, n):
     """log of sum_{m>n} g(m) z e^{-m/tau}, the classical bound on the FD tail."""
     q = math.exp(-1.0 / tau)

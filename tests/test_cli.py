@@ -107,6 +107,12 @@ class TestConfig:
                 "method",
                 id="closed-form-mb-with-both",
             ),
+            # the output prefix names every CSV, and --strict is a switch
+            pytest.param({"output": None}, [], "output", id="output-null"),
+            pytest.param({"output": ["x"]}, [], "output", id="output-list"),
+            pytest.param({"output": ""}, [], "output", id="output-empty"),
+            pytest.param(None, ["--output", ""], "output", id="output-empty-flag"),
+            pytest.param({"strict": "yes"}, [], "strict", id="strict-text"),
         ],
     )
     def test_malformed_input_exit_2(self, tmp_path, capsys, config, flags, fieldname):
@@ -392,6 +398,14 @@ class TestTotalCommand:
         n_in = [float(r[2]) for r in rows]
         assert (max(n_in) - min(n_in)) / min(n_in) < 0.05
 
+
+    def test_single_atom_exit_2_without_csv(self, tmp_path, capsys):
+        # kT/E_F has no value when E_F = 0
+        out = tmp_path / "one"
+        rc = main(["total", "--atoms", "1", "--temperature", "1trap", "--output", str(out)])
+        assert rc == 2
+        assert "atoms" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -120,30 +120,34 @@ class TestCoherentForm:
 
 
 class TestIncoherentWeight:
+    """The shell-pair weights W[n, m] = sum_y P(n+y) P(m+y) of the incoherent sum."""
+
     def test_symmetric(self, state_cache):
-        st = state_cache(100, 2.0)
-        assert fp.incoherent_weight(3, 7, st) == fp.incoherent_weight(7, 3, st)
+        blk = formfunc._occupation_pair_block(state_cache(100, 2.0), 12)
+        assert blk[3, 7] == blk[7, 3]
 
     def test_dilute_geometric_form(self):
         st = from_fugacity(math.log(1e-4), 0.7, 60)
+        blk = formfunc._occupation_pair_block(st, 4)
         z = 1e-4
         for n, m in ((0, 0), (1, 2), (4, 1)):
             want = z**2 * math.exp(-(n + m) / 0.7) / (1.0 - math.exp(-2.0 / 0.7))
-            assert fp.incoherent_weight(n, m, st) == pytest.approx(want, rel=1e-3)
+            assert blk[n, m] == pytest.approx(want, rel=1e-3)
 
     def test_zero_temperature_count(self, state_cache):
         # N = 4 fills shells 0 and 1; both y = 0, 1 survive the pair filter
-        st = state_cache(4, 0.02)
-        assert fp.incoherent_weight(0, 0, st) == pytest.approx(2.0, abs=1e-3)
+        blk = formfunc._occupation_pair_block(state_cache(4, 0.02), 1)
+        assert blk[0, 0] == pytest.approx(2.0, abs=1e-3)
 
     def test_matches_pair_block(self, state_cache):
-        from fermipulse.formfunc import _occupation_pair_block
-
         st = state_cache(50, 1.3)
-        blk = _occupation_pair_block(st, 12)
+        p = st.occupations
+        blk = formfunc._occupation_pair_block(st, 12)
         for n in (0, 5, 12):
             for m in (0, 3, 12):
-                assert blk[n, m] == pytest.approx(fp.incoherent_weight(n, m, st), rel=1e-13)
+                length = p.shape[0] - max(n, m)
+                want = float(np.dot(p[n : n + length], p[m : m + length]))
+                assert blk[n, m] == pytest.approx(want, rel=1e-13)
 
 
 class TestIncoherentForm:

@@ -57,13 +57,6 @@ class TestLaguerreScaled:
             rhs = (2 * n + alpha + 1 - x) * tab[n] - (n + alpha) * tab[n - 1]
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13 * max(abs(tab[n]), 1e-30))
 
-    def test_table_object(self):
-        t = fp.LaguerreTable(12, 2, 3.0)
-        assert len(t) == 13
-        assert t[0] == pytest.approx(math.exp(-1.5), rel=1e-15)
-        with pytest.raises(ValueError):
-            t.values[3] = 0.0
-
     def test_no_overflow_at_extremes(self):
         v = fp.laguerre_scaled(10_000, 2, 10_000.0)
         assert math.isfinite(v)

@@ -69,15 +69,6 @@ class TestOccupations:
         occ = st.occupations
         assert np.all(np.diff(occ) <= 0.0)
 
-    def test_variance(self, state_cache):
-        st = state_cache(100, 2.0)
-        for n in (0, 3, 17):
-            p = fp.occupation(n, st)
-            assert fp.occupation_variance(n, st) == pytest.approx(p * (1 - p), rel=1e-14)
-        mb = fp.solve_fugacity(100, 2.0, fp.Statistics.MAXWELL_BOLTZMANN)
-        with pytest.raises(ValueError):
-            fp.occupation_variance(0, mb)
-
 
 class TestSolve:
     def test_mb_closed_form(self):
