@@ -16,6 +16,7 @@ goes to CSV files only, progress to standard error.  Exit codes: 0 success,
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -199,7 +200,8 @@ def _parse_grid(value):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         parts = value
     else:
-        parts = str(value).lower().replace("x", " ").split()
+        # exactly one x; an empty side fails int() below
+        parts = str(value).lower().split("x")
         if len(parts) != 2:
             raise ConfigError("grid", f"expected THETAxVARPI, got {value!r}")
     try:
@@ -243,14 +245,13 @@ def load_config(path, overrides):
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(cfg, suffix, header, rows):
-    """Write <output>_<suffix>.csv: the config line, the header, then rows.
+def _write_csv(cfg, suffix, header, chunks):
+    """Write <output>_<suffix>.csv: the config line, the header, then chunks.
 
-    A row is a sequence of floats and strings; str() writes a float as its
-    repr and a string verbatim.  A row with a non-finite number raises
-    FormFunctionError.  rows may be lazy, so the rows already computed stay
-    on disk when a later one fails.  A path that cannot be written raises
-    ConfigError on the output field.
+    Each chunk is the text of whole CSV lines, from _csv_lines or
+    _grid_lines; one chunk may hold a whole file.  chunks may be lazy, so
+    the lines already made stay on disk when a later one fails.  A path
+    that cannot be written raises ConfigError on the output field.
     """
     path = f"{cfg.output}_{suffix}.csv"
     parent = os.path.dirname(path)
@@ -258,17 +259,44 @@ def _write_csv(cfg, suffix, header, rows):
         if parent:
             os.makedirs(parent, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
-            fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                line = ",".join(map(str, row))
-                # a float prints as inf, -inf or nan exactly when it is not finite
-                if "inf" in line or "nan" in line:
-                    raise FormFunctionError(f"non-finite value in output row {line}")
-                fh.write(line + "\n")
+            fh.write(f"# fermipulse v{__version__} config={cfg.config_hash()}\n{header}\n")
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as e:
         raise ConfigError("output", f"cannot write {path}: {e}") from None
     return path
+
+
+def _csv_lines(rows):
+    """Yield the CSV line of each row, one row at a time.
+
+    A row is a sequence of floats and strings; str() writes a float as its
+    repr and a string verbatim.  A row with a non-finite number raises
+    FormFunctionError once the rows before it are yielded.
+    """
+    for row in rows:
+        line = ",".join(map(str, row))
+        # a float prints as inf, -inf or nan exactly when it is not finite
+        if "inf" in line or "nan" in line:
+            raise FormFunctionError(f"non-finite value in output row {line}")
+        yield line + "\n"
+
+
+def _grid_lines(prefixes, prefix_finite, values):
+    """Yield the CSV lines of a formfunc grid as one chunk.
+
+    Row k is prefixes[k] followed by repr(values.flat[k]), the same text
+    _csv_lines writes for the row.  A row whose prefix floats are not all
+    finite (prefix_finite[k] false) or whose value is not finite raises
+    FormFunctionError once the rows before it are yielded.
+    """
+    flat = values.ravel()
+    bad = np.flatnonzero(~(prefix_finite & np.isfinite(flat)))
+    stop = int(bad[0]) if bad.size else flat.size
+    if stop:
+        yield "\n".join(map(operator.add, prefixes[:stop], map(str, flat[:stop].tolist()))) + "\n"
+    if bad.size:
+        raise FormFunctionError(f"non-finite value in output row {prefixes[stop]}{float(flat[stop])}")
 
 
 def _solve_states(cfg):
@@ -295,16 +323,26 @@ def parallel_map(fn, items):
 
 
 def cmd_formfunc(cfg):
+    """Write the form-function surfaces, one CSV per temperature, statistics and channel.
+
+    A row holds theta_deg, varpi, x_total and the form function, the
+    coherent one over N^2 and the incoherent one over N.  The first three
+    columns are the same in every file, so they are formatted once per
+    command; each file then formats only its value column and is written
+    as one chunk.
+    """
     trap = cfg.trap()
     method = Method.parse(cfg.method)
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
     pt = kinematics(trap, thetas[:, None], varpis[None, :])
-    # the first three columns of every row, in grid order
-    cells = np.column_stack(
-        [np.repeat(np.degrees(thetas), nv), np.tile(varpis, nt), pt.x_total.ravel()]
-    )
+    # the first three columns of every row, in grid order; a float formats
+    # as its repr, as str() writes it
+    degrees = np.degrees(thetas)
+    cells = itertools.product(map(str, degrees.tolist()), map(str, varpis.tolist()))
+    prefixes = [f"{t},{v},{x}," for (t, v), x in zip(cells, pt.x_total.ravel().tolist())]
+    prefix_finite = (np.isfinite(degrees)[:, None] & np.isfinite(varpis) & np.isfinite(pt.x_total)).ravel()
     written = []
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
@@ -321,8 +359,8 @@ def cmd_formfunc(cfg):
             raise type(e)(f"method {method.value} at {where}: {e}") from e
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
-            rows = np.column_stack([cells, values.ravel()]).tolist()
-            written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", rows))
+            lines = _grid_lines(prefixes, prefix_finite, values)
+            written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", lines))
         print(f"formfunc: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
     return written
 
@@ -336,13 +374,13 @@ def cmd_spectrum(cfg):
     written = []
     for temp, stat, state in _solve_states(cfg):
         d_coh, d_in = angular_distribution(state, trap, thetas, cfg.mode, method, cfg.tolerance)
-        rows = zip(np.degrees(thetas).tolist(), d_coh.tolist(), d_in.tolist())
+        lines = _csv_lines(zip(np.degrees(thetas).tolist(), d_coh.tolist(), d_in.tolist()))
         written.append(
-            _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", rows)
+            _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", lines)
         )
         d_coh, d_in = frequency_distribution(state, trap, varpis, method, cfg.tolerance, cfg.mode)
-        rows = zip(varpis.tolist(), d_coh.tolist(), d_in.tolist())
-        written.append(_write_csv(cfg, f"frequency_{stat.value}_{temp.label()}", "varpi,dN_coh,dN_in", rows))
+        lines = _csv_lines(zip(varpis.tolist(), d_coh.tolist(), d_in.tolist()))
+        written.append(_write_csv(cfg, f"frequency_{stat.value}_{temp.label()}", "varpi,dN_coh,dN_in", lines))
         print(f"spectrum: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
     return written
 
@@ -361,7 +399,7 @@ def cmd_total(cfg):
             print(f"total: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
             yield state.tau / ef, n_coh, n_in, stat.value
 
-    return [_write_csv(cfg, "total", "kT_over_EF,N_coh,N_in,statistics", rows())]
+    return [_write_csv(cfg, "total", "kT_over_EF,N_coh,N_in,statistics", _csv_lines(rows()))]
 
 
 def cmd_fugacity(cfg):

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fermipulse as fp
@@ -52,6 +53,13 @@ class TestConfig:
         assert cfg.grid == (11, 13)
         assert cfg.statistics == "mb"
 
+    @pytest.mark.parametrize("text", ["91x121", "91X121"])
+    def test_grid_spellings_accepted(self, tmp_path, text):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"grid": text}))
+        assert load_config(str(cfgfile), {}).grid == (91, 121)
+        assert main(["fugacity", "--atoms", "100", "--grid", text]) == 0
+
     def test_unknown_field_named(self, tmp_path):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"atom_count": 5}))
@@ -82,6 +90,10 @@ class TestConfig:
         [
             pytest.param(None, ["--grid", "axb"], "grid", id="grid-flag"),
             pytest.param({"grid": "axb"}, [], "grid", id="grid-file"),
+            # a grid string has exactly one x between two counts
+            pytest.param(None, ["--grid", "x3x3x"], "grid", id="grid-extra-x-flag"),
+            pytest.param({"grid": "3x3x"}, [], "grid", id="grid-trailing-x-file"),
+            pytest.param(None, ["--grid", "3xx3"], "grid", id="grid-double-x-flag"),
             pytest.param({"grid": [2.5, 3]}, [], "grid", id="grid-float"),
             pytest.param({"atoms": "abc"}, [], "atoms", id="atoms-text"),
             pytest.param({"atoms": True}, [], "atoms", id="atoms-bool"),
@@ -265,6 +277,34 @@ class TestFormfuncCommand:
         lines = (tmp_path / "nf_formfunc_coh_fd_1EF.csv").read_text().splitlines()
         assert len(lines) == 2 + 1 * 4 + 2
 
+    def test_value_column_formatted_as_repr(self, tmp_path, monkeypatch):
+        # repr edge cases: negative zero, the smallest subnormal, the
+        # switches to exponent notation below 1e-4 and at 1e16, 17 digits
+        from fermipulse import cli
+
+        targets = [-0.0, 5e-324, 1e-05, 9.999999999999998e15, 1e16, 1 / 3]
+        seen = []
+
+        def scripted(req):
+            seen.append((req, np.reshape(targets, (2, 3)) * req.state.total_atoms**2))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "coherent_form", scripted)
+        out = tmp_path / "fmt"
+        rc = main(
+            ["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "2x3", "--output", str(out)]
+        )
+        assert rc == 0
+        ((req, returned),) = seen
+        pt = req.point
+        theta, varpi = np.broadcast_arrays(np.degrees(pt.theta), pt.varpi)
+        values = returned / req.state.total_atoms**2
+        columns = (theta, varpi, pt.x_total, values)
+        expected = [",".join(map(str, row)) for row in zip(*(c.ravel().tolist() for c in columns))]
+        lines = (tmp_path / "fmt_formfunc_coh_fd_1EF.csv").read_text().splitlines()
+        assert lines[2:] == expected
+        assert [line.rsplit(",", 1)[1] for line in lines[2:]] == list(map(str, targets))
+
     def test_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch):
         from fermipulse import cli
 
@@ -354,6 +394,26 @@ class TestSpectrumCommand:
             _, rows = read_rows(tmp_path / f"sp5_{kind}_fd_{temperature}.csv")
             assert all(math.isfinite(float(v)) and float(v) >= 0.0 for r in rows for v in r[1:])
 
+    def test_non_finite_value_exit_3(self, tmp_path, capsys, monkeypatch):
+        from fermipulse import cli
+
+        real = cli.angular_distribution
+
+        def poisoned(*args, **kwargs):
+            d_coh, d_in = real(*args, **kwargs)
+            d_coh = d_coh.copy()
+            d_coh[1] = math.nan
+            return d_coh, d_in
+
+        monkeypatch.setattr(cli, "angular_distribution", poisoned)
+        out = tmp_path / "nf"
+        rc = main(
+            ["spectrum", "--atoms", "100", "--temperature", "1EF", "--grid", "3x3", "--output", str(out)]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "FormFunctionError" in err and "non-finite" in err
+
     def test_one_stderr_line_per_state(self, tmp_path, capsys):
         out = tmp_path / "sp4"
         args = ["--atoms", "100", "--temperature", "0.5EF,1EF", "--grid", "3x3", "--output", str(out)]
@@ -398,6 +458,31 @@ class TestTotalCommand:
         n_in = [float(r[2]) for r in rows]
         assert (max(n_in) - min(n_in)) / min(n_in) < 0.05
 
+
+    def test_failure_keeps_earlier_rows(self, tmp_path, capsys, monkeypatch):
+        # rows are written as each state finishes, so a failure at the
+        # second state leaves the first state's row on disk
+        from fermipulse import cli
+
+        real = cli.total_photons
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise fp.QuadratureFailure("did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "total_photons", failing_second)
+        out = tmp_path / "part"
+        rc = main(["total", "--atoms", "300", "--temperature", "0.5EF,1EF", "--output", str(out)])
+        assert rc == 3
+        assert "QuadratureFailure" in capsys.readouterr().err
+        lines = (tmp_path / "part_total.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("# fermipulse v")
+        assert lines[1] == "kT_over_EF,N_coh,N_in,statistics"
+        assert lines[2].startswith("0.5,") and lines[2].endswith(",fd")
 
     def test_single_atom_exit_2_without_csv(self, tmp_path, capsys):
         # kT/E_F has no value when E_F = 0
@@ -532,6 +617,12 @@ _PINNED_RUNS = {
         "formfunc", "--atoms", "200", "--statistics", "fd", "--temperature", "0.5EF", "--grid", "9x7",
     ],
     "total-fd-exp-sum": ["total", "--atoms", "300", "--statistics", "fd", "--temperature", "0.5EF"],
+    # a grid of 1271 cells per file; n_max is 943, far below the shell
+    # counts at which the BLAS dot products behind the shell sums split
+    # across threads
+    "formfunc-both-31x41": [
+        "formfunc", "--atoms", "1000", "--statistics", "both", "--temperature", "1.36EF", "--grid", "31x41",
+    ],
 }
 
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
@@ -553,6 +644,7 @@ _PINNED_DIGESTS = {
     "spectrum-full": "28159c7d4a14dd09",
     "formfunc-fd-exp-sum": "cca1dbd9c748153a",
     "total-fd-exp-sum": "4675f4a9dbb140e9",
+    "formfunc-both-31x41": "bd04a2bc3d741993",
 }
 
 
