@@ -196,17 +196,25 @@ class RunConfig:
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
 
+def _parse_count(text):
+    # ASCII digits between whitespace: int() also takes signs, '_' and other scripts' digits
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(digits)
+
+
 def _parse_grid(value):
     if isinstance(value, (list, tuple)) and len(value) == 2:
         parts = value
     else:
-        # exactly one x; an empty side fails int() below
+        # exactly one x; an empty side fails _parse_count below
         parts = str(value).lower().split("x")
         if len(parts) != 2:
             raise ConfigError("grid", f"expected THETAxVARPI, got {value!r}")
     try:
         # operator.index rejects the floats that int() would truncate
-        return tuple(int(p) if isinstance(p, str) else operator.index(p) for p in parts)
+        return tuple(_parse_count(p) if isinstance(p, str) else operator.index(p) for p in parts)
     except (TypeError, ValueError):
         raise ConfigError("grid", f"expected integer counts THETAxVARPI, got {value!r}") from None
 
@@ -481,7 +489,7 @@ def _overrides_from_args(args):
             value = _parse_grid(value)
         if key == "threads" and value != "auto":
             try:
-                value = int(value)
+                value = _parse_count(value)
             except ValueError:
                 raise ConfigError("threads", f"must be 'auto' or an integer, got {value!r}")
         overrides[key] = value

@@ -5,28 +5,28 @@ phase factor, F2_coh = |sum_n P(n) stuff|^2; the incoherent one is the
 double occupation sum F2_in = sum_{n,n'} N_n N_n' |eta_nn'|^2 that is
 subtracted from N-proportional terms in the incoherent spectrum.
 
-Four strategies per quantity, valid in complementary regimes:
+One builder, three node sources.  An occupation term P(n) = w e^{-s n/tau},
+r = e^{-s/tau}, has the coherent amplitude sum_n P(n) e^{-x/2} L_n^(2)(x) =
+w (1-r)^{-3} e^{-x (1+r) / (2 (1-r))} (the generating function of the
+Laguerre polynomials), and a pair (w, r), (w', r') adds
+w w' (1 - r r')^{-3} e^{-x (1-r)(1-r') / (1 - r r')} to F2_in;
+``_amplitude_terms`` and ``_pair_terms`` write both, once, as c e^{-a x}.
+The nodes (w, s) are the exact Maxwell-Boltzmann node (z, 1); for
+Fermi-Dirac at 0.8 <= z <= e^4, a short exponential fit of the Fermi
+function f(u) = 1/(1 + e^{u - log z}) ~ sum_k w_k e^{-s_k u}, so a point
+costs O(K) and O(K^2) for K terms; and for z < 1, the fugacity power
+series' nodes (z^l, l), a block at a time: a single alternating sum for
+the coherent branch, a double one for the incoherent branch.
 
-* power series in the fugacity (z < 1, high temperature) -- single sum
-  for the coherent branch, double sum for the incoherent one;
-* short exponential sums (Fermi-Dirac, 0.8 <= z <= e^4): the Fermi
-  function f(u) = 1/(1 + e^{u - log z}) is fitted as sum_k w_k e^{-s_k u}
-  and each term P(n) = r^n, r = e^{-s/tau}, has both form functions in
-  closed form (generating function of the Laguerre polynomials):
-  the coherent amplitude sum_n r^n e^{-x/2} L_n^(2)(x) is
-  (1-r)^{-3} exp(-x (1+r) / (2 (1-r))), and the incoherent pair (r, r')
-  gives (1 - r r')^{-3} exp(-x (1-r)(1-r') / (1 - r r')), so a point
-  costs O(K) and O(K^2) for K terms;
-* occupation-table sums (any z, the degenerate regime): a single scaled
-  Laguerre sum for the coherent branch; for the incoherent branch either
-  the direct four-index sum over per-axis displacement tables (small
-  traps, the mid-scale oracle) or its exact single-axis contraction.
-  Shell projectors commute with rotations, so F2_in depends only on
-  x = x_x + x_z; with the momentum transfer along one axis the sum is
-  F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair weight
-  W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state;
-* closed forms for Maxwell-Boltzmann occupations (the K = 1 case of the
-  exponential sums).
+Elsewhere (the degenerate regime, or a forced method) occupation-table
+sums take over: a single scaled Laguerre sum for the coherent branch; for
+the incoherent branch either the direct four-index sum over per-axis
+displacement tables (small traps, the mid-scale oracle) or its exact
+single-axis contraction.  Shell projectors commute with rotations, so
+F2_in depends only on x = x_x + x_z; with the momentum transfer along one
+axis the sum is F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the
+shell-pair weight W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per
+state.
 
 Every branch evaluates an array of x at once: the power series carry one
 partial sum per x, each stopped by its own rule, the exponential sums
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
-from .statmech import Statistics, ThermalState, _degeneracy_array, _log_shell_tail
+from .statmech import Statistics, ThermalState, _degeneracy_array, _log_shell_tail, _shell_sum
 
 QUAD_SUM_CEILING = 60
 # at this n_eff the packed weight table, (n_eff+1)(n_eff+2)/2 doubles, is about 1 GiB
@@ -262,6 +262,29 @@ def _alternating_series(name, x, tol, first, stop_from, last, terms, max_block):
     return out
 
 
+# the harmonic-trap closed forms: each term of either channel is c e^{-a x}
+def _amplitude_terms(w, s, tau):
+    """(c, a) with sum_n w e^{-s n/tau} e^{-x/2} L_n^(2)(x) = c e^{-a x}:
+    with h = 1 - e^{-s/tau}, c = w/h^3 and a = (1+r)/(2(1-r)) = 1/h - 1/2."""
+    h = -np.expm1(s / -tau)
+    return w / h**3, 1.0 / h - 0.5
+
+
+def _pair_terms(w1, s1, w2, s2, tau):
+    """(c, a) with the incoherent sum of the occupation pair w1 e^{-s1 n/tau},
+    w2 e^{-s2 n/tau} equal to c e^{-a x}: c = w1 w2/h12^3 and a = h1 h2/h12,
+    h12 being the h of s1 + s2.  The arguments broadcast."""
+    h12 = -np.expm1((s1 + s2) / -tau)
+    return w1 * w2 / h12**3, np.expm1(s1 / -tau) * np.expm1(s2 / -tau) / h12
+
+
+def _term_sum(c, a, x):
+    """Re sum_j c_j e^{-a_j x} at each x, every x reduced on its own, so an
+    array call equals the calls one x at a time bit for bit."""
+    rows = max(1, _kernels.CHUNK_DOUBLES // (2 * a.size))
+    return _kernels._chunked(x, rows, lambda xs: (np.exp(np.multiply.outer(-xs, a)) * c).sum(axis=1).real)
+
+
 # ---------------------------------------------------------------------------
 # coherent branch
 # ---------------------------------------------------------------------------
@@ -272,23 +295,11 @@ def _coherent_laguerre(state, x):
     return s * s
 
 
-def _coherent_closed_mb(state, x):
-    return state.total_atoms**2 * np.exp(-x / math.tanh(0.5 / state.tau))
-
-
 def _coherent_power_series(state, x, tol):
-    tau = state.tau
-    log_z = state.log_fugacity
-
+    # P(n) = sum_l (-1)^(l-1) z^l e^{-l n/tau} for z < 1: term l is the node (z^l, l)
     def terms(ls, xs):
-        ls = ls.tolist()
-        head = np.array([l * log_z - 3.0 * math.log(-math.expm1(-l / tau)) for l in ls])
-        width = np.array([math.tanh(0.5 * l / tau) for l in ls])
-        log_mag = 0.5 * xs[:, None] / width
-        np.subtract(head, log_mag, out=log_mag)
-        mag = np.exp(log_mag)
-        mag[log_mag <= -745.0] = 0.0
-        return mag
+        c, a = _amplitude_terms(np.exp(ls * state.log_fugacity), ls, state.tau)
+        return np.exp(np.multiply.outer(-xs, a)) * c
 
     acc = _alternating_series("coherent", x, tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
     return acc * acc
@@ -302,30 +313,17 @@ def _coherent_power_series(state, x, tol):
 def _incoherent_x0(state):
     # displacement matrices are identities at zero momentum transfer, so the
     # whole sum collapses to sum_n g(n) P(n)^2
-    g = _degeneracy_array(state.n_max)
-    return float(g @ (state.occupations**2))
-
-
-def _incoherent_closed_mb(state, x):
-    th = math.tanh(0.5 / state.tau)
-    return state.total_atoms**2 * th**3 * np.exp(-x * th)
+    return _shell_sum(state.occupations**2)
 
 
 def _incoherent_power_series(state, x, tol):
-    log_z = state.log_fugacity
-    lq = -1.0 / state.tau
-
     def term(total_l, xs):
-        # block total_l: sum over l1 + l2 = total_l of the product of two
-        # thermal envelopes, summed row by row for a slab of x at a time
-        log_pref = total_l * log_z - 3.0 * math.log(-math.expm1(total_l * lq))
-        if log_pref <= -700.0:
-            return np.zeros(xs.size)
-        l1 = np.arange(1, total_l, dtype=np.float64)
-        fshape = -np.expm1(l1 * lq) * np.expm1((total_l - l1) * lq) / math.expm1(total_l * lq)
-        rows = max(1, _kernels.CHUNK_DOUBLES // fshape.size)
-        block = _kernels._chunked(xs, rows, lambda chunk: np.exp(-chunk[:, None] * fshape).sum(axis=1))
-        return math.exp(log_pref) * block
+        # block total_l: the pairs of series nodes (z^l, l), (z^l', l') with
+        # l + l' = total_l, all of one weight; l' runs over l reversed
+        l = np.arange(1.0, total_l)
+        w = np.exp(l * state.log_fugacity)
+        c, a = _pair_terms(w, l, w[::-1], l[::-1], state.tau)
+        return _term_sum(c, a, xs) if c[0] > 1e-304 else np.zeros(xs.size)
 
     def terms(ls, xs):
         return np.array([term(total_l, xs) for total_l in ls.tolist()]).T
@@ -367,7 +365,8 @@ def _incoherent_conv(state, x, tol):
 
 
 # ---------------------------------------------------------------------------
-# exponential-sum branch (Fermi-Dirac, both channels)
+# exponential-sum branch (both channels): the Fermi-Dirac fit, and the exact
+# Maxwell-Boltzmann node as its K = 1 case
 # ---------------------------------------------------------------------------
 
 _EXP_SUM = "exp-sum"  # the branch auto may take; no Method forces it
@@ -405,7 +404,7 @@ def _exp_sum_bound(state, w, s):
         return math.inf
     n = np.arange(state.n_max + 1, dtype=np.float64)
     fit = np.exp(np.multiply.outer(n, -s / state.tau)) @ w
-    inside = float(_degeneracy_array(state.n_max) @ np.abs(state.occupations - fit))
+    inside = _shell_sum(np.abs(state.occupations - fit))
     tail = sum(
         math.exp(_log_shell_tail(math.log(abs(wk)), state.tau / sk, state.n_max))
         for wk, sk in zip(w.tolist(), s.real.tolist())
@@ -415,7 +414,7 @@ def _exp_sum_bound(state, w, s):
 
 def _exp_sum(state):
     """The state's occupations as a short exponential sum, P(n) ~ sum_k
-    w_k r_k^n with r_k = e^{-s_k/tau}: (w, r, bound), where bound is
+    w_k e^{-s_k n/tau}: (w, s, bound), where bound is
     ``_exp_sum_bound``.  For log z up to _EXP_SUM_MAX_LOG_Z it stays
     below 1e-12 N.
 
@@ -425,7 +424,7 @@ def _exp_sum(state):
 
     def build():
         w, s = _fermi_fit(state.log_fugacity)
-        return w, np.exp(-s / state.tau), _exp_sum_bound(state, w, s)
+        return w, s, _exp_sum_bound(state, w, s)
 
     return state.cached("exp_sum", build)
 
@@ -451,26 +450,22 @@ def _exp_sum_certified(state, tol):
 
 def _exp_sum_terms(state, incoherent):
     """(c, a) with the channel's amplitude Re sum_j c_j e^{-a_j x}: the K
-    coherent terms, or the K^2 incoherent pairs flattened."""
+    coherent terms, or the K^2 incoherent pairs flattened, of the exact
+    Maxwell-Boltzmann node (z, 1) or the Fermi-Dirac fit."""
 
     def build():
-        w, r, _ = _exp_sum(state)
+        mb = state.statistics is Statistics.MAXWELL_BOLTZMANN
+        w, s = (np.array([state.fugacity]), np.array([1.0])) if mb else _exp_sum(state)[:2]
         if not incoherent:
-            return w / (1.0 - r) ** 3, 0.5 * (1.0 + r) / (1.0 - r)
-        rr = 1.0 - np.multiply.outer(r, r)
-        return (np.multiply.outer(w, w) / rr**3).ravel(), (np.multiply.outer(1.0 - r, 1.0 - r) / rr).ravel()
+            return _amplitude_terms(w, s, state.tau)
+        c, a = _pair_terms(w[:, None], s[:, None], w, s, state.tau)
+        return c.ravel(), a.ravel()
 
     return state.cached(("exp_sum_terms", incoherent), build)
 
 
 def _exp_sum_form(state, x, incoherent):
-    c, a = _exp_sum_terms(state, incoherent)
-
-    def kernel(xs):
-        # each row reduces one x on its own
-        return (np.exp(np.multiply.outer(-xs, a)) * c).sum(axis=1).real
-
-    v = _kernels._chunked(x, max(1, _kernels.CHUNK_DOUBLES // (2 * a.size)), kernel)
+    v = _term_sum(*_exp_sum_terms(state, incoherent), x)
     return v if incoherent else v * v
 
 
@@ -536,12 +531,10 @@ def _branch(state, path, incoherent, tol, point, live, x):
     found at the positions live of the point's flattened transfers.  Only
     the direct four-index sum reads the per-axis transfers of the point.
     """
-    if path == Method.CLOSED_FORM_MB.value:
-        return (_incoherent_closed_mb if incoherent else _coherent_closed_mb)(state, x)
+    if path in (Method.CLOSED_FORM_MB.value, _EXP_SUM):
+        return _exp_sum_form(state, x, incoherent)
     if path == Method.POWER_SERIES.value:
         return (_incoherent_power_series if incoherent else _coherent_power_series)(state, x, tol)
-    if path == _EXP_SUM:
-        return _exp_sum_form(state, x, incoherent)
     if path == Method.LAGUERRE_SUM.value:
         return _coherent_laguerre(state, x)
     if path == Method.QUAD_SUM.value:

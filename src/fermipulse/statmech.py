@@ -9,7 +9,6 @@ deeply degenerate regime (log z ~ E_F / tau, thousands) never overflows.
 
 import enum
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,12 @@ def _degeneracy_array(n_max):
     return (n + 1.0) * (n + 2.0) / 2.0
 
 
+def _shell_sum(v):
+    """sum_n g(n) v[n] over shells n = 0..len(v)-1, as a float: every shell
+    sum of a state runs here, so its summation order is set in one place."""
+    return float(_degeneracy_array(v.shape[0] - 1) @ v)
+
+
 def fermi_energy(n_atoms):
     """Fermi energy in units of hbar omega_t.
 
@@ -89,7 +94,6 @@ class ThermalState:
     statistics: Statistics
     occupations: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
         self.occupations.flags.writeable = False
@@ -104,22 +108,17 @@ class ThermalState:
             return math.inf
 
     def cached(self, key, build):
-        """The per-state value stored under key, built by build() on first use.
-
-        build runs outside the lock, so concurrent first uses may each build;
-        the first value stored wins.  A build that raises stores nothing.
-        """
-        with self._lock:
-            if key in self._cache:
-                return self._cache[key]
-        value = build()
-        with self._lock:
-            return self._cache.setdefault(key, value)
+        """The value stored under key, built by build() on first use; a build
+        that raises stores nothing.  Unlocked: no command shares a state
+        between threads."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def total_atoms(self):
         """sum_n g(n) P(n) over the stored table."""
-        return self.cached("total_atoms", lambda: float(_degeneracy_array(self.n_max) @ self.occupations))
+        return self.cached("total_atoms", lambda: _shell_sum(self.occupations))
 
     def __repr__(self):
         return (
@@ -185,10 +184,8 @@ def _occupations(statistics, log_z, tau, n_max):
 
 
 def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter):
-    g = _degeneracy_array(n_max)
-
     def shortfall(log_z):
-        return float(g @ _occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)) - n_atoms
+        return _shell_sum(_occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)) - n_atoms
 
     # FD occupations at fixed z are below MB ones, so the MB fugacity is a
     # lower bracket for the FD root
@@ -272,7 +269,7 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC, *, rel_tol=1
     occ = _occupations(statistics, log_z, tau, n_max)
     if (
         statistics is Statistics.FERMI_DIRAC
-        and abs(float(_degeneracy_array(n_max) @ occ) - n_atoms) > rel_tol * n_atoms
+        and abs(_shell_sum(occ) - n_atoms) > rel_tol * n_atoms
     ):
         raise ConvergenceFailure("number constraint violated after solve")
     return ThermalState(
@@ -300,7 +297,7 @@ def from_fugacity(log_z, tau, n_max, statistics=Statistics.FERMI_DIRAC):
     n_max = int(n_max)
     occ = _occupations(statistics, log_z, tau, n_max)
     return ThermalState(
-        n_atoms=float(_degeneracy_array(n_max) @ occ),
+        n_atoms=_shell_sum(occ),
         tau=tau,
         log_fugacity=log_z,
         n_max=n_max,

@@ -53,12 +53,17 @@ class TestConfig:
         assert cfg.grid == (11, 13)
         assert cfg.statistics == "mb"
 
-    @pytest.mark.parametrize("text", ["91x121", "91X121"])
+    @pytest.mark.parametrize("text", ["91x121", "91X121", " 91 x 121 "])
     def test_grid_spellings_accepted(self, tmp_path, text):
         cfgfile = tmp_path / "run.json"
         cfgfile.write_text(json.dumps({"grid": text}))
         assert load_config(str(cfgfile), {}).grid == (91, 121)
         assert main(["fugacity", "--atoms", "100", "--grid", text]) == 0
+
+    def test_grid_list_accepted(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"grid": [91, 121]}))
+        assert load_config(str(cfgfile), {}).grid == (91, 121)
 
     def test_unknown_field_named(self, tmp_path):
         cfgfile = tmp_path / "run.json"
@@ -95,6 +100,11 @@ class TestConfig:
             pytest.param({"grid": "3x3x"}, [], "grid", id="grid-trailing-x-file"),
             pytest.param(None, ["--grid", "3xx3"], "grid", id="grid-double-x-flag"),
             pytest.param({"grid": [2.5, 3]}, [], "grid", id="grid-float"),
+            # a count is ASCII digits: no separator, sign or other script
+            pytest.param(None, ["--grid", "3x1_0"], "grid", id="grid-digit-separator"),
+            pytest.param(None, ["--grid", "3x\u0663"], "grid", id="grid-arabic-indic-digit"),
+            pytest.param(None, ["--grid", "+3x3"], "grid", id="grid-sign"),
+            pytest.param(None, ["--threads", "1_0"], "threads", id="threads-digit-separator"),
             pytest.param({"atoms": "abc"}, [], "atoms", id="atoms-text"),
             pytest.param({"atoms": True}, [], "atoms", id="atoms-bool"),
             pytest.param({"kla": True}, [], "kla", id="kla-bool"),
@@ -628,23 +638,23 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "f21ba3d3deec666a",
-    "formfunc-fd-power-series": "0fdbb88897c667f2",
+    "formfunc-fd-auto": "2d788d96ab81fdf4",
+    "formfunc-fd-power-series": "c8783ba6e0cd0169",
     "formfunc-fd-laguerre": "e63a0f8ca85f3e24",
     "formfunc-fd-quad-sum": "0aa76c2ddd979dc2",
     "formfunc-fd-convolution": "6e53b079341e1d2a",
-    "formfunc-mb-auto": "21fa8539362b8f4d",
-    "formfunc-mb-power-series": "22538d4aab3f5de8",
+    "formfunc-mb-auto": "4213bf063e6ea426",
+    "formfunc-mb-power-series": "911ec3cd65763c9f",
     "formfunc-mb-laguerre": "901ae3eb09e8c17e",
-    "formfunc-mb-closed-form-mb": "8f4604945c36c8bc",
+    "formfunc-mb-closed-form-mb": "25a87c9ce1451cc9",
     "formfunc-mb-quad-sum": "a54c9d8042385a60",
     "formfunc-mb-convolution": "16d1b99068b6315a",
-    "total-frozen": "9bfc9603f20458c0",
-    "spectrum-frozen": "12cf11a2c7d92659",
-    "spectrum-full": "28159c7d4a14dd09",
-    "formfunc-fd-exp-sum": "cca1dbd9c748153a",
-    "total-fd-exp-sum": "4675f4a9dbb140e9",
-    "formfunc-both-31x41": "bd04a2bc3d741993",
+    "total-frozen": "8d7bc6d0a3de5c86",
+    "spectrum-frozen": "94dd5d63d1b5bf33",
+    "spectrum-full": "a4ad48d6af6e986a",
+    "formfunc-fd-exp-sum": "7b90af2fc8504174",
+    "total-fd-exp-sum": "91163162d346e3fc",
+    "formfunc-both-31x41": "038d64e755a0510c",
 }
 
 

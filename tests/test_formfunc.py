@@ -469,6 +469,57 @@ class TestExpSum:
             fp.coherent_form(fp.FormFunctionRequest(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt))
 
 
+class TestOneKernel:
+    """Every closed-form path evaluates the same two term builders: the
+    Maxwell-Boltzmann node (z, 1), the fugacity series' nodes (z^l, l)
+    and the Fermi-Dirac fit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_atoms=st_.integers(2, 10**6),
+        t_over_ef=st_.floats(1e-3, 10.0),
+        xs=st_.lists(st_.floats(0.0, 625.0), min_size=1, max_size=6),
+    )
+    @example(n_atoms=10**6, t_over_ef=10.0, xs=[0.0, 1e-3, 625.0])
+    @example(n_atoms=2, t_over_ef=1e-3, xs=[0.5, 625.0])
+    def test_mb_matches_closed_forms(self, n_atoms, t_over_ef, xs):
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), "mb")
+        x = np.array(xs)
+        n, th = st.total_atoms, math.tanh(0.5 / st.tau)
+        # the closed forms the builders replaced
+        coh_want = n**2 * np.exp(-x / th)
+        inc_want = n**2 * th**3 * np.exp(-x * th)
+        pt = transfers(x)
+        for m in (Method.CLOSED_FORM_MB, Method.POWER_SERIES, Method.AUTO):
+            coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, m))
+            inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, m))
+            assert np.abs(coh - coh_want).max() <= 1e-13 * n**2
+            assert np.abs(inc - inc_want).max() <= 1e-13 * n**2 * th**3
+
+    @pytest.mark.parametrize("z", [0.8, 0.9, 0.99])
+    @pytest.mark.parametrize("tau", [3.0, 20.0])
+    def test_series_matches_fit(self, z, tau):
+        # both sum the untruncated occupations, the series through its
+        # nodes (z^l, l), the fit through its own
+        st = from_fugacity(math.log(z), tau, int(60 * tau))
+        x = np.array([0.05, 0.5, 2.0, 8.0, 30.0, 120.0])
+        pt = transfers(x)
+        coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-12))
+        inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-12))
+        assert np.abs(coh - formfunc._exp_sum_form(st, x, False)).max() <= 1e-11 * st.total_atoms**2
+        assert np.abs(inc - formfunc._exp_sum_form(st, x, True)).max() <= 1e-11 * _incoherent_x0(st)
+
+    def test_fit_matches_contraction(self, state_cache):
+        # 10^6 atoms at 0.3 E_F: K = 18 terms, whose pair factors 1 - r r'
+        # lost digits when they were formed from r = e^{-s/tau}
+        st = state_cache(10**6, 0.3 * fp.fermi_energy(10**6))
+        assert on_exp_sum(st)
+        x = np.array([0.05, 0.5, 2.0, 8.0, 30.0])
+        got = formfunc._exp_sum_form(st, x, True)
+        want = formfunc._incoherent_conv(st, x, 1e-12)
+        assert np.abs(got - want).max() <= 6e-12 * _incoherent_x0(st)
+
+
 class TestDecay:
     def test_coherent_collapses_at_back_scatter(self, state_cache):
         # phase matching: the coherent channel dies within a tiny forward
@@ -629,14 +680,19 @@ def reference_incoherent_series(st, x, tol):
     """The blocked incoherent power series for one x, one block at a time."""
     if x == 0.0:
         return _incoherent_x0(st)
-    lq = -1.0 / st.tau
+
+    def h(s):
+        return -np.expm1(-s / st.tau)
+
     acc, prev = 0.0, math.inf
     for total_l in range(2, 40_000):
-        l1 = np.arange(1, total_l, dtype=np.float64)
-        fshape = -np.expm1(l1 * lq) * np.expm1((total_l - l1) * lq) / math.expm1(total_l * lq)
-        block = float(np.exp(-x * fshape).sum())
-        log_pref = total_l * st.log_fugacity - 3.0 * math.log(-math.expm1(total_l * lq))
-        mag = math.exp(log_pref) * block if log_pref > -700.0 else 0.0
+        # pairs of nodes (z^l, l) with l + l' = total_l: weight z^l z^l' / h(total_l)^3
+        # and rate h(l) h(l') / h(total_l)
+        l1 = np.arange(1.0, total_l)
+        l2 = total_l - l1
+        h12 = h(l1 + l2)
+        c = np.exp(l1 * st.log_fugacity) * np.exp(l2 * st.log_fugacity) / h12**3
+        mag = float((np.exp(-x * (h(l1) * h(l2) / h12)) * c).sum()) if c[0] > 1e-304 else 0.0
         acc += mag if total_l % 2 == 0 else -mag
         if total_l >= 9 and mag <= prev and mag <= tol * max(abs(acc), 1e-300):
             return acc
