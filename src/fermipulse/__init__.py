@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .formfunc import (
     BudgetExceeded,
     FormFunctionError,
-    FormFunctionRequest,
     Method,
     SeriesDivergence,
     ToleranceNotMet,
@@ -57,7 +56,6 @@ __all__ = [
     "BudgetExceeded",
     "ConvergenceFailure",
     "FormFunctionError",
-    "FormFunctionRequest",
     "Method",
     "PulseModel",
     "QuadratureFailure",

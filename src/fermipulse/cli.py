@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .formfunc import (
     FormFunctionError,
-    FormFunctionRequest,
     Method,
     coherent_form,
     describe_methods,
@@ -355,8 +354,9 @@ def cmd_formfunc(cfg):
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
         try:
-            req = FormFunctionRequest(state, pt, method, cfg.tolerance)
-            f2_coh, f2_in = parallel_map(lambda form: form(req), (coherent_form, incoherent_form))
+            f2_coh, f2_in = parallel_map(
+                lambda form: form(state, pt, method, cfg.tolerance), (coherent_form, incoherent_form)
+            )
         except FormFunctionError as e:
             if e.index is None:
                 # a failure of the whole state, not of one point

@@ -37,13 +37,12 @@ other x of its array.
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
-from .statmech import Statistics, ThermalState, _degeneracy_array, _log_shell_tail, _shell_sum
+from .statmech import Statistics, _degeneracy_array, _log_shell_tail, _shell_sum
 
 QUAD_SUM_CEILING = 60
 # at this n_eff the packed weight table, (n_eff+1)(n_eff+2)/2 doubles, is about 1 GiB
@@ -58,7 +57,7 @@ _CROSS_CHECK_CONV_LIMIT = 2000
 class FormFunctionError(Exception):
     """Base class for form-function evaluation failures.
 
-    index is the position, in the flattened x array of the request, of the
+    index is the position, in the flattened x array of the point, of the
     point that failed, or None when the failure is not tied to one point.
     """
 
@@ -99,32 +98,21 @@ class Method(enum.Enum):
         raise ValueError(f"unknown method {text!r}")
 
 
-@dataclass
-class FormFunctionRequest:
-    """One form-function evaluation: state, momentum-transfer point, method.
-
-    The point may hold arrays (see ``model.kinematics``); the request then
-    evaluates every momentum transfer in them at once.
-    """
-
-    state: ThermalState
-    point: object
-    method: Method = Method.AUTO
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if isinstance(self.method, str):
-            self.method = Method.parse(self.method)
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        st = self.state
-        if self.method is Method.POWER_SERIES:
-            if st.statistics is Statistics.FERMI_DIRAC and st.log_fugacity >= 0.0:
-                raise SeriesDivergence(
-                    f"power series requires z < 1, state has log z = {st.log_fugacity:.4g}"
-                )
-        if self.method is Method.CLOSED_FORM_MB and st.statistics is not Statistics.MAXWELL_BOLTZMANN:
-            raise ValueError("closed-form-mb requires Maxwell-Boltzmann statistics")
+def _checked_method(state, method, tolerance):
+    """The method, parsed if it is a string, once the evaluation passes
+    every check made before it starts: a finite positive tolerance, z < 1 for a
+    forced Fermi-Dirac power series (SeriesDivergence), and
+    Maxwell-Boltzmann statistics for closed-form-mb."""
+    if isinstance(method, str):
+        method = Method.parse(method)
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+    fd = state.statistics is Statistics.FERMI_DIRAC
+    if method is Method.POWER_SERIES and fd and state.log_fugacity >= 0.0:
+        raise SeriesDivergence(f"power series requires z < 1, state has log z = {state.log_fugacity:.4g}")
+    if method is Method.CLOSED_FORM_MB and fd:
+        raise ValueError("closed-form-mb requires Maxwell-Boltzmann statistics")
+    return method
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +501,8 @@ def describe_methods(state, method=Method.AUTO, tolerance=1e-8):
     name each channel's branch, and where one is the exponential sum,
     "K" and "fit_bound" give its number of terms and certified bound
     sum_n g(n) |P(n) - fit(n)|.  A method the state refuses raises as
-    its FormFunctionRequest would."""
-    method = FormFunctionRequest(state, None, method, tolerance).method
+    its form functions would."""
+    method = _checked_method(state, method, tolerance)
     out = {
         "coh_method": _resolve(state, method, False, tolerance),
         "inc_method": _resolve(state, method, True, tolerance),
@@ -551,6 +539,7 @@ def _evaluate(state, point, method, tol, incoherent):
     where x = 0 and the method's branch elsewhere, a float for a point of
     floats, else an array in the point's shape.  The auto cross-check runs
     at the first x."""
+    method = _checked_method(state, method, tol)
     x = np.asarray(point.x_total, dtype=np.float64)
     flat = x.ravel()
     path = _resolve(state, method, incoherent, tol)
@@ -619,19 +608,21 @@ def _auto_cross_check(state, incoherent, path, x, tol):
     state.cached("auto_checked_inc" if incoherent else "auto_checked_coh", check)
 
 
-def coherent_form(req):
-    """Coherent form function F2_coh >= 0 at the request's momentum transfer.
+def coherent_form(state, point, method=Method.AUTO, tolerance=1e-8):
+    """Coherent form function F2_coh >= 0 of the state at the momentum
+    transfer of point, by method (a Method or its name) to tolerance.
 
-    A float for a point of floats; for a point of arrays, an array of
-    their shape, each value equal to that of the point alone.  The auto
-    cross-check runs at the first x.
+    A float for a point of floats; for a point of arrays (see
+    ``model.kinematics``), an array of their shape, each value equal to
+    that of the point alone.  The auto cross-check runs at the first x.
     """
-    return _evaluate(req.state, req.point, req.method, req.tolerance, incoherent=False)
+    return _evaluate(state, point, method, tolerance, incoherent=False)
 
 
-def incoherent_form(req):
+def incoherent_form(state, point, method=Method.AUTO, tolerance=1e-8):
     """Incoherent form function F2_in = sum N N' |eta|^2 >= 0.
 
-    Shapes, values and the cross-check point as for ``coherent_form``.
+    Arguments, shapes, values and the cross-check point as for
+    ``coherent_form``.
     """
-    return _evaluate(req.state, req.point, req.method, req.tolerance, incoherent=True)
+    return _evaluate(state, point, method, tolerance, incoherent=True)

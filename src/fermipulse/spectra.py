@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .formfunc import FormFunctionRequest, Method, coherent_form, incoherent_form
+from .formfunc import Method, coherent_form, incoherent_form
 from .model import VARPI_QUAD_WINDOW, kinematics
 from .pulse import S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, adaptive_simpson, simpson_family
@@ -100,10 +100,9 @@ def differential(state, trap, theta, varpi, method=Method.AUTO, tolerance=1e-8):
     live = s_coh != 0.0
     if live.any():
         pt = kinematics(trap, theta[live], varpi[live])
-        req = FormFunctionRequest(state, pt, method, tolerance)
         sc = s_coh[live]
-        c_coh[live] = sc * coherent_form(req)
-        c_in[live] = n * (sc + s_in[live]) - sc * incoherent_form(req)
+        c_coh[live] = sc * coherent_form(state, pt, method, tolerance)
+        c_in[live] = n * (sc + s_in[live]) - sc * incoherent_form(state, pt, method, tolerance)
     if c_coh.ndim == 0:
         return float(c_coh), float(c_in)
     return c_coh, c_in
@@ -132,7 +131,7 @@ def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
 
     def f(rows, theta):
         pt = kinematics(trap, theta, varpis[rows])
-        return angular_weight(theta) * form(FormFunctionRequest(state, pt, method, tolerance))
+        return angular_weight(theta) * form(state, pt, method, tolerance)
 
     try:
         values = simpson_family(f, 0.0, math.pi, varpis.size, rel_tol=QUAD_REL_TOL, seeds=seeds)
@@ -190,7 +189,7 @@ def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Metho
         return values[..., 0], values[..., 1]
 
     def at(form):
-        return lambda varpi: form(FormFunctionRequest(state, kinematics(trap, theta, varpi), method, tolerance))
+        return lambda varpi: form(state, kinematics(trap, theta, varpi), method, tolerance)
 
     norm_w = photon_norm(trap) * angular_weight(theta)
     i_coh = _over_varpi(at(coherent_form), mode)

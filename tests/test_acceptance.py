@@ -29,7 +29,7 @@ def test_criterion_01_coherent_normalization(state_cache):
         ef = fp.fermi_energy(n_atoms)
         for f in (0.0016, 0.5, 1.36):
             st = state_cache(n_atoms, f * ef)
-            v = fp.coherent_form(fp.FormFunctionRequest(st, origin()))
+            v = fp.coherent_form(st, origin())
             worst = max(worst, abs(v / n_atoms**2 - 1.0))
     assert worst < 1e-10
     print(f"\n[PASS] criterion 1: F2_coh(0,0) = N^2, worst relative error {worst:.2e}")
@@ -38,7 +38,7 @@ def test_criterion_01_coherent_normalization(state_cache):
 def test_criterion_02_incoherent_peak(state_cache):
     n_atoms = 10**6
     st = state_cache(n_atoms, 1.36 * fp.fermi_energy(n_atoms))
-    peak = fp.incoherent_form(fp.FormFunctionRequest(st, origin())) / n_atoms
+    peak = fp.incoherent_form(st, origin()) / n_atoms
     assert 7.6e-3 <= peak <= 8.4e-3
     # classical estimate N/(2kT)^3 at the quoted inverse temperature
     kt = 1.0 / 4.036e-3
@@ -53,7 +53,7 @@ def test_criterion_02_incoherent_peak(state_cache):
 def test_criterion_03_degenerate_limit(state_cache):
     n_atoms = 10**6
     st = state_cache(n_atoms, 0.0016 * fp.fermi_energy(n_atoms))
-    peak = fp.incoherent_form(fp.FormFunctionRequest(st, origin())) / n_atoms
+    peak = fp.incoherent_form(st, origin()) / n_atoms
     assert peak >= 0.98
     print(f"\n[PASS] criterion 3: F2_in(0,0)/N = {peak:.4f} >= 0.98 at 0.0016 EF")
 
@@ -65,8 +65,8 @@ def test_criterion_04_classical_crossover(state_cache):
     mb = fp.solve_fugacity(n_atoms, tau, "mb")
     assert fd.fugacity < 1.0
     for x in np.linspace(0.0, 625.0, 20):
-        a = fp.coherent_form(fp.FormFunctionRequest(fd, point(x, 0.0)))
-        b = fp.coherent_form(fp.FormFunctionRequest(mb, point(x, 0.0)))
+        a = fp.coherent_form(fd, point(x, 0.0))
+        b = fp.coherent_form(mb, point(x, 0.0))
         assert np.isclose(a, b, rtol=1e-2, atol=0.0), (x, a, b)
     print("\n[PASS] criterion 4: FD and MB coherent forms agree to 1e-2 at kT = 5 EF")
 
@@ -82,8 +82,8 @@ def test_criterion_05_oracle_equivalence(rng):
         dkx, dkz = rng.uniform(0.0, 3.0, 2)
         want = oracle.brute_incoherent(basis, (dkx, 0.0, dkz))
         pt = point(dkx**2, dkz**2)
-        quad = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
-        conv = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+        quad = fp.incoherent_form(st, pt, Method.QUAD_SUM)
+        conv = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
         worst_inc = max(worst_inc, abs(quad / want - 1.0), abs(conv / want - 1.0))
     assert worst_inc < 1e-10
 
@@ -100,8 +100,8 @@ def test_criterion_05_oracle_equivalence(rng):
         want = oracle.brute_coherent(basis, dk)
         x = float(dk @ dk)
         pt = point(x, 0.0)
-        lag = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.LAGUERRE_SUM))
-        pws = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-13))
+        lag = fp.coherent_form(st, pt, Method.LAGUERRE_SUM)
+        pws = fp.coherent_form(st, pt, Method.POWER_SERIES, 1e-13)
         worst_coh = max(worst_coh, abs(lag / want - 1.0), abs(pws / want - 1.0))
     assert worst_coh < 1e-10
     print(

@@ -270,8 +270,8 @@ class TestFormfuncCommand:
 
         real = cli.coherent_form
 
-        def poisoned(req):
-            values = real(req).copy()
+        def poisoned(state, point, *rest):
+            values = real(state, point, *rest).copy()
             values[1, 2] = bad
             return values
 
@@ -295,9 +295,9 @@ class TestFormfuncCommand:
         targets = [-0.0, 5e-324, 1e-05, 9.999999999999998e15, 1e16, 1 / 3]
         seen = []
 
-        def scripted(req):
-            seen.append((req, np.reshape(targets, (2, 3)) * req.state.total_atoms**2))
-            return seen[-1][1]
+        def scripted(state, point, *rest):
+            seen.append((state, point, np.reshape(targets, (2, 3)) * state.total_atoms**2))
+            return seen[-1][2]
 
         monkeypatch.setattr(cli, "coherent_form", scripted)
         out = tmp_path / "fmt"
@@ -305,10 +305,9 @@ class TestFormfuncCommand:
             ["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "2x3", "--output", str(out)]
         )
         assert rc == 0
-        ((req, returned),) = seen
-        pt = req.point
+        ((state, pt, returned),) = seen
         theta, varpi = np.broadcast_arrays(np.degrees(pt.theta), pt.varpi)
-        values = returned / req.state.total_atoms**2
+        values = returned / state.total_atoms**2
         columns = (theta, varpi, pt.x_total, values)
         expected = [",".join(map(str, row)) for row in zip(*(c.ravel().tolist() for c in columns))]
         lines = (tmp_path / "fmt_formfunc_coh_fd_1EF.csv").read_text().splitlines()
@@ -318,7 +317,7 @@ class TestFormfuncCommand:
     def test_failure_names_first_failing_point(self, tmp_path, capsys, monkeypatch):
         from fermipulse import cli
 
-        def failing(req):
+        def failing(state, point, *rest):
             raise fp.ToleranceNotMet("series did not settle", index=7)
 
         monkeypatch.setattr(cli, "incoherent_form", failing)

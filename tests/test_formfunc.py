@@ -42,12 +42,12 @@ class TestCoherentForm:
     @pytest.mark.parametrize("f", [0.0016, 0.5, 1.36])
     def test_zero_transfer_is_n_squared(self, state_cache, n_atoms, f):
         st = state_cache(n_atoms, f * fp.fermi_energy(n_atoms))
-        v = fp.coherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+        v = fp.coherent_form(st, point(0.0, 0.0))
         assert v == pytest.approx(n_atoms**2, rel=1e-10)
 
     def test_zero_transfer_mb(self):
         st = fp.solve_fugacity(500, 7.0, "mb")
-        v = fp.coherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CLOSED_FORM_MB))
+        v = fp.coherent_form(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
         assert v == pytest.approx(500.0**2, rel=1e-10)
 
     def test_power_series_matches_laguerre(self, rng):
@@ -55,8 +55,8 @@ class TestCoherentForm:
         st = from_fugacity(math.log(0.5), 20.0, 900)
         peak = st.total_atoms**2
         for x in np.linspace(0.0, 625.0, 20):
-            a = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.POWER_SERIES, 1e-10))
-            b = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.LAGUERRE_SUM, 1e-10))
+            a = fp.coherent_form(st, point(x, 0.0), Method.POWER_SERIES, 1e-10)
+            b = fp.coherent_form(st, point(x, 0.0), Method.LAGUERRE_SUM, 1e-10)
             assert agreement(a, b, 1e-6, peak), (x, a, b)
 
     @pytest.mark.parametrize("z", [0.1, 0.9])
@@ -64,8 +64,8 @@ class TestCoherentForm:
         st = from_fugacity(math.log(z), 20.0, 900)
         peak = st.total_atoms**2
         for x in np.linspace(0.0, 625.0, 20):
-            a = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.POWER_SERIES, 1e-10))
-            b = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.LAGUERRE_SUM, 1e-10))
+            a = fp.coherent_form(st, point(x, 0.0), Method.POWER_SERIES, 1e-10)
+            b = fp.coherent_form(st, point(x, 0.0), Method.LAGUERRE_SUM, 1e-10)
             assert agreement(a, b, 1e-6, peak), (x, a, b)
 
     def test_classical_crossover_fine_grid(self, state_cache):
@@ -80,26 +80,28 @@ class TestCoherentForm:
         scale = math.tanh(0.5 / tau)  # decay rate ~ 1/coth = tanh
         for u in np.linspace(0.0, 10.0, 11):
             x = u * scale
-            a = fp.coherent_form(fp.FormFunctionRequest(fd, point(x, 0.0)))
-            b = fp.coherent_form(fp.FormFunctionRequest(mb, point(x, 0.0)))
+            a = fp.coherent_form(fd, point(x, 0.0))
+            b = fp.coherent_form(mb, point(x, 0.0))
             assert a == pytest.approx(b, rel=1e-2)
 
     def test_series_divergence(self):
         st = from_fugacity(0.5, 1.0, 60)  # z = e^0.5 > 1
-        with pytest.raises(SeriesDivergence):
-            fp.FormFunctionRequest(st, point(1.0, 0.0), Method.POWER_SERIES)
+        for form in (fp.coherent_form, fp.incoherent_form):
+            with pytest.raises(SeriesDivergence):
+                form(st, point(1.0, 0.0), Method.POWER_SERIES)
 
     def test_mb_laguerre_matches_closed_form(self):
         st = fp.solve_fugacity(200, 5.0, "mb")
         for x in (0.0, 2.0, 31.0):
-            a = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.LAGUERRE_SUM))
-            b = fp.coherent_form(fp.FormFunctionRequest(st, point(x, 0.0), Method.CLOSED_FORM_MB))
+            a = fp.coherent_form(st, point(x, 0.0), Method.LAGUERRE_SUM)
+            b = fp.coherent_form(st, point(x, 0.0), Method.CLOSED_FORM_MB)
             assert a == pytest.approx(b, rel=1e-8)
 
     def test_closed_form_requires_mb(self, state_cache):
         st = state_cache(100, 2.0)
-        with pytest.raises(ValueError):
-            fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
+        for form in (fp.coherent_form, fp.incoherent_form):
+            with pytest.raises(ValueError, match="closed-form-mb"):
+                form(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
 
     def test_auto_cross_check_runs_when_first_x_is_zero(self, monkeypatch):
         # a table sum off by 1e-3 must fail the check even when the first x
@@ -110,13 +112,36 @@ class TestCoherentForm:
         xs = np.array([0.0, 1.0])
         pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
         with pytest.raises(ToleranceNotMet):
-            fp.coherent_form(fp.FormFunctionRequest(st, pt))
+            fp.coherent_form(st, pt)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, state_cache, tolerance):
         st = state_cache(100, 2.0)
-        with pytest.raises(ValueError):
-            fp.FormFunctionRequest(st, point(1.0, 0.0), tolerance=tolerance)
+        for form in (fp.coherent_form, fp.incoherent_form):
+            with pytest.raises(ValueError, match="tolerance"):
+                form(st, point(1.0, 0.0), tolerance=tolerance)
+
+    def test_method_name_parsed(self, state_cache):
+        st = state_cache(20, 0.5, fp.Statistics.MAXWELL_BOLTZMANN)  # every method valid
+        for method in Method:
+            assert valid_for(method, st)
+            for form in (fp.coherent_form, fp.incoherent_form):
+                assert form(st, point(1.0, 0.0), method.value) == form(st, point(1.0, 0.0), method)
+            assert formfunc.describe_methods(st, method.value) == formfunc.describe_methods(st, method)
+
+    @pytest.mark.parametrize(
+        "log_z, method, tolerance, error, match",
+        [
+            pytest.param(-1.0, "fourier", 1e-8, ValueError, "unknown method", id="method-name"),
+            pytest.param(-1.0, Method.AUTO, math.nan, ValueError, "tolerance", id="tolerance"),
+            pytest.param(0.5, Method.POWER_SERIES, 1e-8, SeriesDivergence, "z < 1", id="series-divergence"),
+            pytest.param(-1.0, Method.CLOSED_FORM_MB, 1e-8, ValueError, "closed-form-mb", id="closed-form-mb-fd"),
+        ],
+    )
+    def test_describe_methods_checks_as_form_functions(self, log_z, method, tolerance, error, match):
+        st = from_fugacity(log_z, 1.0, 60)
+        with pytest.raises(error, match=match):
+            formfunc.describe_methods(st, method, tolerance)
 
 
 class TestIncoherentWeight:
@@ -153,13 +178,13 @@ class TestIncoherentWeight:
 class TestIncoherentForm:
     def test_zero_transfer_value(self, state_cache):
         st = state_cache(10**4, 1.36 * fp.fermi_energy(10**4))
-        v = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+        v = fp.incoherent_form(st, point(0.0, 0.0))
         g = _degeneracy_array(st.n_max)
         assert v == pytest.approx(float(g @ st.occupations**2), rel=1e-12)
 
     def test_degenerate_peak_saturates(self, state_cache):
         st = state_cache(10**4, 0.0016 * fp.fermi_energy(10**4))
-        v = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+        v = fp.incoherent_form(st, point(0.0, 0.0))
         assert v / 10**4 >= 0.98
         assert v <= 10**4 * (1 + 1e-9)
 
@@ -168,8 +193,8 @@ class TestIncoherentForm:
         peak = _incoherent_x0(st)
         for x in np.linspace(0.0, 625.0, 20):
             pt = point(0.4 * x, 0.6 * x)
-            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-9))
-            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM, 1e-9))
+            a = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-9)
+            b = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM, 1e-9)
             assert agreement(a, b, 1e-5, peak), (x, a, b)
 
     def test_power_series_matches_quad_sum(self):
@@ -177,8 +202,8 @@ class TestIncoherentForm:
         peak = _incoherent_x0(st)
         for x in np.linspace(0.0, 120.0, 9):
             pt = point(0.3 * x, 0.7 * x)
-            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-9))
-            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM, 1e-9))
+            a = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-9)
+            b = fp.incoherent_form(st, pt, Method.QUAD_SUM, 1e-9)
             assert agreement(a, b, 1e-5, peak), (x, a, b)
 
     def test_quad_matches_convolution_degenerate(self):
@@ -187,16 +212,16 @@ class TestIncoherentForm:
         st = from_fugacity(5.0, 2.0, 40)
         for x in (0.0, 3.0, 47.0):
             pt = point(0.5 * x, 0.5 * x)
-            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
-            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+            a = fp.incoherent_form(st, pt, Method.QUAD_SUM)
+            b = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_convolution_depends_on_total_transfer_only(self):
         st = from_fugacity(5.0, 2.0, 40)
         for x_x, x_z in ((0.7, 2.9), (11.0, 36.0), (150.0, 4.5)):
-            want = fp.incoherent_form(fp.FormFunctionRequest(st, point(x_x, x_z), Method.CONVOLUTION_SUM))
+            want = fp.incoherent_form(st, point(x_x, x_z), Method.CONVOLUTION_SUM)
             for pt in (point(x_z, x_x), point(x_x + x_z, 0.0)):
-                got = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+                got = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
                 assert got == pytest.approx(want, rel=1e-13)
 
     def test_convolution_zero_transfer(self):
@@ -205,9 +230,9 @@ class TestIncoherentForm:
         st = from_fugacity(math.log(0.5), 1.2, 46)
         g = _degeneracy_array(st.n_max)
         want = float(g @ st.occupations**2)
-        got = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CONVOLUTION_SUM))
+        got = fp.incoherent_form(st, point(0.0, 0.0), Method.CONVOLUTION_SUM)
         assert got == pytest.approx(want, rel=1e-13)
-        auto = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+        auto = fp.incoherent_form(st, point(0.0, 0.0))
         assert auto == pytest.approx(want, rel=1e-13)
         assert st._cache.get("auto_checked_inc") is True
 
@@ -223,8 +248,8 @@ class TestIncoherentForm:
             n = 10**6
             st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
             pt = fp.ScatterPoint(0.0, 0.0, 40.0, 10.0, 30.0)
-            conv = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
-            series = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES))
+            conv = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
+            series = fp.incoherent_form(st, pt, Method.POWER_SERIES)
             print(json.dumps({
                 "n_eff": _effective_shell_cutoff(st),
                 "conv": conv,
@@ -281,19 +306,19 @@ class TestIncoherentForm:
         xs = np.array([0.0, 1.0])
         pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
         with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
-            fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+            fp.incoherent_form(st, pt)
 
     def test_auto_cross_check_runs_above_contraction_limit(self, monkeypatch):
         # 10^6 atoms at 1.36 EF: n_eff = 6891, past the limit on the weight
         # table, so the check compares at x = 0 whatever the first x
         n = 10**6
         st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
-        req = fp.FormFunctionRequest(st, point(10.0, 30.0))
+        pt = point(10.0, 30.0)
         with monkeypatch.context() as m:
             self.skew_zero_transfer_sum(m)
             with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
-                fp.incoherent_form(req)
-        assert fp.incoherent_form(req) > 0.0
+                fp.incoherent_form(st, pt)
+        assert fp.incoherent_form(st, pt) > 0.0
         assert st._cache["auto_checked_inc"] is True
         # the check built no weight table
         assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
@@ -303,14 +328,14 @@ class TestIncoherentForm:
         self.skew_zero_transfer_sum(monkeypatch)
         for _ in range(2):
             with pytest.raises(ToleranceNotMet):
-                fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
+                fp.incoherent_form(st, point(0.0, 0.0))
             assert "auto_checked_inc" not in st._cache
 
     def test_mb_closed_form_matches_table_sum(self):
         st = fp.solve_fugacity(300, 4.0, "mb")
         g = _degeneracy_array(st.n_max)
         want0 = float(g @ st.occupations**2)
-        got0 = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), Method.CLOSED_FORM_MB))
+        got0 = fp.incoherent_form(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
         assert got0 == pytest.approx(want0, rel=1e-10)
         # every method returns the zero-transfer value itself at x = 0
         for m in (
@@ -320,17 +345,17 @@ class TestIncoherentForm:
             Method.CONVOLUTION_SUM,
             Method.LAGUERRE_SUM,
         ):
-            assert fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0), m)) == _incoherent_x0(st)
+            assert fp.incoherent_form(st, point(0.0, 0.0), m) == _incoherent_x0(st)
         for x in (1.0, 12.0):
             pt = point(0.5 * x, 0.5 * x)
-            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CLOSED_FORM_MB))
-            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+            a = fp.incoherent_form(st, pt, Method.CLOSED_FORM_MB)
+            b = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
             assert a == pytest.approx(b, rel=1e-7)
 
     def test_budget_exceeded(self):
         st = from_fugacity(0.0, 3.0, QUAD_SUM_CEILING + 40)
         with pytest.raises(BudgetExceeded):
-            fp.incoherent_form(fp.FormFunctionRequest(st, point(1.0, 1.0), Method.QUAD_SUM))
+            fp.incoherent_form(st, point(1.0, 1.0), Method.QUAD_SUM)
 
     def test_positive_everywhere(self, rng):
         st = from_fugacity(math.log(0.6), 1.5, 55)
@@ -338,12 +363,12 @@ class TestIncoherentForm:
             xx, xz = rng.uniform(0.0, 300.0, 2)
             pt = point(float(xx), float(xz))
             for m in (Method.POWER_SERIES, Method.QUAD_SUM, Method.CONVOLUTION_SUM):
-                assert fp.incoherent_form(fp.FormFunctionRequest(st, pt, m)) >= 0.0
+                assert fp.incoherent_form(st, pt, m) >= 0.0
 
     def test_bounded_by_atom_number(self, state_cache):
         st = state_cache(1000, 0.2 * fp.fermi_energy(1000))
         for x in (0.0, 1.0, 10.0):
-            v = fp.incoherent_form(fp.FormFunctionRequest(st, point(x, x)))
+            v = fp.incoherent_form(st, point(x, x))
             assert v <= 1000.0 * (1 + 1e-9)
 
 
@@ -379,10 +404,10 @@ class TestExpSum:
         assert {described["coh_method"], described["inc_method"]} == methods
         xs.insert(min(zero_at, len(xs)), 0.0)
         pt = transfers(xs)
-        coh = fp.coherent_form(fp.FormFunctionRequest(st, pt))
-        inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt))
-        lag = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.LAGUERRE_SUM))
-        conv = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+        coh = fp.coherent_form(st, pt)
+        inc = fp.incoherent_form(st, pt)
+        lag = fp.coherent_form(st, pt, Method.LAGUERRE_SUM)
+        conv = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
         n2, inc0 = st.total_atoms**2, _incoherent_x0(st)
         assert np.abs(coh - lag).max() <= 1e-8 * n2
         assert np.abs(inc - conv).max() <= 1e-8 * inc0
@@ -411,8 +436,8 @@ class TestExpSum:
         peak = _incoherent_x0(st)
         for x in np.linspace(0.0, 120.0, 7):
             pt = point(0.3 * x, 0.7 * x)
-            a = fp.incoherent_form(fp.FormFunctionRequest(st, pt))
-            b = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
+            a = fp.incoherent_form(st, pt)
+            b = fp.incoherent_form(st, pt, Method.QUAD_SUM)
             assert abs(a - b) <= 1e-8 * peak, (x, a, b)
 
     def test_few_atoms_fall_back_on_round_off(self):
@@ -439,8 +464,8 @@ class TestExpSum:
         assert formfunc.describe_methods(st) == {"coh_method": "laguerre", "inc_method": "convolution"}
         pt = transfers([0.0, 2.0, 40.0])
         for form, table in ((fp.coherent_form, Method.LAGUERRE_SUM), (fp.incoherent_form, Method.CONVOLUTION_SUM)):
-            got = form(fp.FormFunctionRequest(st, pt))
-            assert got.tolist() == form(fp.FormFunctionRequest(st, pt, table)).tolist()
+            got = form(st, pt)
+            assert got.tolist() == form(st, pt, table).tolist()
 
     def test_skewed_contraction_fails_cross_check(self, monkeypatch):
         # 300 atoms at 0.5 EF: n_eff is far below the contraction limit, so
@@ -450,7 +475,7 @@ class TestExpSum:
         conv = _kernels.fc_weighted_sum
         monkeypatch.setattr(_kernels, "fc_weighted_sum", lambda w, n, x: conv(w, n, x) * (1.0 + 1e-3))
         with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=1: exp-sum"):
-            fp.incoherent_form(fp.FormFunctionRequest(st, transfers([1.0, 0.0])))
+            fp.incoherent_form(st, transfers([1.0, 0.0]))
         assert "auto_checked_inc" not in st._cache
 
     def test_no_fit_above_log_z_bound(self, monkeypatch):
@@ -461,12 +486,12 @@ class TestExpSum:
         pt = transfers([0.0, 1.0, 30.0])
         for log_z in (formfunc._EXP_SUM_MAX_LOG_Z + 0.01, 6.0, 20.0):
             st = from_fugacity(log_z, 1.0, 60)
-            fp.coherent_form(fp.FormFunctionRequest(st, pt))
-            fp.incoherent_form(fp.FormFunctionRequest(st, pt))
+            fp.coherent_form(st, pt)
+            fp.incoherent_form(st, pt)
             assert "exp_sum" not in st._cache
         # just below the bound the fit is tried
         with pytest.raises(AssertionError, match="fit tried"):
-            fp.coherent_form(fp.FormFunctionRequest(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt))
+            fp.coherent_form(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt)
 
 
 class TestOneKernel:
@@ -491,8 +516,8 @@ class TestOneKernel:
         inc_want = n**2 * th**3 * np.exp(-x * th)
         pt = transfers(x)
         for m in (Method.CLOSED_FORM_MB, Method.POWER_SERIES, Method.AUTO):
-            coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, m))
-            inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, m))
+            coh = fp.coherent_form(st, pt, m)
+            inc = fp.incoherent_form(st, pt, m)
             assert np.abs(coh - coh_want).max() <= 1e-13 * n**2
             assert np.abs(inc - inc_want).max() <= 1e-13 * n**2 * th**3
 
@@ -504,8 +529,8 @@ class TestOneKernel:
         st = from_fugacity(math.log(z), tau, int(60 * tau))
         x = np.array([0.05, 0.5, 2.0, 8.0, 30.0, 120.0])
         pt = transfers(x)
-        coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-12))
-        inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-12))
+        coh = fp.coherent_form(st, pt, Method.POWER_SERIES, 1e-12)
+        inc = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-12)
         assert np.abs(coh - formfunc._exp_sum_form(st, x, False)).max() <= 1e-11 * st.total_atoms**2
         assert np.abs(inc - formfunc._exp_sum_form(st, x, True)).max() <= 1e-11 * _incoherent_x0(st)
 
@@ -526,8 +551,8 @@ class TestDecay:
         # cone; at back-scatter nothing survives
         n_atoms = 10**6
         st = state_cache(n_atoms, 1.36 * fp.fermi_energy(n_atoms))
-        coh0 = fp.coherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
-        coh = fp.coherent_form(fp.FormFunctionRequest(st, point(0.0, 625.0)))
+        coh0 = fp.coherent_form(st, point(0.0, 0.0))
+        coh = fp.coherent_form(st, point(0.0, 625.0))
         assert coh / coh0 < 1e-20
 
     def test_incoherent_follows_thermal_envelope(self, state_cache):
@@ -538,8 +563,8 @@ class TestDecay:
         n_atoms = 10**6
         tau = 1.36 * fp.fermi_energy(n_atoms)
         st = state_cache(n_atoms, tau)
-        inc0 = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 0.0)))
-        inc = fp.incoherent_form(fp.FormFunctionRequest(st, point(0.0, 625.0)))
+        inc0 = fp.incoherent_form(st, point(0.0, 0.0))
+        inc = fp.incoherent_form(st, point(0.0, 625.0))
         envelope = math.exp(-625.0 * math.tanh(0.5 / tau))
         assert inc / inc0 == pytest.approx(envelope, rel=2e-2)
 
@@ -571,8 +596,8 @@ class TestInvariants:
         def forms(at):
             # the power series is accurate to the requested tolerance, which
             # must sit below the 1e-9 slack of the bounds
-            req = fp.FormFunctionRequest(st, point(at, 0.0), method, 1e-10)
-            return fp.coherent_form(req), fp.incoherent_form(req)
+            pt = point(at, 0.0)
+            return fp.coherent_form(st, pt, method, 1e-10), fp.incoherent_form(st, pt, method, 1e-10)
 
         coh0, inc0 = forms(0.0)
         coh, inc = forms(x)
@@ -638,9 +663,9 @@ class TestArrayCalls:
         for field in ("x_total", "x_x", "x_z"):
             assert getattr(batch, field).tolist() == [getattr(p, field) for p in points]
         for form in (fp.coherent_form, fp.incoherent_form):
-            got = form(fp.FormFunctionRequest(st, batch, method))
+            got = form(st, batch, method)
             assert isinstance(got, np.ndarray) and got.shape == thetas.shape
-            want = [form(fp.FormFunctionRequest(st, p, method)) for p in points]
+            want = [form(st, p, method) for p in points]
             assert all(isinstance(w, float) for w in want)
             assert got.tolist() == want
 
@@ -649,13 +674,12 @@ class TestArrayCalls:
         thetas = np.linspace(0.0, math.pi, 4)
         varpis = np.linspace(-2.0, 2.0, 3)
         pt = fp.kinematics(trap, thetas[:, None], varpis[None, :])
-        req = fp.FormFunctionRequest(st, pt)
         for form in (fp.coherent_form, fp.incoherent_form):
-            got = form(req)
+            got = form(st, pt)
             assert got.shape == (4, 3)
             for i, t in enumerate(thetas.tolist()):
                 for j, v in enumerate(varpis.tolist()):
-                    assert got[i, j] == form(fp.FormFunctionRequest(st, fp.kinematics(trap, t, v)))
+                    assert got[i, j] == form(st, fp.kinematics(trap, t, v))
 
 
 def reference_coherent_series(st, x, tol):
@@ -715,8 +739,8 @@ def test_batched_series_match_one_x_at_a_time(state):
     st = state()
     xs = np.concatenate([np.linspace(0.0, 625.0, 26), [3.0, 3.0]])
     pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
-    coh = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-10))
-    inc = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.POWER_SERIES, 1e-10))
+    coh = fp.coherent_form(st, pt, Method.POWER_SERIES, 1e-10)
+    inc = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-10)
     peak = st.total_atoms**2
     for x, c, i in zip(xs.tolist(), coh.tolist(), inc.tolist()):
         assert abs(c - reference_coherent_series(st, x, 1e-10)) <= 1e-15 * peak

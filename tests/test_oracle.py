@@ -53,7 +53,7 @@ class TestBruteCoherent:
             x = float(dk @ dk)
             pt = fp.ScatterPoint(0.0, 0.0, x, x, 0.0)
             want = oracle.brute_coherent(basis, dk)
-            lag = fp.coherent_form(fp.FormFunctionRequest(st, pt, Method.LAGUERRE_SUM))
+            lag = fp.coherent_form(st, pt, Method.LAGUERRE_SUM)
             assert lag == pytest.approx(want, rel=1e-10)
 
 
@@ -108,8 +108,8 @@ class TestBruteIncoherent:
                 dkx, dkz = rng.uniform(0.0, 2.5, 2)
                 want = oracle.brute_incoherent(basis, (dkx, 0.0, dkz))
                 pt = fp.ScatterPoint(0.0, 0.0, dkx**2 + dkz**2, dkx**2, dkz**2)
-                q = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.QUAD_SUM))
-                c = fp.incoherent_form(fp.FormFunctionRequest(st, pt, Method.CONVOLUTION_SUM))
+                q = fp.incoherent_form(st, pt, Method.QUAD_SUM)
+                c = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
                 assert q == pytest.approx(want, rel=1e-10)
                 assert c == pytest.approx(want, rel=1e-10)
 

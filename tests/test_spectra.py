@@ -154,11 +154,11 @@ class TestCoherentCone:
     @staticmethod
     def half_width(state, trap):
         pt0 = fp.ScatterPoint(0.0, 0.0, 0.0, 0.0, 0.0)
-        peak = fp.coherent_form(fp.FormFunctionRequest(state, pt0))
+        peak = fp.coherent_form(state, pt0)
 
         def drop(theta):
             pt = fp.kinematics(trap, theta, 0.0)
-            return fp.coherent_form(fp.FormFunctionRequest(state, pt)) - 0.5 * peak
+            return fp.coherent_form(state, pt) - 0.5 * peak
 
         lo, hi = 1e-5, 0.8
         for _ in range(60):
@@ -210,10 +210,10 @@ class TestFrequencyDistribution:
     def test_failing_angular_integral_names_its_detuning(self, trap, state_cache, monkeypatch):
         from fermipulse import spectra
 
-        def noisy_at_one_detuning(req):
+        def noisy_at_one_detuning(state, point, *rest):
             # digits of theta: noise on every scale, so refinement never settles
-            noise = np.modf(req.point.theta * 1e15)[0]
-            return np.where(req.point.varpi == 1.5, noise, 1.0)
+            noise = np.modf(point.theta * 1e15)[0]
+            return np.where(point.varpi == 1.5, noise, 1.0)
 
         monkeypatch.setattr(spectra, "coherent_form", noisy_at_one_detuning)
         with pytest.raises(fp.QuadratureFailure, match=r"theta integral at varpi=1\.5: panel") as info:
@@ -280,10 +280,10 @@ class TestFullModePins:
         counts = {"coh": [0, 0], "inc": [0, 0]}
 
         def counting(channel, form):
-            def wrapped(req):
+            def wrapped(state, point, *rest):
                 counts[channel][0] += 1
-                counts[channel][1] += np.size(req.point.x_total)
-                return form(req)
+                counts[channel][1] += np.size(point.x_total)
+                return form(state, point, *rest)
 
             return wrapped
 
