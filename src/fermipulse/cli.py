@@ -23,7 +23,7 @@ import numbers
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,6 +119,9 @@ class RunConfig:
         # atoms is stored as int and the ratios as float, so that 1000 and
         # 1000.0 (or 3 and 3.0) hash and print alike
         self.atoms = int(atoms)
+        # a JSON string would otherwise parse one character at a time
+        if not isinstance(self.temperatures, (list, tuple)):
+            raise ConfigError("temperatures", f"must be a list, got {self.temperatures!r}")
         if not self.temperatures:
             raise ConfigError("temperatures", "must be non-empty")
         self.temperatures = [Temperature.parse(t) for t in self.temperatures]
@@ -141,6 +144,7 @@ class RunConfig:
             raise ConfigError("varpi_window", f"must be < 1/gamma_ratio, got {self.varpi_window!r}")
         if self.statistics not in ("fd", "mb", "both"):
             raise ConfigError("statistics", f"must be fd, mb or both, got {self.statistics!r}")
+        self.grid = _parse_grid(self.grid)
         nt, nv = self.grid
         if nt < 2 or nv < 2:
             raise ConfigError("grid", f"grid counts must be >= 2, got {self.grid!r}")
@@ -155,8 +159,13 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError("mode", str(e)) from None
         if self.threads != "auto":
-            if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            try:
+                threads = _parse_count(self.threads) if isinstance(self.threads, str) else self.threads
+            except ValueError:
+                threads = None
+            if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
                 raise ConfigError("threads", f"must be 'auto' or a positive integer, got {self.threads!r}")
+            self.threads = threads
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError("output", f"must be a non-empty string, got {self.output!r}")
         if not isinstance(self.strict, bool):
@@ -219,7 +228,10 @@ def _parse_grid(value):
 
 
 def load_config(path, overrides):
-    cfg = RunConfig()
+    """The validated config of the JSON file at path (None for none) with
+    overrides, a dict of field values, on top: a given field replaces the
+    file's value whole, and ``RunConfig.validate`` parses every field once."""
+    merged = {}
     if path is not None:
         try:
             with open(path) as fh:
@@ -230,21 +242,12 @@ def load_config(path, overrides):
             raise ConfigError("config", f"invalid JSON in {path}: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config", "top-level JSON value must be an object")
-        for key, value in raw.items():
+        for key in raw:
             if key not in _CONFIG_FIELDS:
                 raise ConfigError(key, "unknown configuration field")
-            if key == "grid":
-                value = _parse_grid(value)
-            if key == "temperatures":
-                if not isinstance(value, list):
-                    raise ConfigError("temperatures", "must be a list")
-                value = [Temperature.parse(t) for t in value]
-            cfg = replace(cfg, **{key: value})
-    for key, value in overrides.items():
-        if value is None or value is False:
-            continue
-        cfg = replace(cfg, **{key: value})
-    return cfg.validate()
+        merged.update(raw)
+    merged.update(overrides)
+    return RunConfig(**merged).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +476,16 @@ def _build_parser():
 
 
 def _overrides_from_args(args):
+    """The config fields given as flags, with the --temperature values
+    split at commas into one list."""
     overrides = {}
     for key in _CONFIG_FIELDS:
-        if not hasattr(args, key):
-            continue
-        value = getattr(args, key)
-        if value is None or (key == "strict" and value is False):
+        value = getattr(args, key, None)
+        # None: the flag was not given; False: --strict was not given
+        if value is None or value is False:
             continue
         if key == "temperatures":
-            flat = []
-            for chunk in value:
-                flat.extend(t for t in str(chunk).split(",") if t.strip())
-            value = flat
-        if key == "grid":
-            value = _parse_grid(value)
-        if key == "threads" and value != "auto":
-            try:
-                value = _parse_count(value)
-            except ValueError:
-                raise ConfigError("threads", f"must be 'auto' or an integer, got {value!r}")
+            value = [t for chunk in value for t in chunk.split(",") if t.strip()]
         overrides[key] = value
     return overrides
 

@@ -53,6 +53,14 @@ class TestConfig:
         assert cfg.grid == (11, 13)
         assert cfg.statistics == "mb"
 
+    def test_grid_flag_overrides_file(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"grid": "11x13", "atoms": 100, "temperatures": ["1EF"]}))
+        out = tmp_path / "g"
+        assert main(["formfunc", "--config", str(cfgfile), "--grid", "5x7", "--output", str(out)]) == 0
+        _, rows = read_rows(tmp_path / "g_formfunc_coh_fd_1EF.csv")
+        assert len(rows) == 5 * 7
+
     @pytest.mark.parametrize("text", ["91x121", "91X121", " 91 x 121 "])
     def test_grid_spellings_accepted(self, tmp_path, text):
         cfgfile = tmp_path / "run.json"
@@ -121,6 +129,7 @@ class TestConfig:
             ),
             pytest.param(None, ["--varpi-window", "30000"], "varpi_window", id="window-past-zero-wavenumber"),
             pytest.param({"temperatures": [True]}, [], "temperatures", id="temperatures-bool"),
+            pytest.param({"temperatures": "1EF"}, [], "temperatures", id="temperatures-string"),
             # the Maxwell-Boltzmann closed forms have no Fermi-Dirac state to run on
             pytest.param(None, ["--method", "closed-form-mb"], "method", id="closed-form-mb-with-fd"),
             pytest.param(
