@@ -30,20 +30,6 @@ def _call(f, rows, nodes):
     return np.broadcast_to(np.asarray(f(rows, nodes), dtype=np.float64), nodes.shape)
 
 
-def _row_sums(rows, values, n_rows):
-    """Sum each row's values in their given order, from 0.0, one at a time.
-
-    rows must be sorted.  Each row sums as a Python loop would: the
-    accumulator starts at +0.0, so it is never -0.0 and the zeros padding
-    the shorter rows leave it unchanged.
-    """
-    counts = np.bincount(rows, minlength=n_rows)
-    starts = np.cumsum(counts) - counts
-    padded = np.zeros((n_rows, counts.max() + 1))
-    padded[rows, 1 + np.arange(rows.size) - starts[rows]] = values
-    return np.cumsum(padded, axis=1)[:, -1]
-
-
 def simpson_family(f, a, b, n_rows, *, rel_tol=1e-6, max_depth=48, seeds=None):
     """Integrate n_rows integrands over [a, b] in one adaptive refinement.
 
@@ -85,7 +71,7 @@ def simpson_family(f, a, b, n_rows, *, rel_tol=1e-6, max_depth=48, seeds=None):
     u, v = edges[:-1], edges[1:]
     s = _simpson(fe[:, :-1], fm, fe[:, 1:], v - u)
     panel_row = np.repeat(np.arange(n_rows), u.size)
-    tol = rel_tol * np.abs(_row_sums(panel_row, s.ravel(), n_rows))
+    tol = rel_tol * np.abs(np.bincount(panel_row, weights=s.ravel(), minlength=n_rows))
 
     span = b - a
     # open panels grouped by row, each row's rightmost last:
@@ -148,7 +134,8 @@ def simpson_family(f, a, b, n_rows, *, rel_tol=1e-6, max_depth=48, seeds=None):
             stack = stack[:, np.argsort(stack[0], kind="stable")]
     done_row = np.concatenate(done_row)
     order = np.lexsort((-np.concatenate(done_u), done_row))
-    return _row_sums(done_row[order], np.concatenate(done_val)[order], n_rows)
+    # bincount adds each row's values in the given order, from +0.0, as a loop would
+    return np.bincount(done_row[order], weights=np.concatenate(done_val)[order], minlength=n_rows)
 
 
 def adaptive_simpson(f, a, b, *, rel_tol=1e-6, max_depth=48, seeds=None):

@@ -22,16 +22,14 @@ from . import _kernels
 def laguerre_scaled(n, alpha, x):
     """e^{-x/2} L_n^alpha(x) by forward recurrence on the scaled sequence."""
     _check_indices(n=n, alpha=alpha)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    _check_x(x)
     return float(_kernels.laguerre_scaled_table(int(n), float(alpha), float(x))[-1])
 
 
 def laguerre_scaled_table(n_max, alpha, x):
     """Array of e^{-x/2} L_n^alpha(x) for n = 0..n_max."""
     _check_indices(n=n_max, alpha=alpha)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    _check_x(x)
     return _kernels.laguerre_scaled_table(int(n_max), float(alpha), float(x))
 
 
@@ -42,8 +40,7 @@ def franck_condon_sq(n, m, x):
     row min(n, m) only, without forming the matrix.
     """
     _check_indices(n=n, m=m)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    _check_x(x)
     mn, d = (int(min(n, m)), int(abs(n - m)))
     if x == 0.0:
         return 1.0 if d == 0 else 0.0
@@ -59,8 +56,7 @@ def franck_condon_sq_loggamma(n, m, x):
     the operating range x <= ~700 where the split prefactor stays finite.
     """
     _check_indices(n=n, m=m)
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    _check_x(x)
     mn, d = (int(min(n, m)), int(abs(n - m)))
     if x == 0.0:
         return 1.0 if d == 0 else 0.0
@@ -73,8 +69,7 @@ def fc_matrix(size, x):
     """Dense table M[n, m] = |<n|D(xi)|m>|^2 for n, m = 0..size."""
     if size < 0 or size != int(size):
         raise ValueError(f"size must be a non-negative integer, got {size!r}")
-    if x < 0.0 or not math.isfinite(x):
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    _check_x(x)
     return _kernels.fc_matrix(int(size), float(x))
 
 
@@ -87,10 +82,8 @@ def laguerre_addition_check(n, xs):
     """
     x1, x2, x3 = (float(v) for v in xs)
     _check_indices(n=n)
-    for v in (x1, x2, x3):
-        if v < 0.0 or not math.isfinite(v):
-            raise ValueError(f"arguments must be finite and >= 0, got {v!r}")
     n = int(n)
+    # each table checks its x
     t1 = laguerre_scaled_table(n, 0, x1)
     t2 = laguerre_scaled_table(n, 0, x2)
     t3 = laguerre_scaled_table(n, 0, x3)
@@ -121,6 +114,11 @@ def franck_condon_row_sum(n, x, *, tol=1e-12):
         prev = s
         size = int(size * 1.6) + 16
     return prev
+
+
+def _check_x(x):
+    if x < 0.0 or not math.isfinite(x):
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
 
 
 def _check_indices(**kwargs):

@@ -183,7 +183,12 @@ def _occupations(statistics, log_z, tau, n_max):
     return expit(log_z - n / tau)
 
 
-def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter):
+# the Fermi-Dirac solve meets the number constraint to this fraction of N
+_SOLVE_REL_TOL = 1e-10
+_SOLVE_MAX_ITER = 300
+
+
+def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb):
     def shortfall(log_z):
         return _shell_sum(_occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)) - n_atoms
 
@@ -208,10 +213,10 @@ def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter):
 
     f_lo = shortfall(lo)
     f_hi = shortfall(hi)
-    for _ in range(max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         f_mid = shortfall(mid)
-        if abs(f_mid) <= 0.01 * rel_tol * n_atoms:
+        if abs(f_mid) <= 0.01 * _SOLVE_REL_TOL * n_atoms:
             return mid
         if f_mid < 0.0:
             lo, f_lo = mid, f_mid
@@ -225,14 +230,14 @@ def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter):
         sec = lo - f_lo * (hi - lo) / (f_hi - f_lo)
         if lo <= sec <= hi and abs(shortfall(sec)) < abs(shortfall(mid)):
             mid = sec
-    if abs(shortfall(mid)) > rel_tol * n_atoms:
+    if abs(shortfall(mid)) > _SOLVE_REL_TOL * n_atoms:
         raise ConvergenceFailure(
             f"fugacity solve missed tolerance: |dN|/N = {abs(shortfall(mid)) / n_atoms:.3g}"
         )
     return mid
 
 
-def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC, *, rel_tol=1e-10, max_iter=300):
+def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC):
     """Solve the fugacity for N atoms at reduced temperature tau.
 
     For Maxwell-Boltzmann atoms the closed form z = N (1 - e^{-1/tau})^3 is
@@ -258,7 +263,7 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC, *, rel_tol=1
         # verify against the solved value
         n_max = _shell_cutoff(log_z_mb + 0.5, tau, n_atoms, n_floor)
         for _ in range(4):
-            log_z = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb, rel_tol, max_iter)
+            log_z = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb)
             needed = _shell_cutoff(log_z, tau, n_atoms, n_floor)
             if needed <= n_max:
                 break
@@ -267,10 +272,7 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC, *, rel_tol=1
             raise ConvergenceFailure("shell cutoff failed to stabilize")
 
     occ = _occupations(statistics, log_z, tau, n_max)
-    if (
-        statistics is Statistics.FERMI_DIRAC
-        and abs(_shell_sum(occ) - n_atoms) > rel_tol * n_atoms
-    ):
+    if statistics is Statistics.FERMI_DIRAC and abs(_shell_sum(occ) - n_atoms) > _SOLVE_REL_TOL * n_atoms:
         raise ConvergenceFailure("number constraint violated after solve")
     return ThermalState(
         n_atoms=float(n_atoms),
