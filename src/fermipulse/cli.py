@@ -104,8 +104,8 @@ class RunConfig:
     statistics: str = "fd"
     grid: tuple = (91, 121)
     varpi_window: float = 6.0
-    method: str = "auto"
-    mode: str = "auto"
+    method: object = "auto"  # a Method once validated
+    mode: object = "auto"  # an AngularMode once validated
     tolerance: float = 1e-8
     output: str = "fermipulse"
     threads: object = "auto"
@@ -149,13 +149,13 @@ class RunConfig:
         if nt < 2 or nv < 2:
             raise ConfigError("grid", f"grid counts must be >= 2, got {self.grid!r}")
         try:
-            method = Method.parse(self.method)
+            self.method = Method.parse(self.method)
         except ValueError as e:
             raise ConfigError("method", str(e)) from None
-        if method is Method.CLOSED_FORM_MB and self.statistics != "mb":
+        if self.method is Method.CLOSED_FORM_MB and self.statistics != "mb":
             raise ConfigError("method", f"closed-form-mb requires statistics mb, got {self.statistics!r}")
         try:
-            AngularMode.parse(self.mode)
+            self.mode = AngularMode.parse(self.mode)
         except ValueError as e:
             raise ConfigError("mode", str(e)) from None
         if self.threads != "auto":
@@ -197,6 +197,7 @@ class RunConfig:
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
         payload["temperatures"] = [t.label() for t in self.temperatures]
         payload["grid"] = list(self.grid)
+        payload["method"], payload["mode"] = self.method.value, self.mode.value
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -342,7 +343,6 @@ def cmd_formfunc(cfg):
     as one chunk.
     """
     trap = cfg.trap()
-    method = Method.parse(cfg.method)
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
@@ -358,7 +358,7 @@ def cmd_formfunc(cfg):
         total = state.total_atoms
         try:
             f2_coh, f2_in = parallel_map(
-                lambda form: form(state, pt, method, cfg.tolerance), (coherent_form, incoherent_form)
+                lambda form: form(state, pt, cfg.method, cfg.tolerance), (coherent_form, incoherent_form)
             )
         except FormFunctionError as e:
             if e.index is None:
@@ -367,7 +367,7 @@ def cmd_formfunc(cfg):
             else:
                 i, j = np.unravel_index(e.index, pt.x_total.shape)
                 where = f"theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}"
-            raise type(e)(f"method {method.value} at {where}: {e}") from e
+            raise type(e)(f"method {cfg.method.value} at {where}: {e}") from e
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
             lines = _grid_lines(prefixes, prefix_finite, values)
@@ -378,18 +378,17 @@ def cmd_formfunc(cfg):
 
 def cmd_spectrum(cfg):
     trap = cfg.trap()
-    method = Method.parse(cfg.method)
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
     written = []
     for temp, stat, state in _solve_states(cfg):
-        d_coh, d_in = angular_distribution(state, trap, thetas, cfg.mode, method, cfg.tolerance)
+        d_coh, d_in = angular_distribution(state, trap, thetas, cfg.mode, cfg.method, cfg.tolerance)
         lines = _csv_lines(zip(np.degrees(thetas).tolist(), d_coh.tolist(), d_in.tolist()))
         written.append(
             _write_csv(cfg, f"angular_{stat.value}_{temp.label()}", "theta_deg,dN_coh,dN_in", lines)
         )
-        d_coh, d_in = frequency_distribution(state, trap, varpis, method, cfg.tolerance, cfg.mode)
+        d_coh, d_in = frequency_distribution(state, trap, varpis, cfg.method, cfg.tolerance, cfg.mode)
         lines = _csv_lines(zip(varpis.tolist(), d_coh.tolist(), d_in.tolist()))
         written.append(_write_csv(cfg, f"frequency_{stat.value}_{temp.label()}", "varpi,dN_coh,dN_in", lines))
         print(f"spectrum: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
@@ -398,7 +397,6 @@ def cmd_spectrum(cfg):
 
 def cmd_total(cfg):
     trap = cfg.trap()
-    method = Method.parse(cfg.method)
     pulse = PulseModel.two_pi()
     ef = fermi_energy(cfg.atoms)
     if ef == 0.0:
@@ -406,7 +404,7 @@ def cmd_total(cfg):
 
     def rows():
         for temp, stat, state in _solve_states(cfg):
-            n_coh, n_in = total_photons(state, trap, pulse, cfg.mode, method, cfg.tolerance)
+            n_coh, n_in = total_photons(state, trap, pulse, cfg.mode, cfg.method, cfg.tolerance)
             print(f"total: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
             yield state.tau / ef, n_coh, n_in, stat.value
 
@@ -414,10 +412,9 @@ def cmd_total(cfg):
 
 
 def cmd_fugacity(cfg):
-    method = Method.parse(cfg.method)
     for temp, stat, state in _solve_states(cfg):
         ef = fermi_energy(cfg.atoms)
-        methods = describe_methods(state, method, cfg.tolerance)
+        methods = describe_methods(state, cfg.method, cfg.tolerance)
         if "fit_bound" in methods:
             methods["fit_bound"] = f"{methods['fit_bound']:.3g}"
         print(

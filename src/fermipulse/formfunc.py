@@ -100,8 +100,8 @@ class Method(enum.Enum):
 
 def _checked_method(state, method, tolerance):
     """The method, parsed if it is a string, once the evaluation passes
-    every check made before it starts: a finite positive tolerance, z < 1 for a
-    forced Fermi-Dirac power series (SeriesDivergence), and
+    every check made before it starts: a finite positive tolerance, z < 1
+    for a forced Fermi-Dirac power series (SeriesDivergence), and
     Maxwell-Boltzmann statistics for closed-form-mb."""
     if isinstance(method, str):
         method = Method.parse(method)

@@ -200,6 +200,8 @@ class TestConfig:
                 },
                 "c81a61eca003",
             ),
+            # a method or mode hashes by what it names
+            ({"atoms": 100, "method": " Auto", "mode": "AUTO"}, "3e44f74de110"),
         ],
     )
     def test_config_hash_pinned(self, overrides, digest):
