@@ -54,8 +54,10 @@ def _degeneracy_array(n_max):
 
 def _shell_sum(v):
     """sum_n g(n) v[n] over shells n = 0..len(v)-1, as a float: every shell
-    sum of a state runs here, so its summation order is set in one place."""
-    return float(_degeneracy_array(v.shape[0] - 1) @ v)
+    sum of a state runs here, so its summation order is set in one place.
+    A numpy reduction, not a BLAS dot product, whose order would depend on
+    the BLAS thread count."""
+    return float(np.add.reduce(_degeneracy_array(v.shape[0] - 1) * v))
 
 
 def fermi_energy(n_atoms):

@@ -637,9 +637,7 @@ _PINNED_RUNS = {
         "formfunc", "--atoms", "200", "--statistics", "fd", "--temperature", "0.5EF", "--grid", "9x7",
     ],
     "total-fd-exp-sum": ["total", "--atoms", "300", "--statistics", "fd", "--temperature", "0.5EF"],
-    # a grid of 1271 cells per file; n_max is 943, far below the shell
-    # counts at which the BLAS dot products behind the shell sums split
-    # across threads
+    # a grid of 1271 cells per file; n_max is 943
     "formfunc-both-31x41": [
         "formfunc", "--atoms", "1000", "--statistics", "both", "--temperature", "1.36EF", "--grid", "31x41",
     ],
@@ -648,23 +646,23 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "2d788d96ab81fdf4",
-    "formfunc-fd-power-series": "c8783ba6e0cd0169",
-    "formfunc-fd-laguerre": "e63a0f8ca85f3e24",
-    "formfunc-fd-quad-sum": "0aa76c2ddd979dc2",
-    "formfunc-fd-convolution": "6e53b079341e1d2a",
-    "formfunc-mb-auto": "4213bf063e6ea426",
-    "formfunc-mb-power-series": "911ec3cd65763c9f",
-    "formfunc-mb-laguerre": "901ae3eb09e8c17e",
-    "formfunc-mb-closed-form-mb": "25a87c9ce1451cc9",
-    "formfunc-mb-quad-sum": "a54c9d8042385a60",
-    "formfunc-mb-convolution": "16d1b99068b6315a",
+    "formfunc-fd-auto": "cde592d38aefcd6c",
+    "formfunc-fd-power-series": "d42b7805cac0350a",
+    "formfunc-fd-laguerre": "9938713882e85c6c",
+    "formfunc-fd-quad-sum": "b20f79382a13623a",
+    "formfunc-fd-convolution": "902114c45787098d",
+    "formfunc-mb-auto": "f06f3a9da189459b",
+    "formfunc-mb-power-series": "90a6b59f9fe645ed",
+    "formfunc-mb-laguerre": "0f963500c3124fe4",
+    "formfunc-mb-closed-form-mb": "25cb6604c0633850",
+    "formfunc-mb-quad-sum": "20a2ad6999a846bb",
+    "formfunc-mb-convolution": "201b5c394391b5cc",
     "total-frozen": "8d7bc6d0a3de5c86",
     "spectrum-frozen": "94dd5d63d1b5bf33",
     "spectrum-full": "a4ad48d6af6e986a",
-    "formfunc-fd-exp-sum": "7b90af2fc8504174",
+    "formfunc-fd-exp-sum": "2dfadf1985f70525",
     "total-fd-exp-sum": "91163162d346e3fc",
-    "formfunc-both-31x41": "038d64e755a0510c",
+    "formfunc-both-31x41": "dae1f43d3a4441b8",
 }
 
 

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,3 +142,22 @@ class TestSolve:
         assert math.isinf(st.fugacity)
         g = _degeneracy_array(st.n_max)
         assert float(g @ st.occupations) == pytest.approx(10.0, rel=1e-10)
+
+    def test_shell_sums_independent_of_blas_threads(self, package_env):
+        # n_max = 10068: above 10,000 elements OpenBLAS splits a dot
+        # product across its threads, which would change the summation order
+        script = (
+            "import json, fermipulse as fp\n"
+            "from fermipulse.formfunc import _incoherent_x0\n"
+            "st = fp.solve_fugacity(10**6, 1.36 * fp.fermi_energy(10**6))\n"
+            "print(json.dumps([st.n_max, st.log_fugacity.hex(), st.total_atoms.hex(), _incoherent_x0(st).hex()]))\n"
+        )
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(package_env, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
+            )
+            runs.append(json.loads(proc.stdout))
+        assert runs[0][0] > 10_000
+        assert runs[0] == runs[1]
