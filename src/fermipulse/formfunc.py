@@ -458,6 +458,91 @@ def _exp_sum_form(state, x, incoherent):
 
 
 # ---------------------------------------------------------------------------
+# node terms: a node path's form function as one exponential sum in x, for
+# integrals over x (spectra)
+# ---------------------------------------------------------------------------
+
+# the longest power series node_terms cuts: 200 amplitude nodes square to
+# 20,100 pairs, and 200 incoherent blocks hold 19,900
+_NODE_SERIES_MAX = 200
+
+
+def _squared(c, a):
+    """(c, a) with (Re sum_j c_j e^{-a_j x})^2 = Re sum c e^{-a x}: the pairs
+    j <= k of real terms, off-diagonal ones doubled; for complex terms
+    Re(u)^2 = (Re(u^2) + |u|^2)/2, every ordered pair of both."""
+    if np.iscomplexobj(c):
+        c = 0.5 * np.concatenate([np.multiply.outer(c, c).ravel(), np.multiply.outer(c, c.conj()).ravel()])
+        return c, np.concatenate([np.add.outer(a, a).ravel(), np.add.outer(a, a.conj()).ravel()])
+    j, k = np.triu_indices(c.size)
+    return np.where(j == k, 1.0, 2.0) * c[j] * c[k], a[j] + a[k]
+
+
+def _series_terms(state, incoherent, floor):
+    """The fugacity power series of one channel, z < 1, cut at the first
+    length whose tail bound is at most floor: (c, a, tail), or None past
+    _NODE_SERIES_MAX nodes or blocks.
+
+    Amplitude node l, ((-1)^(l-1) z^l, l), has |c_l| = z^l/h_l^3 with h_l
+    growing in l, so |c_{l+1}| <= z |c_l|, and the nodes past L sum to at
+    most T = |c_{L+1}|/(1-z) at every x; the squared amplitude moves by at
+    most T (2S + T), S the sum of the |c_l| kept.  Incoherent block m, the
+    pairs l + l' = m, holds m - 1 terms of magnitude z^m/h_m^3, so the
+    blocks past M sum to at most z^{M+1} (M/(1-z) + z/(1-z)^2)/h_{M+1}^3.
+    """
+    z, tau = state.fugacity, state.tau
+    n = np.arange(1.0, _NODE_SERIES_MAX + 2)
+    mag = np.exp(n * state.log_fugacity) / -np.expm1(-n / tau) ** 3
+    if incoherent:
+        # mag[m] is z^{m+1}/h_{m+1}^3, the bound of the blocks past M = m
+        tails = mag[2:] * (n[1:-1] / (1.0 - z) + z / (1.0 - z) ** 2)
+        lengths = n[1:-1]
+    else:
+        t = mag[1:] / (1.0 - z)
+        tails = t * (2.0 * np.cumsum(mag[:-1]) + t)
+        lengths = n[:-1]
+    fits = np.nonzero(tails <= floor)[0]
+    if not fits.size:
+        return None
+    size = int(lengths[fits[0]])
+
+    def build():
+        if incoherent:
+            l1, l2 = (v.ravel() + 1.0 for v in np.indices((size - 1, size - 1)))
+            keep = l1 + l2 <= size
+            l1, l2 = l1[keep], l2[keep]
+            sign = np.where((l1 + l2) % 2 == 1, -1.0, 1.0)
+            return _pair_terms(sign * np.exp(l1 * state.log_fugacity), l1, np.exp(l2 * state.log_fugacity), l2, tau)
+        l = n[:size]
+        sign = np.where(l % 2 == 0, -1.0, 1.0)
+        return _squared(*_amplitude_terms(sign * np.exp(l * state.log_fugacity), l, tau))
+
+    return (*state.cached(("series_terms", incoherent, size), build), float(tails[fits[0]]))
+
+
+def node_terms(state, method, incoherent, tol, floor):
+    """One channel's form function as a sum of exponentials in x where its
+    branch is a node path (closed-form-mb, exp-sum or power-series, under
+    auto or forced): (c, a, tail) with |F(x) - Re sum_j c_j e^{-a_j x}| <=
+    tail at every x >= 0, the coherent amplitude squared into pairs.  The
+    closed forms and the fit give the terms their branches sum (tail 0);
+    the power series is cut where its tail bound reaches floor.  None on
+    a table path, and where the series would need more than
+    _NODE_SERIES_MAX nodes for floor."""
+    path = _resolve(state, _checked_method(state, method, tol), incoherent, tol)
+    if path == Method.POWER_SERIES.value:
+        return _series_terms(state, incoherent, floor)
+    if path not in (Method.CLOSED_FORM_MB.value, _EXP_SUM):
+        return None
+
+    def build():
+        c, a = _exp_sum_terms(state, incoherent)
+        return (c, a) if incoherent else _squared(c, a)
+
+    return (*state.cached(("node_terms", incoherent), build), 0.0)
+
+
+# ---------------------------------------------------------------------------
 # method resolution and the public entry points
 # ---------------------------------------------------------------------------
 

@@ -16,6 +16,33 @@ factors, evaluated at varpi = 0, or the full (theta, varpi) integral.
 angular_distribution and total_photons tell them apart only in the
 detuning integral _over_varpi; frequency_distribution, which has none,
 takes its frozen angular integrals from theta_integrals.
+
+Angular integrals in closed form.  With k = kla, k' = kla (1 + gamma_ratio
+varpi) and t = (1 - cos theta)/2, the transfer x = k^2 + k'^2 - 2 k k'
+cos theta is x0 + span t, where x0 = (k - k')^2 and span = 4 k k', and
+pi (1 + cos^2 theta) sin theta dtheta = 2 pi (1 + (1-2t)^2) dt, so
+
+    int_0^pi w(theta) F(x) dtheta = 2 pi int_0^1 (1 + (1-2t)^2) F(x0 + span t) dt.
+
+On the node paths (closed-form-mb, exp-sum, power-series) every form
+function is a short sum F = Re sum_j c_j e^{-a_j x} (formfunc.node_terms;
+the coherent amplitude squared into pairs), and each term integrates to
+c_j 2 pi e^{-a_j x0} G(a_j span) with
+
+    G(b) = int_0^1 (1 + (1-2t)^2) e^{-bt} dt
+         = (2/b - 4/b^2 + 8/b^3) - e^{-b} (2/b + 4/b^2 + 8/b^3),
+
+G(0) = 4/3 (so the weight totals THETA_WEIGHT_TOTAL = 8 pi/3).  The
+closed form cancels for small |b|, where G's Taylor series takes over; b
+is complex for the Fermi-Dirac fit.  An angular integral then costs
+O(terms) per detuning, where a quadrature costs hundreds of form
+evaluations.  Each row is certified: its round-off eps sum_j |term_j|
+must stay below 0.1 QUAD_REL_TOL of its value, and the power series is
+cut where its tail bound, integrated against the weight, falls below
+1e-3 QUAD_REL_TOL of it.  A row that fails, and every row on a table
+path (laguerre, convolution, quad-sum), takes the adaptive quadrature
+simpson_family over theta on form-function values, one row per
+detuning.
 """
 
 import enum
@@ -23,7 +50,8 @@ import math
 
 import numpy as np
 
-from .formfunc import Method, coherent_form, incoherent_form
+from ._kernels import CHUNK_DOUBLES
+from .formfunc import Method, coherent_form, incoherent_form, node_terms
 from .model import VARPI_QUAD_WINDOW, kinematics
 from .pulse import S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, adaptive_simpson, simpson_family
@@ -118,28 +146,128 @@ def _theta_seeds(trap):
     return seeds
 
 
-def _over_theta(form, state, trap, varpi, method, tolerance, seeds=None):
-    """int w(theta) F2(theta, varpi) dtheta over [0, pi] for one form function.
+# moments int_0^1 t^n (1 + (1-2t)^2) dt of the Taylor series of G below
+_G_MOMENTS = [2.0 / (n + 1) - 4.0 / (n + 2) + 4.0 / (n + 3) for n in range(32)]
 
-    varpi may be an array: its angular integrals are one simpson_family
-    refinement, one row per detuning, so every integrand call evaluates
-    the form function on one array of (theta, varpi) points.  A float for
-    a scalar varpi.  A QuadratureFailure names the detuning of its row.
+
+def _weighted_exp(a, x0, span):
+    """2 pi e^{-a x0} G(a span) (the module docstring's G), elementwise over
+    the broadcast arguments; a may be complex.  Below |b| = 2, where the
+    closed form of G cancels, its Taylor series sum_n (-b)^n/n! m_n, with
+    m_n the moments _G_MOMENTS, whose terms fall below 1e-25 by n = 32."""
+    b = a * span
+    near = np.exp(-a * x0)
+    out = np.empty(b.shape, dtype=b.dtype)
+    small = np.abs(b) < 2.0
+    big = ~small
+    inv = 1.0 / b[big]
+    far = np.exp(-a * (x0 + span))[big]
+    out[big] = near[big] * inv * (2.0 + inv * (-4.0 + 8.0 * inv)) - far * inv * (2.0 + inv * (4.0 + 8.0 * inv))
+    if small.any():
+        bs = b[small]
+        term = np.ones(bs.shape, dtype=b.dtype)
+        acc = np.zeros(bs.shape, dtype=b.dtype)
+        for n, moment in enumerate(_G_MOMENTS):
+            acc += moment * term
+            term *= -bs / (n + 1)
+        out[small] = near[small] * acc
+    return 2.0 * math.pi * out
+
+
+def _exact_rows(c, a, trap, varpis):
+    """Per detuning: the angular integral of F = Re sum_j c_j e^{-a_j x}, and
+    its round-off scale sum_j |c_j 2 pi e^{-a_j x0} G(a_j span)|."""
+    kp = trap.kla * (1.0 + trap.gamma_ratio * varpis)
+    x0 = (trap.kla - kp) ** 2
+    span = 4.0 * trap.kla * kp
+    total, scale = np.empty(varpis.size), np.empty(varpis.size)
+    step = max(1, CHUNK_DOUBLES // c.size)
+    for lo in range(0, varpis.size, step):
+        rows = slice(lo, lo + step)
+        terms = c * _weighted_exp(a, x0[rows, None], span[rows, None])
+        total[rows] = terms.sum(axis=1).real
+        scale[rows] = np.abs(terms).sum(axis=1)
+    return total, scale
+
+
+def _closed_rows(form, incoherent, state, trap, method, tolerance, varpis, held):
+    """The rows of _over_theta on a node path, in closed form: (values, ok),
+    ok marking the rows whose value is certified; None on a table path.
+
+    A row is certified when its round-off, eps sum_j |term_j|, stays below
+    0.1 QUAD_REL_TOL of its value, and the power series' tail bound,
+    integrated against the weight (total THETA_WEIGHT_TOTAL), below
+    1e-3 QUAD_REL_TOL of it.  The series is cut again, at a quarter of
+    the tail the least such row allows, until every row that passes the
+    round-off test passes both, or until the series would grow past its
+    cap.  held keeps the cut between calls.
+
+    The first call makes one form-function call, at theta = 0 of the first
+    detuning, the node where a quadrature would start, so the auto
+    cross-check runs at the transfer it always used; the first cut is at
+    1e-3 QUAD_REL_TOL of F(0), the sum of the shortest series' c.
     """
-    varpi = np.asarray(varpi, dtype=np.float64)
-    varpis = varpi.ravel()
+    if "floor" not in held:
+        coarse = node_terms(state, method, incoherent, tolerance, math.inf)
+        if coarse is None:
+            return None
+        form(state, kinematics(trap, 0.0, varpis[0]), method, tolerance)
+        held["floor"] = 1e-3 * QUAD_REL_TOL * abs(float(coarse[0].sum().real))
+    floor, out = held["floor"], None
+    while (terms := node_terms(state, method, incoherent, tolerance, floor)) is not None:
+        c, a, tail = terms
+        total, scale = _exact_rows(c, a, trap, varpis)
+        exact = math.ulp(1.0) * scale <= 0.1 * QUAD_REL_TOL * np.abs(total)
+        need = 1e-3 * QUAD_REL_TOL * np.abs(total)
+        ok = exact & (THETA_WEIGHT_TOTAL * tail <= need)
+        held["floor"], out = floor, (total, ok)
+        if (ok == exact).all():
+            break
+        floor = 0.25 * need[exact].min() / THETA_WEIGHT_TOTAL
+    return out
 
-    def f(rows, theta):
-        pt = kinematics(trap, theta, varpis[rows])
-        return angular_weight(theta) * form(state, pt, method, tolerance)
 
-    try:
-        values = simpson_family(f, 0.0, math.pi, varpis.size, rel_tol=QUAD_REL_TOL, seeds=seeds)
-    except QuadratureFailure as e:
-        raise QuadratureFailure(
-            f"theta integral at varpi={varpis[e.row]:.6g}: {e}", a=e.a, b=e.b, err=e.err, row=e.row
-        ) from e
-    return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
+def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
+    """The angular integral int w(theta) F2(theta, varpi) dtheta over [0, pi]
+    of one form function, as a function of varpi: in closed form on a
+    node path (see the module docstring; _closed_rows), else, and on rows
+    that closed form does not certify, by one simpson_family refinement
+    with one row per detuning, each integrand call evaluating the form
+    function on one array of (theta, varpi) points, seeds the extra panel
+    edges.
+
+    The returned function takes a float or an array of detunings and
+    returns a float or an array of their shape.  A QuadratureFailure
+    names the detuning of its row.
+    """
+    held = {}
+
+    def integrate(varpi):
+        varpi = np.asarray(varpi, dtype=np.float64)
+        varpis = varpi.ravel()
+        form = incoherent_form if incoherent else coherent_form
+        values = np.empty(varpis.size)
+        rest = np.arange(varpis.size)
+        closed = _closed_rows(form, incoherent, state, trap, method, tolerance, varpis, held) if rest.size else None
+        if closed is not None:
+            total, ok = closed
+            values[ok] = total[ok]
+            rest = rest[~ok]
+
+        def f(rows, theta):
+            pt = kinematics(trap, theta, varpis[rest[rows]])
+            return angular_weight(theta) * form(state, pt, method, tolerance)
+
+        try:
+            values[rest] = simpson_family(f, 0.0, math.pi, rest.size, rel_tol=QUAD_REL_TOL, seeds=seeds)
+        except QuadratureFailure as e:
+            row = int(rest[e.row])
+            raise QuadratureFailure(
+                f"theta integral at varpi={varpis[row]:.6g}: {e}", a=e.a, b=e.b, err=e.err, row=row
+            ) from e
+        return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
+
+    return integrate
 
 
 def _over_varpi(g, mode):
@@ -167,10 +295,10 @@ def _over_varpi(g, mode):
 def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
     """(coherent, incoherent): int w(theta) F2(theta, 0) dtheta for both form functions."""
     return (
-        _over_theta(coherent_form, state, trap, 0.0, method, tolerance, _theta_seeds(trap)),
+        _over_theta(False, state, trap, method, tolerance, _theta_seeds(trap))(0.0),
         # the incoherent form function is broad in angle; forward-cone seeds
         # would only multiply the panel count
-        _over_theta(incoherent_form, state, trap, 0.0, method, tolerance),
+        _over_theta(True, state, trap, method, tolerance)(0.0),
     )
 
 
@@ -202,11 +330,12 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
 
     varpi may be an array; floats for a scalar.  Frozen form factors take
     one theta_integrals call per call, so pass the detunings as one array.
-    The full mode integrates the angles of all detunings in one refinement
-    per form function, one row per detuning, and has no row where s_coh
-    vanishes (varpi = 0): the form-function terms carry s_coh and drop
-    out, leaving the closed weight total.  The default is the full mode,
-    the exact (theta, varpi) integral.
+    The full mode integrates the angles of all detunings at once per form
+    function (in closed form on a node path, else one refinement with one
+    row per detuning), and has no row where s_coh vanishes (varpi = 0):
+    the form-function terms carry s_coh and drop out, leaving the closed
+    weight total.  The default is the full mode, the exact (theta, varpi)
+    integral.
     """
     mode = resolve_mode(mode, trap)
     s_coh, s_in = (np.asarray(s) for s in single_atom_spectra(varpi))
@@ -218,8 +347,8 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
     else:
         i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
         varpis = np.asarray(varpi, dtype=np.float64)[live]
-        i_coh[live] = _over_theta(coherent_form, state, trap, varpis, method, tolerance, _theta_seeds(trap))
-        i_sub[live] = _over_theta(incoherent_form, state, trap, varpis, method, tolerance)
+        i_coh[live] = _over_theta(False, state, trap, method, tolerance, _theta_seeds(trap))(varpis)
+        i_sub[live] = _over_theta(True, state, trap, method, tolerance)(varpis)
     d_coh = norm * s_coh * i_coh
     d_in = norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
     if mode is AngularMode.FULL:
@@ -234,20 +363,17 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
     """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse.
 
     In the full mode, each integrand call of the detuning quadrature
-    integrates the angles of all its detuning nodes in one refinement per
-    form function; frozen form factors take one angular integral per form
-    function, at varpi = 0.
+    integrates the angles of all its detuning nodes at once per form
+    function, as frequency_distribution does; frozen form factors take
+    one angular integral per form function, at varpi = 0.
     """
     if not math.isclose(pulse.total_area, 2.0 * math.pi, rel_tol=1e-9):
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
 
-    def over_theta(form, seeds=None):
-        return lambda varpi: _over_theta(form, state, trap, varpi, method, tolerance, seeds)
-
     norm = photon_norm(trap)
-    n_coh = norm * _over_varpi(over_theta(coherent_form, _theta_seeds(trap)), mode)
-    sub = _over_varpi(over_theta(incoherent_form), mode)
+    n_coh = norm * _over_varpi(_over_theta(False, state, trap, method, tolerance, _theta_seeds(trap)), mode)
+    sub = _over_varpi(_over_theta(True, state, trap, method, tolerance), mode)
     n_in = norm * (
         state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )

@@ -657,11 +657,11 @@ _PINNED_DIGESTS = {
     "formfunc-mb-closed-form-mb": "25cb6604c0633850",
     "formfunc-mb-quad-sum": "20a2ad6999a846bb",
     "formfunc-mb-convolution": "201b5c394391b5cc",
-    "total-frozen": "8d7bc6d0a3de5c86",
-    "spectrum-frozen": "94dd5d63d1b5bf33",
-    "spectrum-full": "a4ad48d6af6e986a",
+    "total-frozen": "1de110e2b48846d5",
+    "spectrum-frozen": "dc0e55725cdb2e83",
+    "spectrum-full": "07cf46d0659d48f4",
     "formfunc-fd-exp-sum": "2dfadf1985f70525",
-    "total-fd-exp-sum": "91163162d346e3fc",
+    "total-fd-exp-sum": "1093534527c00d93",
     "formfunc-both-31x41": "dae1f43d3a4441b8",
 }
 

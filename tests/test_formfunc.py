@@ -745,3 +745,44 @@ def test_batched_series_match_one_x_at_a_time(state):
     for x, c, i in zip(xs.tolist(), coh.tolist(), inc.tolist()):
         assert abs(c - reference_coherent_series(st, x, 1e-10)) <= 1e-15 * peak
         assert i == reference_incoherent_series(st, x, 1e-10)
+
+
+class TestMomentIdentities:
+    """Moments over [0, inf) of the node paths' exponential sums
+    (formfunc.node_terms), checked against sums over the occupation table
+    alone, with neither the fit nor any quadrature on the table side.
+
+    Incoherent: phase-space completeness gives int_0^inf |<a|D(x)|b>|^2 dx
+    = 1 and int_0^inf x |<a|D(x)|b>|^2 dx = a + b + 1 (Cahill & Glauber,
+    Phys. Rev. 177, 1857 (1969)), so with W(a, b) = sum_s (s+1) P(s+a)
+    P(s+b) and the tails T_s = sum_{n>=s} P(n), U_s = sum_{n>=s} (n-s) P(n):
+    int F2_in dx = sum_s (s+1) T_s^2 and int x F2_in dx = sum_s (s+1)
+    (T_s^2 + 2 T_s U_s).  Coherent: int x e^{-x} L_n^(2) L_m^(2) dx =
+    (k+1)(k+2)/2 with k = min(n, m), and int x^2 e^{-x} L_n^(2) L_m^(2) dx
+    = delta_nm (n+1)(n+2).  An exponential sum's moments are int x^j c
+    e^{-a x} dx = j! c/a^{j+1}.
+    """
+
+    @pytest.mark.parametrize("statistics", ["fd", "mb"])
+    @pytest.mark.parametrize("t_over_ef", [0.01, 0.05, 0.1, 0.5, 1.0, 1.36])
+    def test_node_terms_moments(self, state_cache, statistics, t_over_ef):
+        st = state_cache(10**6, t_over_ef * fp.fermi_energy(10**6), fp.Statistics.parse(statistics))
+        p = st.occupations
+        s = np.arange(p.size, dtype=np.float64)
+        tail = np.cumsum(p[::-1])[::-1]
+        u = np.cumsum((s * p)[::-1])[::-1] - s * tail
+        inc = formfunc.node_terms(st, Method.AUTO, True, 1e-8, 1e-16 * _incoherent_x0(st))
+        coh = formfunc.node_terms(st, Method.AUTO, False, 1e-8, 1e-16 * st.total_atoms**2)
+        if inc is None:
+            # the degenerate Fermi-Dirac states are table paths
+            assert statistics == "fd" and t_over_ef <= 0.1 and coh is None
+            return
+        c, a, _ = inc
+        assert (c / a).sum().real == pytest.approx(np.sum((s + 1.0) * tail**2), rel=1e-12)
+        assert (c / a**2).sum().real == pytest.approx(np.sum((s + 1.0) * (tail**2 + 2.0 * tail * u)), rel=1e-12)
+        c, a, _ = coh
+        above = np.append(tail[1:], 0.0)
+        assert (c / a**2).sum().real == pytest.approx(
+            np.sum(0.5 * (s + 1.0) * (s + 2.0) * (p * p + 2.0 * p * above)), rel=1e-12
+        )
+        assert (2.0 * c / a**3).sum().real == pytest.approx(np.sum((s + 1.0) * (s + 2.0) * p * p), rel=1e-12)

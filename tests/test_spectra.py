@@ -258,15 +258,33 @@ class TestTotalPhotons:
         assert out[1000][1] / out[500][1] == pytest.approx(2.0, rel=0.05)
 
 
-class TestFullModePins:
-    """FD, 300 atoms, 3.0 E_F, default trap, full mode.
+def counting_forms(monkeypatch):
+    """Count the calls and points of spectra's two form functions."""
+    from fermipulse import spectra
 
-    The values were recorded from the code that ran one angular quadrature
-    per detuning (2240 coherent and 1600 incoherent form-function calls for
-    the total); one angular refinement over all detunings must reproduce
-    them bit for bit, on the same points, in far fewer calls.  The coherent
-    values were re-recorded when the fugacity series moved to the shared
-    closed-form term builder, which moved them by 1e-15 and 2e-15 relative.
+    counts = {"coh": [0, 0], "inc": [0, 0]}
+
+    def counting(channel, form):
+        def wrapped(state, point, *rest):
+            counts[channel][0] += 1
+            counts[channel][1] += np.size(point.x_total)
+            return form(state, point, *rest)
+
+        return wrapped
+
+    monkeypatch.setattr(spectra, "coherent_form", counting("coh", spectra.coherent_form))
+    monkeypatch.setattr(spectra, "incoherent_form", counting("inc", spectra.incoherent_form))
+    return counts
+
+
+class TestFullModePins:
+    """FD, 300 atoms, 3.0 E_F, default trap, full mode: the power series.
+
+    The angular integrals are closed forms in the series' terms, so each
+    call makes one form-function call per channel, at theta = 0 of its
+    first detuning (the auto cross-check's trigger).  The values were
+    re-recorded when the closed forms replaced the angular quadrature,
+    which moved them by at most 1e-7 relative.
     """
 
     @pytest.fixture
@@ -275,32 +293,135 @@ class TestFullModePins:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        from fermipulse import spectra
-
-        counts = {"coh": [0, 0], "inc": [0, 0]}
-
-        def counting(channel, form):
-            def wrapped(state, point, *rest):
-                counts[channel][0] += 1
-                counts[channel][1] += np.size(point.x_total)
-                return form(state, point, *rest)
-
-            return wrapped
-
-        monkeypatch.setattr(spectra, "coherent_form", counting("coh", spectra.coherent_form))
-        monkeypatch.setattr(spectra, "incoherent_form", counting("inc", spectra.incoherent_form))
-        return counts
+        return counting_forms(monkeypatch)
 
     def test_total(self, trap, pulse, state, counts):
         got = fp.total_photons(state, trap, pulse, mode=fp.AngularMode.FULL)
-        assert got == (0.00021799807524208435, 0.05999739087616451)
-        assert counts["coh"][0] <= 100 and counts["inc"][0] <= 100
-        assert (counts["coh"][1], counts["inc"][1]) == (111_680, 36_160)
+        assert got == (0.00021799805417101092, 0.05999739087617431)
+        assert counts == {"coh": [1, 1], "inc": [1, 1]}
 
     def test_frequency_distribution(self, trap, state, counts):
         d_coh, d_in = fp.frequency_distribution(state, trap, np.linspace(-6.0, 6.0, 25))
-        assert (d_coh[3], d_in[3]) == (3.015680503795898e-08, 5.533930648620738e-06)
-        assert counts["coh"][0] <= 10 and counts["inc"][0] <= 10
+        assert (d_coh[3], d_in[3]) == (3.0156802114561993e-08, 5.533930648622096e-06)
+        assert counts == {"coh": [1, 1], "inc": [1, 1]}
+
+
+class TestTablePathRefinement:
+    """A forced table method integrates the angles by simpson_family, one
+    refinement over all detunings; each row must equal the call for its
+    detuning alone bit for bit."""
+
+    def test_rows_equal_single_detunings(self, trap, state_cache, monkeypatch):
+        st = state_cache(300, 0.5 * fp.fermi_energy(300))
+        varpis = np.array([-6.0, -0.7, 0.0, 0.7, 3.3])
+        counts = counting_forms(monkeypatch)
+        d_coh, d_in = fp.frequency_distribution(st, trap, varpis, method="laguerre")
+        assert counts["coh"][0] > 1 and counts["inc"][0] > 1
+        assert (d_coh[1], d_in[1]) == (0.0004844040633427008, 0.021221342346226982)
+        for v, c, i in zip(varpis.tolist(), d_coh.tolist(), d_in.tolist()):
+            assert (c, i) == fp.frequency_distribution(st, trap, v, method="laguerre")
+
+
+def theta_reference(state, trap, varpis, incoherent, method):
+    """The angular integrals by simpson_family on form-function values at
+    rel_tol 1e-8, with the seeds the quadrature path uses."""
+    from fermipulse.quadrature import simpson_family
+    from fermipulse.spectra import _theta_seeds
+
+    form = fp.incoherent_form if incoherent else fp.coherent_form
+
+    def f(rows, theta):
+        return fp.angular_weight(theta) * form(state, fp.kinematics(trap, theta, varpis[rows]), method, 1e-8)
+
+    seeds = None if incoherent else _theta_seeds(trap)
+    return simpson_family(f, 0.0, math.pi, varpis.size, rel_tol=1e-8, seeds=seeds)
+
+
+class TestClosedFormAngles:
+    """The angular integrals on the node paths are closed forms
+    (spectra._over_theta): checked against the quadrature, counted, and
+    routed back to it where their round-off bound fails."""
+
+    VARPIS = np.array([0.0, 0.7, -0.7, -3.3, 6.0])
+
+    @pytest.mark.parametrize(
+        "n_atoms, t_over_ef, statistics, method, path",
+        [
+            (300, 0.01, "mb", "auto", "closed-form-mb"),
+            (300, 1.0, "fd", "auto", "power-series"),
+            (300, 3.0, "fd", "power-series", "power-series"),
+            (300, 0.5, "fd", "auto", "exp-sum"),
+            (10**4, 0.3, "fd", "auto", "exp-sum"),
+            (10**4, 1.0, "fd", "power-series", "power-series"),
+            (10**4, 3.0, "mb", "closed-form-mb", "closed-form-mb"),
+            (3 * 10**4, 0.5, "fd", "auto", "exp-sum"),
+            (3 * 10**4, 1.0, "fd", "auto", "power-series"),
+            (3 * 10**4, 0.1, "mb", "power-series", "closed-form-mb"),
+            (10**6, 0.3, "fd", "auto", "exp-sum"),
+            (10**6, 3.0, "fd", "auto", "power-series"),
+            (10**6, 1.0, "mb", "auto", "closed-form-mb"),
+        ],
+    )
+    def test_matches_quadrature(self, trap, state_cache, n_atoms, t_over_ef, statistics, method, path):
+        from fermipulse.formfunc import describe_methods
+        from fermipulse.spectra import _over_theta
+
+        st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), fp.Statistics.parse(statistics))
+        described = describe_methods(st, method)
+        assert described["coh_method"] == described["inc_method"] == path
+        for incoherent in (False, True):
+            got = _over_theta(incoherent, st, trap, method, 1e-8)(self.VARPIS)
+            want = theta_reference(st, trap, self.VARPIS, incoherent, method)
+            assert np.abs(got - want).max() <= 5e-8 * np.abs(want).max()
+
+    @pytest.mark.parametrize("statistics", ["fd", "mb"])
+    def test_frozen_calls_one_form_per_channel(self, trap, pulse, state_cache, monkeypatch, statistics):
+        st = state_cache(10**4, 1.0 * fp.fermi_energy(10**4), fp.Statistics.parse(statistics))
+        counts = counting_forms(monkeypatch)
+        fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+        assert counts == {"coh": [1, 1], "inc": [1, 1]}
+        fp.theta_integrals(st, trap)
+        assert counts == {"coh": [2, 2], "inc": [2, 2]}
+
+    def test_frozen_cross_check_builds_no_contraction_table(self, trap, pulse):
+        # the cross-check runs at the transfer of the quadrature's first
+        # node, x = 0 in frozen mode, where the incoherent check needs no
+        # weight table; at any x > 0 this state would build the n_eff = 1570 one
+        st = fp.solve_fugacity(3 * 10**4, 1.0 * fp.fermi_energy(3 * 10**4))
+        fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+        assert {"auto_checked_coh", "auto_checked_inc"} <= set(st._cache)
+        assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
+
+    def test_no_live_detuning_needs_no_form(self, trap, state_cache, monkeypatch):
+        st = state_cache(10**4, 1.0 * fp.fermi_energy(10**4))
+        counts = counting_forms(monkeypatch)
+        d_coh, d_in = fp.frequency_distribution(st, trap, np.array([0.0, 0.0]))
+        want = fp.photon_norm(trap) * 10**4 * (4.0 / math.pi) * THETA_WEIGHT_TOTAL
+        assert d_coh.tolist() == [0.0, 0.0]
+        assert d_in[0] == d_in[1] == pytest.approx(want, rel=1e-14)
+        assert counts == {"coh": [0, 0], "inc": [0, 0]}
+
+    def test_uncertified_row_takes_quadrature(self, state_cache, monkeypatch):
+        # a wide band: at varpi = -6 the coherent transfer starts at
+        # x0 = (0.48 kla)^2, where the alternating series' terms exceed
+        # the value, ~1e-63 of the peak, by far more than 1/eps
+        from fermipulse import spectra
+
+        trap = fp.TrapModel(gamma_ratio=0.08)
+        st = state_cache(300, 1.12 * fp.fermi_energy(300))
+        varpis = np.array([-6.0, 0.5])
+        rows = []
+        real = spectra.simpson_family
+        monkeypatch.setattr(spectra, "simpson_family", lambda f, a, b, n, **kw: rows.append(n) or real(f, a, b, n, **kw))
+        got = spectra._over_theta(False, st, trap, "auto", 1e-8, spectra._theta_seeds(trap))(varpis)
+        assert rows == [1]
+        # that row is the one-row quadrature on form values, bit for bit
+        def f(rows, theta):
+            return fp.angular_weight(theta) * fp.coherent_form(st, fp.kinematics(trap, theta, -6.0), "auto", 1e-8)
+
+        alone = real(f, 0.0, math.pi, 1, rel_tol=spectra.QUAD_REL_TOL, seeds=spectra._theta_seeds(trap))
+        assert got[0] == alone[0] == pytest.approx(4.114938e-63, rel=1e-5)
+        assert got[1] == pytest.approx(theta_reference(st, trap, varpis[1:], False, "auto")[0], rel=5e-8)
 
 
 class TestResolveMode:
