@@ -18,7 +18,7 @@ from .formfunc import (
     coherent_form,
     incoherent_form,
 )
-from .model import ScatterPoint, TrapModel, kinematics
+from .model import TrapModel, kinematics
 from .pulse import PulseModel, S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, adaptive_simpson
 from .spectra import (
@@ -61,7 +61,6 @@ __all__ = [
     "QuadratureFailure",
     "S_COH_LINE_INTEGRAL",
     "S_IN_LINE_INTEGRAL",
-    "ScatterPoint",
     "SeriesDivergence",
     "Statistics",
     "ThermalState",

@@ -346,26 +346,26 @@ def cmd_formfunc(cfg):
     nt, nv = cfg.grid
     thetas = np.linspace(0.0, math.pi, nt)
     varpis = np.linspace(-cfg.varpi_window, cfg.varpi_window, nv)
-    pt = kinematics(trap, thetas[:, None], varpis[None, :])
+    x = kinematics(trap, thetas[:, None], varpis[None, :])
     # the first three columns of every row, in grid order; a float formats
     # as its repr, as str() writes it
     degrees = np.degrees(thetas)
     cells = itertools.product(map(str, degrees.tolist()), map(str, varpis.tolist()))
-    prefixes = [f"{t},{v},{x}," for (t, v), x in zip(cells, pt.x_total.ravel().tolist())]
-    prefix_finite = (np.isfinite(degrees)[:, None] & np.isfinite(varpis) & np.isfinite(pt.x_total)).ravel()
+    prefixes = [f"{t},{v},{xc}," for (t, v), xc in zip(cells, x.ravel().tolist())]
+    prefix_finite = (np.isfinite(degrees)[:, None] & np.isfinite(varpis) & np.isfinite(x)).ravel()
     written = []
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
         try:
             f2_coh, f2_in = parallel_map(
-                lambda form: form(state, pt, cfg.method, cfg.tolerance), (coherent_form, incoherent_form)
+                lambda form: form(state, x, cfg.method, cfg.tolerance), (coherent_form, incoherent_form)
             )
         except FormFunctionError as e:
             if e.index is None:
                 # a failure of the whole state, not of one point
                 where = f"{temp.label()} {stat.value}"
             else:
-                i, j = np.unravel_index(e.index, pt.x_total.shape)
+                i, j = np.unravel_index(e.index, x.shape)
                 where = f"theta={thetas[i]:.6g}, varpi={varpis[j]:.6g}"
             raise type(e)(f"method {cfg.method.value} at {where}: {e}") from e
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):

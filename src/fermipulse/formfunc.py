@@ -18,15 +18,17 @@ costs O(K) and O(K^2) for K terms; and for z < 1, the fugacity power
 series' nodes (z^l, l), a block at a time: a single alternating sum for
 the coherent branch, a double one for the incoherent branch.
 
+Every form function takes the momentum transfer x = |k - k_L|^2 a^2 of
+``model.kinematics``: shell projectors commute with rotations, so in the
+isotropic trap both channels depend on the geometry only through x.
+
 Elsewhere (the degenerate regime, or a forced method) occupation-table
 sums take over: a single scaled Laguerre sum for the coherent branch; for
-the incoherent branch either the direct four-index sum over per-axis
-displacement tables (small traps, the mid-scale oracle) or its exact
-single-axis contraction.  Shell projectors commute with rotations, so
-F2_in depends only on x = x_x + x_z; with the momentum transfer along one
-axis the sum is F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the
-shell-pair weight W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per
-state.
+the incoherent branch either the direct four-index sum (small traps, the
+mid-scale oracle), which splits x evenly over two axes, or its exact
+single-axis contraction: with the whole transfer along one axis the sum
+is F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair
+weight W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state.
 
 Every branch evaluates an array of x at once: the power series carry one
 partial sum per x, each stopped by its own rule, the exponential sums
@@ -57,8 +59,8 @@ _CROSS_CHECK_CONV_LIMIT = 2000
 class FormFunctionError(Exception):
     """Base class for form-function evaluation failures.
 
-    index is the position, in the flattened x array of the point, of the
-    point that failed, or None when the failure is not tied to one point.
+    index is the position, in the flattened array of x, of the x that
+    failed, or None when the failure is not tied to one x.
     """
 
     def __init__(self, message, index=None):
@@ -326,18 +328,20 @@ def _incoherent_power_series(state, x, tol):
     return acc
 
 
-def _incoherent_quad(state, x_x, x_z):
+def _incoherent_quad(state, x):
+    """F2_in by the direct four-index sum with x split evenly over two
+    axes, so one displacement table per x serves both: an oracle
+    independent of the single-axis contraction."""
     if state.n_max > QUAD_SUM_CEILING:
         raise BudgetExceeded(
             f"direct four-index sum capped at n_max <= {QUAD_SUM_CEILING}, "
             f"state has n_max = {state.n_max}; use the convolution method"
         )
     pair = _occupation_pair_block(state, state.n_max)
-    out = np.empty(x_x.shape)
-    for i, (xx, xz) in enumerate(zip(x_x.tolist(), x_z.tolist())):
-        mx = _kernels.fc_matrix(state.n_max, xx)
-        mz = _kernels.fc_matrix(state.n_max, xz)
-        out[i] = _kernels.quad_sum(pair, mx, mz)
+    out = np.empty(x.shape)
+    for i, xi in enumerate(x.tolist()):
+        m = _kernels.fc_matrix(state.n_max, 0.5 * xi)
+        out[i] = _kernels.quad_sum(pair, m, m)
     return out
 
 
@@ -598,12 +602,10 @@ def describe_methods(state, method=Method.AUTO, tolerance=1e-8):
     return out
 
 
-def _branch(state, path, incoherent, tol, point, live, x):
+def _branch(state, path, incoherent, tol, x):
     """The values of the branch named path (see ``_resolve``) in one
-    channel at the transfers x > 0 (the power series takes x = 0 too),
-    found at the positions live of the point's flattened transfers.  Only
-    the direct four-index sum reads the per-axis transfers of the point.
-    """
+    channel at the transfers x > 0 of a 1-D array (the power series takes
+    x = 0 too)."""
     if path in (Method.CLOSED_FORM_MB.value, _EXP_SUM):
         return _exp_sum_form(state, x, incoherent)
     if path == Method.POWER_SERIES.value:
@@ -611,22 +613,21 @@ def _branch(state, path, incoherent, tol, point, live, x):
     if path == Method.LAGUERRE_SUM.value:
         return _coherent_laguerre(state, x)
     if path == Method.QUAD_SUM.value:
-        x_x, x_z = (
-            np.broadcast_to(np.asarray(v, dtype=np.float64), np.shape(point.x_total)).ravel()[live]
-            for v in (point.x_x, point.x_z)
-        )
-        return _incoherent_quad(state, x_x, x_z)
+        return _incoherent_quad(state, x)
     return _incoherent_conv(state, x, tol)
 
 
-def _evaluate(state, point, method, tol, incoherent):
+def _evaluate(state, x, method, tol, incoherent):
     """One form-function evaluation in one channel: the zero-transfer value
-    where x = 0 and the method's branch elsewhere, a float for a point of
-    floats, else an array in the point's shape.  The auto cross-check runs
-    at the first x."""
+    where x = 0 and the method's branch elsewhere, a float for a float x,
+    else an array in the shape of x.  Every x must be finite and >= 0
+    (ValueError).  The auto cross-check runs at the first x."""
     method = _checked_method(state, method, tol)
-    x = np.asarray(point.x_total, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     flat = x.ravel()
+    ok = (flat >= 0.0) & (flat < math.inf)
+    if not ok.all():
+        raise ValueError(f"x must be finite and >= 0, got {flat[~ok][0]!r}")
     path = _resolve(state, method, incoherent, tol)
     if method is Method.AUTO and path in _CHECKED_PATHS and flat.size:
         _auto_cross_check(state, incoherent, path, float(flat[0]), tol)
@@ -637,7 +638,7 @@ def _evaluate(state, point, method, tol, incoherent):
     live = np.nonzero(~zero)[0]
     if live.size:
         try:
-            out[live] = _branch(state, path, incoherent, tol, point, live, flat[live])
+            out[live] = _branch(state, path, incoherent, tol, flat[live])
         except FormFunctionError as e:
             if e.index is not None:
                 e.index = int(live[e.index])
@@ -651,11 +652,12 @@ _CHECKED_PATHS = (Method.POWER_SERIES.value, _EXP_SUM)
 
 
 def _auto_cross_check(state, incoherent, path, x, tol):
-    """On the first auto use per state of the branch named path (one of
-    _CHECKED_PATHS), compare it with an independent sum over the
-    occupation table at one transfer derived from the first x.  The state
-    counts as checked only after a comparison passes, so a failing check
-    raises on every call.
+    """On the first auto use of the branch named path (one of
+    _CHECKED_PATHS) per state and bound max(1e-6, 100 tol), compare it
+    with an independent sum over the occupation table at one transfer
+    derived from the first x.  The state counts as checked at that bound
+    only after a comparison passes, so a failing check raises on every
+    call, and a pass at a looser bound does not stand for a tighter one.
 
     The coherent check compares with the Laguerre sum at x, damped so the
     true value stays within ~e^{-25} of the zero-transfer peak: beyond
@@ -668,6 +670,8 @@ def _auto_cross_check(state, incoherent, path, x, tol):
     branch at x = 0 with sum_n g(n) P(n)^2 instead, which needs no table.
     """
 
+    bound = max(1e-6, 100.0 * tol)
+
     def check():
         cap = min(25.0 * math.tanh(0.5 / state.tau), 0.5 * state.n_max + 1.0)
         if not incoherent:
@@ -677,37 +681,37 @@ def _auto_cross_check(state, incoherent, path, x, tol):
         else:
             at_x = 0.0
         one = np.array([at_x])
-        a = float(_branch(state, path, incoherent, tol, None, None, one)[0])
+        a = float(_branch(state, path, incoherent, tol, one)[0])
         if at_x == 0.0:
             b = _incoherent_x0(state)
         else:
             general = (Method.CONVOLUTION_SUM if incoherent else Method.LAGUERRE_SUM).value
-            b = float(_branch(state, general, incoherent, tol, None, None, one)[0])
-        bound = max(1e-6, 100.0 * tol)
+            b = float(_branch(state, general, incoherent, tol, one)[0])
         if abs(a - b) > bound * max(abs(a), abs(b), 1e-300):
             raise ToleranceNotMet(
                 f"auto cross-check failed at x={at_x:.4g}: {path} {a:.12g} vs table sum {b:.12g}"
             )
         return True
 
-    state.cached("auto_checked_inc" if incoherent else "auto_checked_coh", check)
+    state.cached(("auto_checked_inc" if incoherent else "auto_checked_coh", bound), check)
 
 
-def coherent_form(state, point, method=Method.AUTO, tolerance=1e-8):
+def coherent_form(state, x, method=Method.AUTO, tolerance=1e-8):
     """Coherent form function F2_coh >= 0 of the state at the momentum
-    transfer of point, by method (a Method or its name) to tolerance.
+    transfer x = |k - k_L|^2 a^2 (see ``model.kinematics``), by method (a
+    Method or its name) to tolerance.
 
-    A float for a point of floats; for a point of arrays (see
-    ``model.kinematics``), an array of their shape, each value equal to
-    that of the point alone.  The auto cross-check runs at the first x.
+    A float for a float x; for an array of x, an array of its shape, each
+    value equal to that of its x alone.  The auto cross-check runs at the
+    first x.
     """
-    return _evaluate(state, point, method, tolerance, incoherent=False)
+    return _evaluate(state, x, method, tolerance, incoherent=False)
 
 
-def incoherent_form(state, point, method=Method.AUTO, tolerance=1e-8):
+def incoherent_form(state, x, method=Method.AUTO, tolerance=1e-8):
     """Incoherent form function F2_in = sum N N' |eta|^2 >= 0.
 
     Arguments, shapes, values and the cross-check point as for
     ``coherent_form``.
     """
-    return _evaluate(state, point, method, tolerance, incoherent=True)
+    return _evaluate(state, x, method, tolerance, incoherent=True)

@@ -1,7 +1,10 @@
-"""Trap/laser geometry and scattering kinematics.
+"""Trap/laser geometry and the momentum transfer x = |k - k_L|^2 a^2.
 
-All computation uses trap units: hbar = omega_t = 1, lengths in units of
-the ground-state size a, temperatures tau = k_B T / (hbar omega_t).
+In the isotropic trap every form function depends on the scattering
+geometry only through x, so ``kinematics`` maps (theta, varpi) to x and
+nothing else.  All computation uses trap units: hbar = omega_t = 1,
+lengths in units of the ground-state size a, temperatures
+tau = k_B T / (hbar omega_t).
 """
 
 import math
@@ -56,36 +59,17 @@ class TrapModel:
             )
 
 
-@dataclass(frozen=True)
-class ScatterPoint:
-    """One (theta, varpi) evaluation point with momentum-transfer components.
-
-    Fields are floats for one point; for many, the momentum transfers are
-    arrays of one shape.
-
-    theta   -- polar angle between the scattered wavevector and the laser axis
-    varpi   -- detuning of the scattered photon in units of the pulse bandwidth
-    x_total -- (k - k_L)^2 a^2
-    x_x     -- transverse component (dk_x a)^2 (k_y = 0 by azimuthal symmetry)
-    x_z     -- longitudinal component (dk_z a)^2
-    """
-
-    theta: float
-    varpi: float
-    x_total: float
-    x_x: float
-    x_z: float
-
-
 def kinematics(trap, theta, varpi):
-    """Momentum transfer for a photon scattered to angle theta, detuning varpi.
+    """The momentum transfer x = |k - k_L|^2 a^2 of a photon scattered to
+    angle theta, detuning varpi: the one variable every form function
+    depends on.
 
     The scattered wavenumber is ka = kla * (1 + gamma_ratio * varpi); the
     laser propagates along z, so dk_z a = ka cos(theta) - kla and
-    dk_x a = ka sin(theta).  theta may be signed in [-pi, pi]; everything is
-    even in theta.  theta and varpi may be arrays, which broadcast against
-    each other; the momentum-transfer fields are then arrays of the
-    broadcast shape.  All fields are floats when both are scalars.
+    dk_x a = ka sin(theta).  theta may be signed in [-pi, pi]; x is even in
+    theta.  theta and varpi may be arrays, which broadcast against each
+    other; x is then an array of the broadcast shape, and a float when
+    both are scalars.
     """
     theta = np.asarray(theta, dtype=np.float64)
     varpi = np.asarray(varpi, dtype=np.float64)
@@ -100,9 +84,5 @@ def kinematics(trap, theta, varpi):
         raise ValueError(f"scattered wavenumber is not positive at varpi={varpi[bad].flat[0]}")
     dkx = ka * np.sin(theta)
     dkz = ka * np.cos(theta) - trap.kla
-    x_x = dkx * dkx
-    x_z = dkz * dkz
-    x_total = x_x + x_z
-    if x_total.ndim == 0:
-        return ScatterPoint(float(theta), float(varpi), float(x_total), float(x_x), float(x_z))
-    return ScatterPoint(theta=theta, varpi=varpi, x_total=x_total, x_x=x_x, x_z=x_z)
+    x = dkx * dkx + dkz * dkz
+    return float(x) if x.ndim == 0 else x

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from .statmech import _checked_int
 
 
 def laguerre_scaled(n, alpha, x):
@@ -67,10 +68,9 @@ def franck_condon_sq_loggamma(n, m, x):
 
 def fc_matrix(size, x):
     """Dense table M[n, m] = |<n|D(xi)|m>|^2 for n, m = 0..size."""
-    if size < 0 or size != int(size):
-        raise ValueError(f"size must be a non-negative integer, got {size!r}")
+    size = _checked_int("size", size)
     _check_x(x)
-    return _kernels.fc_matrix(int(size), float(x))
+    return _kernels.fc_matrix(size, float(x))
 
 
 def laguerre_addition_check(n, xs):
@@ -123,5 +123,4 @@ def _check_x(x):
 
 def _check_indices(**kwargs):
     for name, v in kwargs.items():
-        if v < 0 or v != int(v):
-            raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        _checked_int(name, v)

@@ -127,10 +127,10 @@ def differential(state, trap, theta, varpi, method=Method.AUTO, tolerance=1e-8):
     c_in = np.array(n * s_in)
     live = s_coh != 0.0
     if live.any():
-        pt = kinematics(trap, theta[live], varpi[live])
+        x = kinematics(trap, theta[live], varpi[live])
         sc = s_coh[live]
-        c_coh[live] = sc * coherent_form(state, pt, method, tolerance)
-        c_in[live] = n * (sc + s_in[live]) - sc * incoherent_form(state, pt, method, tolerance)
+        c_coh[live] = sc * coherent_form(state, x, method, tolerance)
+        c_in[live] = n * (sc + s_in[live]) - sc * incoherent_form(state, x, method, tolerance)
     if c_coh.ndim == 0:
         return float(c_coh), float(c_in)
     return c_coh, c_in
@@ -255,8 +255,8 @@ def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
             rest = rest[~ok]
 
         def f(rows, theta):
-            pt = kinematics(trap, theta, varpis[rest[rows]])
-            return angular_weight(theta) * form(state, pt, method, tolerance)
+            x = kinematics(trap, theta, varpis[rest[rows]])
+            return angular_weight(theta) * form(state, x, method, tolerance)
 
         try:
             values[rest] = simpson_family(f, 0.0, math.pi, rest.size, rel_tol=QUAD_REL_TOL, seeds=seeds)

@@ -39,11 +39,17 @@ class Statistics(enum.Enum):
         return aliases[key]
 
 
+def _checked_int(name, v, least=0):
+    """v as an int once it is an integer >= least (0 or 1); anything else,
+    inf and NaN included, raises ValueError naming it."""
+    if least <= v < math.inf and v == int(v):
+        return int(v)
+    raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {v!r}")
+
+
 def degeneracy(n):
     """Number of oscillator states on shell n: (n+1)(n+2)/2."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"shell index must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _checked_int("shell index", n)
     return (n + 1) * (n + 2) // 2
 
 
@@ -132,9 +138,7 @@ class ThermalState:
 
 def occupation(n, state):
     """Mean occupation of one state on shell n (0 beyond the stored table)."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"shell index must be a non-negative integer, got {n!r}")
-    n = int(n)
+    n = _checked_int("shell index", n)
     if n > state.n_max:
         return 0.0
     return float(state.occupations[n])
@@ -246,11 +250,9 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC):
     used; the Fermi-Dirac root is found by bisection in log z (the number
     constraint is strictly increasing in z) plus a secant polish.
     """
-    if n_atoms < 1 or n_atoms != int(n_atoms):
-        raise ValueError(f"n_atoms must be a positive integer, got {n_atoms!r}")
+    n_atoms = _checked_int("n_atoms", n_atoms, least=1)
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    n_atoms = int(n_atoms)
     statistics = Statistics.parse(statistics) if isinstance(statistics, str) else statistics
 
     ef = fermi_energy(n_atoms)
@@ -295,10 +297,8 @@ def from_fugacity(log_z, tau, n_max, statistics=Statistics.FERMI_DIRAC):
     """
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"tau must be finite and positive, got {tau!r}")
-    if n_max < 0 or n_max != int(n_max):
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = _checked_int("n_max", n_max)
     statistics = Statistics.parse(statistics) if isinstance(statistics, str) else statistics
-    n_max = int(n_max)
     occ = _occupations(statistics, log_z, tau, n_max)
     return ThermalState(
         n_atoms=_shell_sum(occ),

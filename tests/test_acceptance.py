@@ -16,11 +16,11 @@ from fermipulse.specfun import franck_condon_row_sum
 
 
 def origin():
-    return fp.ScatterPoint(0.0, 0.0, 0.0, 0.0, 0.0)
+    return 0.0
 
 
 def point(x_x, x_z):
-    return fp.ScatterPoint(0.0, 0.0, x_x + x_z, x_x, x_z)
+    return x_x + x_z
 
 
 def test_criterion_01_coherent_normalization(state_cache):

@@ -9,6 +9,8 @@ file, without installing it, and resolves every target.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 from fermipulse.cli import RunConfig
 
@@ -31,3 +33,12 @@ def test_formfunc_fft_and_resolved_threads_resolve():
     formfunc = importlib.import_module("fermipulse.formfunc")
     assert callable(formfunc._fft.rfft2) and callable(formfunc._fft.irfft2)
     assert RunConfig().resolved_threads() >= 1
+
+
+def test_import_loads_scipy(package_env):
+    # fermibench/worker.py reads sys.modules["scipy"].__version__ after every
+    # run; it needs ``import fermipulse`` to have imported scipy
+    script = "import sys, fermipulse; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"

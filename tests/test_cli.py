@@ -306,8 +306,8 @@ class TestFormfuncCommand:
         targets = [-0.0, 5e-324, 1e-05, 9.999999999999998e15, 1e16, 1 / 3]
         seen = []
 
-        def scripted(state, point, *rest):
-            seen.append((state, point, np.reshape(targets, (2, 3)) * state.total_atoms**2))
+        def scripted(state, x, *rest):
+            seen.append((state, x, np.reshape(targets, (2, 3)) * state.total_atoms**2))
             return seen[-1][2]
 
         monkeypatch.setattr(cli, "coherent_form", scripted)
@@ -316,10 +316,11 @@ class TestFormfuncCommand:
             ["formfunc", "--atoms", "100", "--temperature", "1EF", "--grid", "2x3", "--output", str(out)]
         )
         assert rc == 0
-        ((state, pt, returned),) = seen
-        theta, varpi = np.broadcast_arrays(np.degrees(pt.theta), pt.varpi)
+        ((state, x, returned),) = seen
+        # the 2x3 grid over theta in [0, pi] and the default window |varpi| <= 6
+        theta, varpi = np.meshgrid(np.degrees(np.linspace(0.0, math.pi, 2)), np.linspace(-6.0, 6.0, 3), indexing="ij")
         values = returned / state.total_atoms**2
-        columns = (theta, varpi, pt.x_total, values)
+        columns = (theta, varpi, x, values)
         expected = [",".join(map(str, row)) for row in zip(*(c.ravel().tolist() for c in columns))]
         lines = (tmp_path / "fmt_formfunc_coh_fd_1EF.csv").read_text().splitlines()
         assert lines[2:] == expected
@@ -649,13 +650,13 @@ _PINNED_DIGESTS = {
     "formfunc-fd-auto": "cde592d38aefcd6c",
     "formfunc-fd-power-series": "d42b7805cac0350a",
     "formfunc-fd-laguerre": "9938713882e85c6c",
-    "formfunc-fd-quad-sum": "b20f79382a13623a",
+    "formfunc-fd-quad-sum": "b20ae952266e7f78",
     "formfunc-fd-convolution": "902114c45787098d",
     "formfunc-mb-auto": "f06f3a9da189459b",
     "formfunc-mb-power-series": "90a6b59f9fe645ed",
     "formfunc-mb-laguerre": "0f963500c3124fe4",
     "formfunc-mb-closed-form-mb": "25cb6604c0633850",
-    "formfunc-mb-quad-sum": "20a2ad6999a846bb",
+    "formfunc-mb-quad-sum": "ae752a3f5aacf718",
     "formfunc-mb-convolution": "201b5c394391b5cc",
     "total-frozen": "1de110e2b48846d5",
     "spectrum-frozen": "dc0e55725cdb2e83",

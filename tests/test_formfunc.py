@@ -25,7 +25,7 @@ from fermipulse.statmech import _degeneracy_array
 
 
 def point(x_x, x_z):
-    return fp.ScatterPoint(0.0, 0.0, x_x + x_z, x_x, x_z)
+    return x_x + x_z
 
 
 def agreement(a, b, rtol, peak):
@@ -109,10 +109,29 @@ class TestCoherentForm:
         st = fp.solve_fugacity(1000, 1.36 * fp.fermi_energy(1000))
         lag = _kernels.laguerre_weighted_sum
         monkeypatch.setattr(_kernels, "laguerre_weighted_sum", lambda w, a, x: lag(w, a, x) * (1.0 + 1e-3))
-        xs = np.array([0.0, 1.0])
-        pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
         with pytest.raises(ToleranceNotMet):
-            fp.coherent_form(st, pt)
+            fp.coherent_form(st, np.array([0.0, 1.0]))
+
+    def test_auto_cross_check_keyed_by_its_bound(self, monkeypatch):
+        # the same skewed table sum: a pass at tolerance 1e-3, whose bound
+        # 0.1 the skew meets, must not stand for a later call at 1e-8
+        st = fp.solve_fugacity(1000, 1.36 * fp.fermi_energy(1000))
+        lag = _kernels.laguerre_weighted_sum
+        monkeypatch.setattr(_kernels, "laguerre_weighted_sum", lambda w, a, x: lag(w, a, x) * (1.0 + 1e-3))
+        xs = np.array([0.0, 1.0])
+        fp.coherent_form(st, xs, tolerance=1e-3)
+        with pytest.raises(ToleranceNotMet, match="auto cross-check failed"):
+            fp.coherent_form(st, xs, tolerance=1e-8)
+
+    @pytest.mark.parametrize("x", [-1.0, math.nan, math.inf, [1.0, -0.5]])
+    def test_rejects_bad_transfer(self, state_cache, x):
+        # x once reached the branches unchecked: laguerre gave 5.65e5 > N^2
+        # at x = -1 and NaN at x = inf
+        st = state_cache(100, 1.0)
+        for method in (Method.AUTO, Method.LAGUERRE_SUM, Method.CONVOLUTION_SUM, Method.QUAD_SUM):
+            for form in (fp.coherent_form, fp.incoherent_form):
+                with pytest.raises(ValueError, match="x must be finite and >= 0"):
+                    form(st, x, method)
 
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, state_cache, tolerance):
@@ -216,14 +235,6 @@ class TestIncoherentForm:
             b = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
             assert a == pytest.approx(b, rel=1e-10)
 
-    def test_convolution_depends_on_total_transfer_only(self):
-        st = from_fugacity(5.0, 2.0, 40)
-        for x_x, x_z in ((0.7, 2.9), (11.0, 36.0), (150.0, 4.5)):
-            want = fp.incoherent_form(st, point(x_x, x_z), Method.CONVOLUTION_SUM)
-            for pt in (point(x_z, x_x), point(x_x + x_z, 0.0)):
-                got = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
-                assert got == pytest.approx(want, rel=1e-13)
-
     def test_convolution_zero_transfer(self):
         # the auto path cross-checks the power series at the damped point,
         # which is x = 0 itself for a zero-transfer request
@@ -234,7 +245,7 @@ class TestIncoherentForm:
         assert got == pytest.approx(want, rel=1e-13)
         auto = fp.incoherent_form(st, point(0.0, 0.0))
         assert auto == pytest.approx(want, rel=1e-13)
-        assert st._cache.get("auto_checked_inc") is True
+        assert st._cache.get(("auto_checked_inc", 1e-6)) is True
 
     def test_convolution_large_shell_cutoff(self, package_env):
         # 10^6 atoms at 1.36 EF: n_eff = 6891.  Run in a fresh process so
@@ -247,9 +258,8 @@ class TestIncoherentForm:
 
             n = 10**6
             st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
-            pt = fp.ScatterPoint(0.0, 0.0, 40.0, 10.0, 30.0)
-            conv = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
-            series = fp.incoherent_form(st, pt, Method.POWER_SERIES)
+            conv = fp.incoherent_form(st, 40.0, Method.CONVOLUTION_SUM)
+            series = fp.incoherent_form(st, 40.0, Method.POWER_SERIES)
             print(json.dumps({
                 "n_eff": _effective_shell_cutoff(st),
                 "conv": conv,
@@ -303,10 +313,8 @@ class TestIncoherentForm:
         # compares the series there with the table's zero-transfer sum
         st = from_fugacity(math.log(0.5), 1.2, 46)
         self.skew_zero_transfer_sum(monkeypatch)
-        xs = np.array([0.0, 1.0])
-        pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
         with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
-            fp.incoherent_form(st, pt)
+            fp.incoherent_form(st, np.array([0.0, 1.0]))
 
     def test_auto_cross_check_runs_above_contraction_limit(self, monkeypatch):
         # 10^6 atoms at 1.36 EF: n_eff = 6891, past the limit on the weight
@@ -319,7 +327,7 @@ class TestIncoherentForm:
             with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
                 fp.incoherent_form(st, pt)
         assert fp.incoherent_form(st, pt) > 0.0
-        assert st._cache["auto_checked_inc"] is True
+        assert st._cache[("auto_checked_inc", 1e-6)] is True
         # the check built no weight table
         assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
 
@@ -329,7 +337,7 @@ class TestIncoherentForm:
         for _ in range(2):
             with pytest.raises(ToleranceNotMet):
                 fp.incoherent_form(st, point(0.0, 0.0))
-            assert "auto_checked_inc" not in st._cache
+            assert ("auto_checked_inc", 1e-6) not in st._cache
 
     def test_mb_closed_form_matches_table_sum(self):
         st = fp.solve_fugacity(300, 4.0, "mb")
@@ -351,6 +359,17 @@ class TestIncoherentForm:
             a = fp.incoherent_form(st, pt, Method.CLOSED_FORM_MB)
             b = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
             assert a == pytest.approx(b, rel=1e-7)
+
+    def test_quad_sum_one_table_per_x(self, monkeypatch):
+        # the four-index oracle splits x evenly over its two axes, so each
+        # nonzero x needs one displacement table, and x = 0 none
+        st = from_fugacity(math.log(0.5), 1.2, 46)
+        fc = _kernels.fc_matrix
+        calls = []
+        monkeypatch.setattr(_kernels, "fc_matrix", lambda size, x: calls.append(x) or fc(size, x))
+        xs = np.array([0.0, 3.0, 47.0, 0.0, 3.0])
+        fp.incoherent_form(st, xs, Method.QUAD_SUM)
+        assert calls == [1.5, 23.5, 1.5]
 
     def test_budget_exceeded(self):
         st = from_fugacity(0.0, 3.0, QUAD_SUM_CEILING + 40)
@@ -377,8 +396,7 @@ def on_exp_sum(st, tol=1e-8):
 
 
 def transfers(xs):
-    xs = np.asarray(xs, dtype=np.float64)
-    return fp.ScatterPoint(0.0, 0.0, xs, 0.3 * xs, 0.7 * xs)
+    return np.asarray(xs, dtype=np.float64)
 
 
 class TestExpSum:
@@ -476,7 +494,7 @@ class TestExpSum:
         monkeypatch.setattr(_kernels, "fc_weighted_sum", lambda w, n, x: conv(w, n, x) * (1.0 + 1e-3))
         with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=1: exp-sum"):
             fp.incoherent_form(st, transfers([1.0, 0.0]))
-        assert "auto_checked_inc" not in st._cache
+        assert ("auto_checked_inc", 1e-6) not in st._cache
 
     def test_no_fit_above_log_z_bound(self, monkeypatch):
         def refuse(log_z):
@@ -660,8 +678,7 @@ class TestArrayCalls:
         thetas = np.array(thetas + thetas[:2], dtype=np.float64)
         batch = fp.kinematics(trap, thetas, varpi)
         points = [fp.kinematics(trap, t, varpi) for t in thetas.tolist()]
-        for field in ("x_total", "x_x", "x_z"):
-            assert getattr(batch, field).tolist() == [getattr(p, field) for p in points]
+        assert batch.tolist() == points
         for form in (fp.coherent_form, fp.incoherent_form):
             got = form(st, batch, method)
             assert isinstance(got, np.ndarray) and got.shape == thetas.shape
@@ -738,9 +755,8 @@ def test_batched_series_match_one_x_at_a_time(state):
     # sides, so each x must stop at the same block with the same sum
     st = state()
     xs = np.concatenate([np.linspace(0.0, 625.0, 26), [3.0, 3.0]])
-    pt = fp.ScatterPoint(0.0, 0.0, xs, xs, np.zeros_like(xs))
-    coh = fp.coherent_form(st, pt, Method.POWER_SERIES, 1e-10)
-    inc = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-10)
+    coh = fp.coherent_form(st, xs, Method.POWER_SERIES, 1e-10)
+    inc = fp.incoherent_form(st, xs, Method.POWER_SERIES, 1e-10)
     peak = st.total_atoms**2
     for x, c, i in zip(xs.tolist(), coh.tolist(), inc.tolist()):
         assert abs(c - reference_coherent_series(st, x, 1e-10)) <= 1e-15 * peak

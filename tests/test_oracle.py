@@ -50,10 +50,8 @@ class TestBruteCoherent:
         basis = oracle.SmallTrapBasis.from_thermal(st, 8)
         for _ in range(10):
             dk = rng.uniform(-1.5, 1.5, 3)
-            x = float(dk @ dk)
-            pt = fp.ScatterPoint(0.0, 0.0, x, x, 0.0)
             want = oracle.brute_coherent(basis, dk)
-            lag = fp.coherent_form(st, pt, Method.LAGUERRE_SUM)
+            lag = fp.coherent_form(st, float(dk @ dk), Method.LAGUERRE_SUM)
             assert lag == pytest.approx(want, rel=1e-10)
 
 
@@ -101,15 +99,17 @@ class TestBruteIncoherent:
         assert blocked == pytest.approx(want, rel=1e-11)
 
     def test_equivalence_with_fast_paths(self, rng):
+        # the brute sum at a physical (dkx, 0, dkz) against both fast paths,
+        # which see only x: the rotation invariance both rely on
         for z, tau in ((0.3, 0.5), (0.3, 5.0), (3.0, 0.5), (3.0, 5.0)):
             st = from_fugacity(math.log(z), tau, 6)
             basis = oracle.SmallTrapBasis.from_thermal(st, 6)
             for _ in range(3):
                 dkx, dkz = rng.uniform(0.0, 2.5, 2)
                 want = oracle.brute_incoherent(basis, (dkx, 0.0, dkz))
-                pt = fp.ScatterPoint(0.0, 0.0, dkx**2 + dkz**2, dkx**2, dkz**2)
-                q = fp.incoherent_form(st, pt, Method.QUAD_SUM)
-                c = fp.incoherent_form(st, pt, Method.CONVOLUTION_SUM)
+                x = dkx**2 + dkz**2
+                q = fp.incoherent_form(st, x, Method.QUAD_SUM)
+                c = fp.incoherent_form(st, x, Method.CONVOLUTION_SUM)
                 assert q == pytest.approx(want, rel=1e-10)
                 assert c == pytest.approx(want, rel=1e-10)
 

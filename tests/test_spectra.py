@@ -153,12 +153,10 @@ class TestAngularDistribution:
 class TestCoherentCone:
     @staticmethod
     def half_width(state, trap):
-        pt0 = fp.ScatterPoint(0.0, 0.0, 0.0, 0.0, 0.0)
-        peak = fp.coherent_form(state, pt0)
+        peak = fp.coherent_form(state, 0.0)
 
         def drop(theta):
-            pt = fp.kinematics(trap, theta, 0.0)
-            return fp.coherent_form(state, pt) - 0.5 * peak
+            return fp.coherent_form(state, fp.kinematics(trap, theta, 0.0)) - 0.5 * peak
 
         lo, hi = 1e-5, 0.8
         for _ in range(60):
@@ -210,11 +208,19 @@ class TestFrequencyDistribution:
     def test_failing_angular_integral_names_its_detuning(self, trap, state_cache, monkeypatch):
         from fermipulse import spectra
 
-        def noisy_at_one_detuning(state, point, *rest):
-            # digits of theta: noise on every scale, so refinement never settles
-            noise = np.modf(point.theta * 1e15)[0]
-            return np.where(point.varpi == 1.5, noise, 1.0)
+        # the (theta, varpi) of the last transfer spectra asked for
+        last = {}
 
+        def recording(trap, theta, varpi):
+            last.update(theta=theta, varpi=varpi)
+            return fp.kinematics(trap, theta, varpi)
+
+        def noisy_at_one_detuning(state, x, *rest):
+            # digits of theta: noise on every scale, so refinement never settles
+            noise = np.modf(last["theta"] * 1e15)[0]
+            return np.where(last["varpi"] == 1.5, noise, 1.0)
+
+        monkeypatch.setattr(spectra, "kinematics", recording)
         monkeypatch.setattr(spectra, "coherent_form", noisy_at_one_detuning)
         with pytest.raises(fp.QuadratureFailure, match=r"theta integral at varpi=1\.5: panel") as info:
             fp.frequency_distribution(state_cache(100, 1.0), trap, np.array([-1.0, 1.5, 2.0]))
@@ -265,10 +271,10 @@ def counting_forms(monkeypatch):
     counts = {"coh": [0, 0], "inc": [0, 0]}
 
     def counting(channel, form):
-        def wrapped(state, point, *rest):
+        def wrapped(state, x, *rest):
             counts[channel][0] += 1
-            counts[channel][1] += np.size(point.x_total)
-            return form(state, point, *rest)
+            counts[channel][1] += np.size(x)
+            return form(state, x, *rest)
 
         return wrapped
 
@@ -389,7 +395,7 @@ class TestClosedFormAngles:
         # weight table; at any x > 0 this state would build the n_eff = 1570 one
         st = fp.solve_fugacity(3 * 10**4, 1.0 * fp.fermi_energy(3 * 10**4))
         fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
-        assert {"auto_checked_coh", "auto_checked_inc"} <= set(st._cache)
+        assert {("auto_checked_coh", 1e-6), ("auto_checked_inc", 1e-6)} <= set(st._cache)
         assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
 
     def test_no_live_detuning_needs_no_form(self, trap, state_cache, monkeypatch):

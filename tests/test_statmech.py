@@ -161,3 +161,24 @@ class TestSolve:
             runs.append(json.loads(proc.stdout))
         assert runs[0][0] > 10_000
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: fp.degeneracy(v),
+        lambda v: fp.occupation(v, fp.from_fugacity(0.0, 1.0, 3)),
+        lambda v: fp.solve_fugacity(v, 1.0),
+        lambda v: fp.from_fugacity(0.0, 1.0, v),
+        lambda v: fp.laguerre_scaled(v, 2, 1.0),
+        lambda v: fp.franck_condon_sq(v, 1, 1.0),
+        lambda v: fp.fc_matrix(v, 1.0),
+    ],
+    ids=["degeneracy", "occupation", "solve_fugacity", "from_fugacity", "laguerre_scaled", "franck_condon_sq", "fc_matrix"],
+)
+def test_non_finite_count_raises_value_error(call, value):
+    # each count or index is checked once, by statmech._checked_int; inf
+    # once raised OverflowError from int()
+    with pytest.raises(ValueError, match="must be a"):
+        call(value)
