@@ -9,6 +9,11 @@ ground-state size).
 
 __version__ = "0.1.0"
 
+# The library computes with numpy alone.  This bare import (about 10 ms,
+# no public subpackage) exists only because fermibench/worker.py reads
+# sys.modules["scipy"].__version__ after every benchmark run.
+import scipy  # noqa: F401
+
 from .formfunc import (
     BudgetExceeded,
     FormFunctionError,

@@ -10,11 +10,13 @@ dense matrix and ``fc_weighted_sum`` contracts with packed weights
 without forming it.  ``quad_sum`` is the direct four-index oracle sum.
 The two weighted sums take an array of x and advance their recurrences
 for a chunk of x at a time, at most CHUNK_DOUBLES doubles per working
-array.
+array.  Everything here is numpy and the standard library: the log d!
+that scale the amplitudes come from ``math.lgamma``.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 # the most doubles one working array of a batched recurrence may hold
 CHUNK_DOUBLES = 1 << 17
@@ -85,6 +87,13 @@ def _laguerre_weighted_chunk(w, alpha, x):
 # a_m is bounded by 1, so the recurrence cannot overflow.
 # ---------------------------------------------------------------------------
 
+def _log_factorials(size):
+    """log d! for d = 0..size, each from math.lgamma, so the error stays
+    at a few ulp of each entry (a running sum of log k would grow with d);
+    exactly 0 at d = 0 and 1."""
+    return np.array([math.lgamma(k + 1.0) for k in range(size + 1)])
+
+
 def _fc_amplitude_rows(size, x):
     """Rows m = 0..size of the amplitudes a_m^d, d = 0..size-m, for every
     x > 0 of a 1-D array: row m has shape (x.size, size + 1 - m), so the
@@ -93,7 +102,7 @@ def _fc_amplitude_rows(size, x):
     consumer must not write to it."""
     d = np.arange(size + 1, dtype=np.float64)
     xc = x[:, None]
-    am = np.exp(-0.5 * xc + 0.5 * (d * np.log(xc) - gammaln(d + 1.0)))
+    am = np.exp(-0.5 * xc + 0.5 * (d * np.log(xc) - _log_factorials(size)))
     am[:, 0] = np.exp(-0.5 * x)
     yield am
     am1 = np.zeros_like(am)

@@ -41,10 +41,11 @@ import enum
 import math
 
 import numpy as np
-import scipy.fft as _fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 from . import _kernels
 from .statmech import Statistics, _degeneracy_array, _log_shell_tail, _shell_sum
+
+_fft = np.fft  # unused; fermibench/tracer.py patches formfunc._fft
 
 QUAD_SUM_CEILING = 60
 # at this n_eff the packed weight table, (n_eff+1)(n_eff+2)/2 doubles, is about 1 GiB

@@ -4,7 +4,9 @@ Solves the fugacity of N fermions (or Maxwell-Boltzmann atoms) at reduced
 temperature tau = k_B T / (hbar omega_t) from the number constraint
 sum_n g(n) P(n) = N, and precomputes the shell-occupation table used by
 every downstream sum.  The fugacity is carried in log form so that the
-deeply degenerate regime (log z ~ E_F / tau, thousands) never overflows.
+deeply degenerate regime (log z ~ E_F / tau, thousands) never overflows,
+and the Fermi-Dirac occupations are the numpy logistic in its two
+stable branches (``_occupations``).
 """
 
 import enum
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class ConvergenceFailure(Exception):
@@ -182,11 +183,19 @@ def _shell_cutoff(log_z, tau, n_atoms, n_floor):
 
 
 def _occupations(statistics, log_z, tau, n_max):
-    """Mean occupation P(n) of one state on shells n = 0..n_max at fugacity e^log_z."""
+    """Mean occupation P(n) of one state on shells n = 0..n_max at fugacity e^log_z.
+
+    The Fermi function is the logistic 1/(1 + e^{-u}) of u = log z - n/tau,
+    taken in its two stable branches, 1/(1 + e) for u >= 0 and e/(1 + e)
+    below, with e = e^{-|u|}: exp never sees a positive argument, so a
+    deeply degenerate state cannot overflow.
+    """
     n = np.arange(n_max + 1, dtype=np.float64)
+    u = log_z - n / tau
     if statistics is Statistics.MAXWELL_BOLTZMANN:
-        return np.exp(log_z - n / tau)
-    return expit(log_z - n / tau)
+        return np.exp(u)
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0.0, 1.0, e) / (1.0 + e)
 
 
 # the Fermi-Dirac solve meets the number constraint to this fraction of N

@@ -8,6 +8,7 @@ file, without installing it, and resolves every target.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,26 @@ def test_import_loads_scipy(package_env):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+def _scipy_modules(package_env, statement):
+    """The scipy modules loaded by statement in a fresh interpreter, and
+    whether fermipulse.formfunc._fft is numpy.fft there."""
+    script = (
+        f"import json, sys; {statement}; import numpy\n"
+        "ff = sys.modules.get('fermipulse.formfunc')\n"
+        "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([mods, ff is not None and ff._fft is numpy.fft]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=package_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_bare_scipy_only(package_env):
+    # the library computes with numpy alone: importing the CLI loads the
+    # same scipy modules as a bare ``import scipy``
+    bare, _ = _scipy_modules(package_env, "import scipy")
+    cli, fft_is_numpy = _scipy_modules(package_env, "import fermipulse.cli")
+    assert cli == bare
+    assert fft_is_numpy

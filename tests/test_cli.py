@@ -647,23 +647,23 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "cde592d38aefcd6c",
-    "formfunc-fd-power-series": "d42b7805cac0350a",
-    "formfunc-fd-laguerre": "9938713882e85c6c",
-    "formfunc-fd-quad-sum": "b20ae952266e7f78",
-    "formfunc-fd-convolution": "902114c45787098d",
+    "formfunc-fd-auto": "35426597e5dd6d73",
+    "formfunc-fd-power-series": "776267283b49d075",
+    "formfunc-fd-laguerre": "3bcdd53c3b47db15",
+    "formfunc-fd-quad-sum": "81b26c058ae2964e",
+    "formfunc-fd-convolution": "b5a101813c027845",
     "formfunc-mb-auto": "f06f3a9da189459b",
     "formfunc-mb-power-series": "90a6b59f9fe645ed",
-    "formfunc-mb-laguerre": "0f963500c3124fe4",
+    "formfunc-mb-laguerre": "d72b10268f5b9e49",
     "formfunc-mb-closed-form-mb": "25cb6604c0633850",
-    "formfunc-mb-quad-sum": "ae752a3f5aacf718",
-    "formfunc-mb-convolution": "201b5c394391b5cc",
+    "formfunc-mb-quad-sum": "81a3d076a5377538",
+    "formfunc-mb-convolution": "9a6feeb69941cbef",
     "total-frozen": "1de110e2b48846d5",
-    "spectrum-frozen": "dc0e55725cdb2e83",
-    "spectrum-full": "07cf46d0659d48f4",
-    "formfunc-fd-exp-sum": "2dfadf1985f70525",
+    "spectrum-frozen": "aa014fb5bc20d038",
+    "spectrum-full": "4fe21fb7b69e81cb",
+    "formfunc-fd-exp-sum": "40a3185f9ee378b0",
     "total-fd-exp-sum": "1093534527c00d93",
-    "formfunc-both-31x41": "dae1f43d3a4441b8",
+    "formfunc-both-31x41": "1d9406e1be11fa0b",
 }
 
 

@@ -562,6 +562,35 @@ class TestOneKernel:
         want = formfunc._incoherent_conv(st, x, 1e-12)
         assert np.abs(got - want).max() <= 6e-12 * _incoherent_x0(st)
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        log10_atoms=st_.floats(0.31, 6.0),
+        t_over_ef=st_.floats(0.15, 0.8),
+        xs=st_.lists(st_.floats(0.0, 625.0), min_size=1, max_size=6),
+    )
+    @example(log10_atoms=6.0, t_over_ef=0.25, xs=[0.05, 0.5, 2.0, 8.0, 30.0, 625.0])
+    @example(log10_atoms=math.log10(61), t_over_ef=0.35, xs=[0.1, 3.0, 40.0])
+    def test_fit_within_its_bound_of_table_sums(self, log10_atoms, t_over_ef, xs):
+        # The fit's bound b = sum_n g(n) |P(n) - fit(n)| moves the coherent
+        # amplitude by at most b and F2_in by at most 2b + b^2
+        # (formfunc._exp_sum).  Each side adds its own error: the closed
+        # forms eps sum |c| (as _exp_sum_certified estimates it), the
+        # Laguerre recurrence about eps n_max N on the amplitude, and the
+        # contraction its shell cutoff, 0.5 tol F2_in(0) at tol 1e-14.
+        n_atoms = int(10**log10_atoms)
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        assume(math.log(0.8) <= st.log_fugacity <= formfunc._EXP_SUM_MAX_LOG_Z)
+        described = formfunc.describe_methods(st)
+        assume(described["coh_method"] == formfunc._EXP_SUM)
+        b, n, eps = described["fit_bound"], st.total_atoms, math.ulp(1.0)
+        x = transfers(xs)
+        amp = b + eps * np.abs(formfunc._exp_sum_terms(st, False)[0]).sum() + eps * st.n_max * n
+        coh = fp.coherent_form(st, x)
+        assert np.abs(coh - fp.coherent_form(st, x, Method.LAGUERRE_SUM)).max() <= amp * (2.0 * n + amp)
+        floor = eps * np.abs(formfunc._exp_sum_terms(st, True)[0]).sum() + 0.5e-14 * _incoherent_x0(st)
+        inc = fp.incoherent_form(st, x)
+        assert np.abs(inc - fp.incoherent_form(st, x, Method.CONVOLUTION_SUM, 1e-14)).max() <= 2.0 * b + b * b + floor
+
 
 class TestDecay:
     def test_coherent_collapses_at_back_scatter(self, state_cache):

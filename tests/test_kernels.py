@@ -1,9 +1,30 @@
 """Structural properties of the numpy kernels."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fermipulse import _kernels
+from fermipulse.specfun import franck_condon_sq_loggamma
+
+
+def test_log_factorials_match_gammaln():
+    got = _kernels._log_factorials(20_000)
+    want = gammaln(np.arange(20_001) + 1.0)
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert (np.abs(got - want) <= 4.0 * math.ulp(1.0) * want).all()
+
+
+def test_fc_matrix_matches_loggamma_direct(rng):
+    # the corners hold the largest d, where log d! sets the amplitude
+    # scale; from x = 3 up the oracle's split prefactor stays representable
+    size = 200
+    for x in (3.0, 90.0, 625.0):
+        mat = _kernels.fc_matrix(size, x)
+        for n, m in [(size, 0), (0, size), (size, size), *rng.integers(0, size + 1, (20, 2)).tolist()]:
+            assert mat[n, m] == pytest.approx(franck_condon_sq_loggamma(n, m, x), rel=1e-11, abs=1e-250)
 
 
 def test_fc_matrix_rows_are_probabilities():

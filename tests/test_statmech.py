@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import fermipulse as fp
-from fermipulse.statmech import _degeneracy_array
+from fermipulse.statmech import _degeneracy_array, _occupations
 
 
 def brute_degeneracy(n):
@@ -71,6 +72,21 @@ class TestOccupations:
         st = state_cache(1000, 3.7)
         occ = st.occupations
         assert np.all(np.diff(occ) <= 0.0)
+
+    def test_fermi_dirac_matches_expit(self):
+        # u = log z - n/tau runs from 800 down to -800 in steps of 8e-4
+        n_max, tau = 2_000_000, 1250.0
+        got = _occupations(fp.Statistics.FERMI_DIRAC, 800.0, tau, n_max)
+        want = expit(800.0 - np.arange(n_max + 1, dtype=np.float64) / tau)
+        # relative below the normal range means nothing, and expit flushes
+        # some subnormal values to zero that the two branches keep
+        assert (np.abs(got - want) <= 4.0 * math.ulp(1.0) * want + np.finfo(np.float64).tiny).all()
+
+    def test_fermi_dirac_far_from_the_edge_is_silent(self):
+        # u = +1e4 and -1e4: neither branch may overflow
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            occ = _occupations(fp.Statistics.FERMI_DIRAC, 1e4, 5e-5, 1)
+        assert occ.tolist() == [1.0, 0.0]
 
 
 class TestSolve:
