@@ -15,8 +15,11 @@ The nodes (w, s) are the exact Maxwell-Boltzmann node (z, 1); for
 Fermi-Dirac at 0.8 <= z <= e^4, a short exponential fit of the Fermi
 function f(u) = 1/(1 + e^{u - log z}) ~ sum_k w_k e^{-s_k u}, so a point
 costs O(K) and O(K^2) for K terms; and for z < 1, the fugacity power
-series' nodes (z^l, l), a block at a time: a single alternating sum for
-the coherent branch, a double one for the incoherent branch.
+series' nodes ((-1)^(l-1) z^l, l), cut once per state where the tail
+bound reaches eps of the channel's peak.  Each node path is one term
+source, cached on the state per channel (``_node_terms``): the form
+functions sum it and the angular integrals of ``spectra`` integrate it
+(``node_terms``).
 
 Every form function takes the momentum transfer x = |k - k_L|^2 a^2 of
 ``model.kinematics``: shell projectors commute with rotations, so in the
@@ -30,11 +33,10 @@ single-axis contraction: with the whole transfer along one axis the sum
 is F2_in(x) = sum_{a,b} |<a|D(x)|b>|^2 W(a, b), with the shell-pair
 weight W(a, b) = sum_s (s+1) P(s+a) P(s+b) tabulated once per state.
 
-Every branch evaluates an array of x at once: the power series carry one
-partial sum per x, each stopped by its own rule, the exponential sums
-evaluate every x on its own, and the table sums advance their
-recurrences for a chunk of x at a time.  A value never depends on the
-other x of its array.
+Every branch evaluates an array of x at once: the node paths sum the
+same terms at every x, each x reduced on its own, and the table sums
+advance their recurrences for a chunk of x at a time.  A value never
+depends on the other x of its array.
 """
 
 import enum
@@ -202,57 +204,6 @@ def _effective_shell_cutoff(state, tolerance=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _alternating_series(name, x, tol, first, stop_from, last, terms, max_block):
-    """sum_l (-1)^(l - first) term_l(x) over l = first..last for every x.
-
-    terms(ls, xs) returns the (xs.size, ls.size) magnitudes of a block of
-    consecutive terms.  Each x stops at the first l >= stop_from whose term
-    has not grown and lies below tol times the partial sum, the rule one x
-    alone would follow; the partial sums accumulate term by term, so the
-    blocks change nothing but how many terms past its stop an x computes.
-    The first block ends at stop_from; later ones double up to max_block.
-    An x still running after term last raises ToleranceNotMet, naming the
-    series by name and carrying the position of the first such x as index.
-    """
-    out = np.empty(x.shape)
-    step = max(1, _kernels.CHUNK_DOUBLES // max(max_block, stop_from - first + 1))
-    for lo in range(0, x.size, step):
-        xs = x[lo : lo + step]
-        idx = np.arange(lo, lo + xs.size)
-        acc = np.zeros(xs.size)
-        prev = np.full(xs.size, math.inf)
-        start, block = first, stop_from - first + 1
-        while start <= last:
-            ls = np.arange(start, min(start + block, last + 1))
-            start += block
-            block = min(2 * block, max_block)
-            mag = terms(ls, xs)
-            # partial sums after each term, in one buffer led by the carried sum
-            sums = np.empty((xs.size, ls.size + 1))
-            sums[:, 0] = acc
-            np.multiply(mag, np.where((ls - first) % 2 == 1, -1.0, 1.0), out=sums[:, 1:])
-            np.cumsum(sums, axis=1, out=sums)
-            partial = sums[:, 1:]
-            stop = np.abs(partial)
-            np.maximum(stop, 1e-300, out=stop)
-            stop *= tol
-            stop = mag <= stop
-            stop[:, 0] &= mag[:, 0] <= prev
-            stop[:, 1:] &= mag[:, 1:] <= mag[:, :-1]
-            stop &= ls >= stop_from
-            hit = stop.any(axis=1)
-            out[idx[hit]] = partial[hit, stop[hit].argmax(axis=1)]
-            keep = ~hit
-            idx, xs, acc, prev = idx[keep], xs[keep], partial[keep, -1], mag[keep, -1]
-            if not idx.size:
-                break
-        else:
-            raise ToleranceNotMet(
-                f"{name} power series did not settle within {last - first + 1} terms", index=int(idx[0])
-            )
-    return out
-
-
 # the harmonic-trap closed forms: each term of either channel is c e^{-a x}
 def _amplitude_terms(w, s, tau):
     """(c, a) with sum_n w e^{-s n/tau} e^{-x/2} L_n^(2)(x) = c e^{-a x}:
@@ -269,13 +220,6 @@ def _pair_terms(w1, s1, w2, s2, tau):
     return w1 * w2 / h12**3, np.expm1(s1 / -tau) * np.expm1(s2 / -tau) / h12
 
 
-def _term_sum(c, a, x):
-    """Re sum_j c_j e^{-a_j x} at each x, every x reduced on its own, so an
-    array call equals the calls one x at a time bit for bit."""
-    rows = max(1, _kernels.CHUNK_DOUBLES // (2 * a.size))
-    return _kernels._chunked(x, rows, lambda xs: (np.exp(np.multiply.outer(-xs, a)) * c).sum(axis=1).real)
-
-
 # ---------------------------------------------------------------------------
 # coherent branch
 # ---------------------------------------------------------------------------
@@ -284,16 +228,6 @@ def _term_sum(c, a, x):
 def _coherent_laguerre(state, x):
     s = _kernels.laguerre_weighted_sum(state.occupations, 2.0, x)
     return s * s
-
-
-def _coherent_power_series(state, x, tol):
-    # P(n) = sum_l (-1)^(l-1) z^l e^{-l n/tau} for z < 1: term l is the node (z^l, l)
-    def terms(ls, xs):
-        c, a = _amplitude_terms(np.exp(ls * state.log_fugacity), ls, state.tau)
-        return np.exp(np.multiply.outer(-xs, a)) * c
-
-    acc = _alternating_series("coherent", x, tol, 1, 8, _POWER_SERIES_MAX_TERMS, terms, 64)
-    return acc * acc
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +239,6 @@ def _incoherent_x0(state):
     # displacement matrices are identities at zero momentum transfer, so the
     # whole sum collapses to sum_n g(n) P(n)^2
     return _shell_sum(state.occupations**2)
-
-
-def _incoherent_power_series(state, x, tol):
-    def term(total_l, xs):
-        # block total_l: the pairs of series nodes (z^l, l), (z^l', l') with
-        # l + l' = total_l, all of one weight; l' runs over l reversed
-        l = np.arange(1.0, total_l)
-        w = np.exp(l * state.log_fugacity)
-        c, a = _pair_terms(w, l, w[::-1], l[::-1], state.tau)
-        return _term_sum(c, a, xs) if c[0] > 1e-304 else np.zeros(xs.size)
-
-    def terms(ls, xs):
-        return np.array([term(total_l, xs) for total_l in ls.tolist()]).T
-
-    # a term costs O(total_l) per x, so past the first block of terms,
-    # which every x needs, they are computed one at a time
-    acc = _alternating_series("incoherent", x, tol, 2, 9, _POWER_SERIES_MAX_BLOCKS - 1, terms, 1)
-    negative = np.nonzero(acc < 0.0)[0]
-    if negative.size:
-        i = int(negative[0])
-        raise ToleranceNotMet(f"incoherent power series returned {acc[i]:.3g} < 0", index=i)
-    return acc
 
 
 def _incoherent_quad(state, x):
@@ -457,94 +369,161 @@ def _exp_sum_terms(state, incoherent):
     return state.cached(("exp_sum_terms", incoherent), build)
 
 
-def _exp_sum_form(state, x, incoherent):
-    v = _term_sum(*_exp_sum_terms(state, incoherent), x)
-    return v if incoherent else v * v
-
-
 # ---------------------------------------------------------------------------
-# node terms: a node path's form function as one exponential sum in x, for
-# integrals over x (spectra)
+# node terms: each node path's channel as one sum Re sum_j c_j e^{-a_j x},
+# cut once and cached on the state; the form functions (_branch) and the
+# angular integrals of spectra (node_terms) read the same terms
 # ---------------------------------------------------------------------------
 
-# the longest power series node_terms cuts: 200 amplitude nodes square to
-# 20,100 pairs, and 200 incoherent blocks hold 19,900
-_NODE_SERIES_MAX = 200
+_NODE_PATHS = (Method.CLOSED_FORM_MB.value, _EXP_SUM, Method.POWER_SERIES.value)
+# terms per block: a chunk of x times one block of (complex) terms stays
+# within _kernels.CHUNK_DOUBLES
+_BLOCK_TERMS = _kernels.CHUNK_DOUBLES // 2
+
+
+def _term_sum(blocks, x):
+    """Re sum_j c_j e^{-a_j x} at each x over the blocks (c, a), a block of
+    at most _BLOCK_TERMS terms at a time.  Every x is reduced on its own,
+    so an array call equals the calls one x at a time bit for bit."""
+
+    def block_sum(c, a, xs):
+        e = np.multiply.outer(-xs, a)
+        np.exp(e, out=e)
+        e *= c
+        return e.sum(axis=1).real
+
+    acc = None
+    for c, a in blocks:
+        for lo in range(0, a.size, _BLOCK_TERMS):
+            cb, ab = c[lo : lo + _BLOCK_TERMS], a[lo : lo + _BLOCK_TERMS]
+            rows = max(1, _kernels.CHUNK_DOUBLES // (2 * ab.size))
+            v = _kernels._chunked(x, rows, lambda xs: block_sum(cb, ab, xs))
+            acc = v if acc is None else acc + v
+    return acc
+
+
+def _triangle_blocks(counts):
+    """(rows, offsets) index arrays over the entries of a triangle whose
+    row i holds entries 0..counts[i]-1, row by row, in blocks of at most
+    _BLOCK_TERMS entries."""
+    ends = np.cumsum(counts)
+    for lo in range(0, int(ends[-1]), _BLOCK_TERMS):
+        flat = np.arange(lo, min(lo + _BLOCK_TERMS, int(ends[-1])))
+        rows = np.searchsorted(ends, flat, side="right")
+        yield rows, flat - (ends[rows] - counts[rows])
 
 
 def _squared(c, a):
-    """(c, a) with (Re sum_j c_j e^{-a_j x})^2 = Re sum c e^{-a x}: the pairs
-    j <= k of real terms, off-diagonal ones doubled; for complex terms
-    Re(u)^2 = (Re(u^2) + |u|^2)/2, every ordered pair of both."""
+    """Blocks (c, a) whose terms sum to (Re sum_j c_j e^{-a_j x})^2: for
+    real terms the pairs j <= k, off-diagonal ones doubled, row j at a
+    time; for complex terms Re(u)^2 = (Re(u^2) + |u|^2)/2, every ordered
+    pair of both, in one block."""
     if np.iscomplexobj(c):
         c = 0.5 * np.concatenate([np.multiply.outer(c, c).ravel(), np.multiply.outer(c, c.conj()).ravel()])
-        return c, np.concatenate([np.add.outer(a, a).ravel(), np.add.outer(a, a.conj()).ravel()])
-    j, k = np.triu_indices(c.size)
-    return np.where(j == k, 1.0, 2.0) * c[j] * c[k], a[j] + a[k]
+        yield c, np.concatenate([np.add.outer(a, a).ravel(), np.add.outer(a, a.conj()).ravel()])
+        return
+    for j, off in _triangle_blocks(np.arange(c.size, 0, -1)):
+        k = j + off
+        yield np.where(off == 0, 1.0, 2.0) * c[j] * c[k], a[j] + a[k]
 
 
-def _series_terms(state, incoherent, floor):
-    """The fugacity power series of one channel, z < 1, cut at the first
-    length whose tail bound is at most floor: (c, a, tail), or None past
-    _NODE_SERIES_MAX nodes or blocks.
+def _series_cut(state, incoherent):
+    """(length, tail): the fugacity power series of one channel, z < 1, cut
+    at the first length whose tail bound is at most eps times the
+    channel's peak (eps N for the coherent amplitude, eps F2_in(0) for
+    F2_in), and that bound.
 
     Amplitude node l, ((-1)^(l-1) z^l, l), has |c_l| = z^l/h_l^3 with h_l
     growing in l, so |c_{l+1}| <= z |c_l|, and the nodes past L sum to at
-    most T = |c_{L+1}|/(1-z) at every x; the squared amplitude moves by at
-    most T (2S + T), S the sum of the |c_l| kept.  Incoherent block m, the
-    pairs l + l' = m, holds m - 1 terms of magnitude z^m/h_m^3, so the
-    blocks past M sum to at most z^{M+1} (M/(1-z) + z/(1-z)^2)/h_{M+1}^3.
+    most |c_{L+1}|/(1-z) at every x.  Incoherent block m, the pairs
+    l + l' = m, holds m - 1 terms of magnitude z^m/h_m^3, so the blocks
+    past M sum to at most z^{M+1} (M/(1-z) + z/(1-z)^2)/h_{M+1}^3.  Both
+    bounds fall with the length, found by bisection.  A series longer
+    than _POWER_SERIES_MAX_TERMS nodes or _POWER_SERIES_MAX_BLOCKS blocks
+    raises ToleranceNotMet.
     """
-    z, tau = state.fugacity, state.tau
-    n = np.arange(1.0, _NODE_SERIES_MAX + 2)
-    mag = np.exp(n * state.log_fugacity) / -np.expm1(-n / tau) ** 3
+    log_z, tau = state.log_fugacity, state.tau
+    gap = -math.expm1(log_z)  # 1 - z
+
+    def log_mag(n):  # log(z^n/h_n^3)
+        return n * log_z - 3.0 * math.log(-math.expm1(-n / tau))
+
     if incoherent:
-        # mag[m] is z^{m+1}/h_{m+1}^3, the bound of the blocks past M = m
-        tails = mag[2:] * (n[1:-1] / (1.0 - z) + z / (1.0 - z) ** 2)
-        lengths = n[1:-1]
+        name, lo, hi, peak = "incoherent", 2, _POWER_SERIES_MAX_BLOCKS, _incoherent_x0(state)
+
+        def log_tail(m):
+            return log_mag(m + 1) + math.log(m * gap + state.fugacity) - 2.0 * math.log(gap)
+
     else:
-        t = mag[1:] / (1.0 - z)
-        tails = t * (2.0 * np.cumsum(mag[:-1]) + t)
-        lengths = n[:-1]
-    fits = np.nonzero(tails <= floor)[0]
-    if not fits.size:
-        return None
-    size = int(lengths[fits[0]])
+        name, lo, hi, peak = "coherent", 1, _POWER_SERIES_MAX_TERMS, state.total_atoms
 
-    def build():
-        if incoherent:
-            l1, l2 = (v.ravel() + 1.0 for v in np.indices((size - 1, size - 1)))
-            keep = l1 + l2 <= size
-            l1, l2 = l1[keep], l2[keep]
-            sign = np.where((l1 + l2) % 2 == 1, -1.0, 1.0)
-            return _pair_terms(sign * np.exp(l1 * state.log_fugacity), l1, np.exp(l2 * state.log_fugacity), l2, tau)
-        l = n[:size]
-        sign = np.where(l % 2 == 0, -1.0, 1.0)
-        return _squared(*_amplitude_terms(sign * np.exp(l * state.log_fugacity), l, tau))
+        def log_tail(l):
+            return log_mag(l + 1) - math.log(gap)
 
-    return (*state.cached(("series_terms", incoherent, size), build), float(tails[fits[0]]))
+    target = math.log(math.ulp(1.0) * peak)
+    if log_tail(hi) > target:
+        raise ToleranceNotMet(f"{name} power series did not settle within {hi} terms")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if log_tail(mid) <= target else (mid + 1, hi)
+    return lo, math.exp(log_tail(lo))
 
 
-def node_terms(state, method, incoherent, tol, floor):
+def _series_nodes(state, size):
+    """The fugacity series' nodes ((-1)^(l-1) z^l, l), l = 1..size: for
+    z < 1, P(n) = sum_l (-1)^(l-1) z^l e^{-l n/tau}."""
+    l = np.arange(1.0, size + 1)
+    return np.where(l % 2 == 0, -1.0, 1.0) * np.exp(l * state.log_fugacity), l
+
+
+def _node_terms(state, path, incoherent):
+    """The node path named path in one channel: (blocks, tail), blocks of
+    terms (c, a) and a bound tail on their error at every x >= 0.  The
+    coherent channel has one block, its amplitude's K terms, whose square
+    is F2_coh; the incoherent one holds F2_in's pairs.  The closed forms
+    and the fit give the terms their nodes sum (tail 0; the fit's own
+    bound is certified apart); the power series is cut by _series_cut.
+    The terms are cached on the state, except the pairs of a series that
+    fill more than one block: those are rebuilt from its nodes on each
+    use, a block at a time, so that no long series is held in memory.
+    """
+    if path != Method.POWER_SERIES.value:
+        return (_exp_sum_terms(state, incoherent),), 0.0
+    size, tail = state.cached(("series_cut", incoherent), lambda: _series_cut(state, incoherent))
+    if not incoherent:
+        amplitude = state.cached("series_amplitude", lambda: _amplitude_terms(*_series_nodes(state, size), state.tau))
+        return (amplitude,), tail
+    w, l = _series_nodes(state, size - 1)
+    # block m = l + l' is symmetric in l and l': the pairs l < l' count twice
+    rows = np.arange(2, size + 1) // 2
+
+    def pairs():
+        # row i is block m = i + 2: pairs (l, m - l) for l = 1..m//2
+        for i, j in _triangle_blocks(rows):
+            k = i - j
+            yield _pair_terms(np.where(j == k, 1.0, 2.0) * w[j], l[j], w[k], l[k], state.tau)
+
+    if int(rows.sum()) <= _BLOCK_TERMS:
+        return state.cached("series_pairs", lambda: tuple(pairs())), tail
+    return pairs(), tail
+
+
+def node_terms(state, method, incoherent, tol):
     """One channel's form function as a sum of exponentials in x where its
     branch is a node path (closed-form-mb, exp-sum or power-series, under
-    auto or forced): (c, a, tail) with |F(x) - Re sum_j c_j e^{-a_j x}| <=
-    tail at every x >= 0, the coherent amplitude squared into pairs.  The
-    closed forms and the fit give the terms their branches sum (tail 0);
-    the power series is cut where its tail bound reaches floor.  None on
-    a table path, and where the series would need more than
-    _NODE_SERIES_MAX nodes for floor."""
+    auto or forced): (blocks, tail), blocks of terms (c, a) with |F(x) -
+    sum over blocks of Re sum c e^{-a x}| <= tail at every x >= 0, the
+    coherent amplitude squared into pairs (an amplitude error T moves
+    its square by at most T (2 sum|c| + T)).  The terms are those the form
+    functions sum (_node_terms).  None on a table path."""
     path = _resolve(state, _checked_method(state, method, tol), incoherent, tol)
-    if path == Method.POWER_SERIES.value:
-        return _series_terms(state, incoherent, floor)
-    if path not in (Method.CLOSED_FORM_MB.value, _EXP_SUM):
+    if path not in _NODE_PATHS:
         return None
-
-    def build():
-        c, a = _exp_sum_terms(state, incoherent)
-        return (c, a) if incoherent else _squared(c, a)
-
-    return (*state.cached(("node_terms", incoherent), build), 0.0)
+    blocks, tail = _node_terms(state, path, incoherent)
+    if incoherent:
+        return blocks, tail
+    ((c, a),) = blocks
+    return _squared(c, a), tail * (2.0 * float(np.abs(c).sum()) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +539,9 @@ def _resolve(state, method, incoherent, tol):
     auto takes the Maxwell-Boltzmann closed forms, the power series below
     z = 0.8, the exponential sums up to log z = _EXP_SUM_MAX_LOG_Z where
     the fit certifies the tolerance, and the table sums elsewhere.  The
-    series stays below z = 0.8 because it stops each x on its own
-    relative rule, so it keeps deep coherent tails that a fit, accurate
-    to a fraction of the peak, cannot.
+    series, cut at eps of each channel's peak, is exact to round-off of
+    the peak, as the fit is; it stays below z = 0.8, where it is short,
+    because its length grows like 1/(1 - z).
 
     A forced Maxwell-Boltzmann power series is the closed form.  laguerre
     is the general coherent path and convolution the general incoherent
@@ -605,12 +584,20 @@ def describe_methods(state, method=Method.AUTO, tolerance=1e-8):
 
 def _branch(state, path, incoherent, tol, x):
     """The values of the branch named path (see ``_resolve``) in one
-    channel at the transfers x > 0 of a 1-D array (the power series takes
-    x = 0 too)."""
-    if path in (Method.CLOSED_FORM_MB.value, _EXP_SUM):
-        return _exp_sum_form(state, x, incoherent)
-    if path == Method.POWER_SERIES.value:
-        return (_incoherent_power_series if incoherent else _coherent_power_series)(state, x, tol)
+    channel at the transfers x > 0 of a 1-D array (a node path takes
+    x = 0 too).  A node path sums its terms (_node_terms); the coherent
+    amplitude is squared after summing, and a negative incoherent power
+    series raises ToleranceNotMet."""
+    if path in _NODE_PATHS:
+        blocks, _ = _node_terms(state, path, incoherent)
+        v = _term_sum(blocks, x)
+        if not incoherent:
+            return v * v
+        negative = np.nonzero(v < 0.0)[0] if path == Method.POWER_SERIES.value else ()
+        if len(negative):
+            i = int(negative[0])
+            raise ToleranceNotMet(f"incoherent power series returned {v[i]:.3g} < 0", index=i)
+        return v
     if path == Method.LAGUERRE_SUM.value:
         return _coherent_laguerre(state, x)
     if path == Method.QUAD_SUM.value:

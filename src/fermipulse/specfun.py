@@ -53,8 +53,10 @@ def franck_condon_sq(n, m, x):
 def franck_condon_sq_loggamma(n, m, x):
     """Direct log-gamma evaluation of |<n|D(xi)|m>|^2.
 
-    Independent of the amplitude recurrence; used to validate it.  Safe for
-    the operating range x <= ~700 where the split prefactor stays finite.
+    Independent of the amplitude recurrence; used to validate it.  The
+    prefactor and the squared Laguerre factor are multiplied in log space,
+    exp(log_pref + 2 log|L|), so a tiny prefactor (e^{log_pref} underflows
+    for small x and large d) does not zero an element of normal size.
     """
     _check_indices(n=n, m=m)
     _check_x(x)
@@ -62,8 +64,10 @@ def franck_condon_sq_loggamma(n, m, x):
     if x == 0.0:
         return 1.0 if d == 0 else 0.0
     scaled = laguerre_scaled(mn, d, x)  # e^{-x/2} L_mn^d(x)
+    if scaled == 0.0:
+        return 0.0
     log_pref = math.lgamma(mn + 1.0) - math.lgamma(mn + d + 1.0) + d * math.log(x)
-    return math.exp(log_pref) * scaled * scaled
+    return math.exp(log_pref + 2.0 * math.log(abs(scaled)))
 
 
 def fc_matrix(size, x):

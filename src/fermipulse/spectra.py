@@ -25,8 +25,9 @@ pi (1 + cos^2 theta) sin theta dtheta = 2 pi (1 + (1-2t)^2) dt, so
     int_0^pi w(theta) F(x) dtheta = 2 pi int_0^1 (1 + (1-2t)^2) F(x0 + span t) dt.
 
 On the node paths (closed-form-mb, exp-sum, power-series) every form
-function is a short sum F = Re sum_j c_j e^{-a_j x} (formfunc.node_terms;
-the coherent amplitude squared into pairs), and each term integrates to
+function is a sum F = Re sum_j c_j e^{-a_j x} (formfunc.node_terms: the
+terms the form functions sum, the coherent amplitude squared into
+pairs), and each term integrates to
 c_j 2 pi e^{-a_j x0} G(a_j span) with
 
     G(b) = int_0^1 (1 + (1-2t)^2) e^{-bt} dt
@@ -37,12 +38,12 @@ closed form cancels for small |b|, where G's Taylor series takes over; b
 is complex for the Fermi-Dirac fit.  An angular integral then costs
 O(terms) per detuning, where a quadrature costs hundreds of form
 evaluations.  Each row is certified: its round-off eps sum_j |term_j|
-must stay below 0.1 QUAD_REL_TOL of its value, and the power series is
-cut where its tail bound, integrated against the weight, falls below
-1e-3 QUAD_REL_TOL of it.  A row that fails, and every row on a table
-path (laguerre, convolution, quad-sum), takes the adaptive quadrature
-simpson_family over theta on form-function values, one row per
-detuning.
+must stay below 0.1 QUAD_REL_TOL of its value, and the power series'
+tail bound (the series is cut once, at eps of the channel's peak),
+integrated against the weight, below 1e-3 QUAD_REL_TOL of it.  A row
+that fails, and every row on a table path (laguerre, convolution,
+quad-sum), takes the adaptive quadrature simpson_family over theta on
+form-function values, one row per detuning.
 """
 
 import enum
@@ -174,19 +175,21 @@ def _weighted_exp(a, x0, span):
     return 2.0 * math.pi * out
 
 
-def _exact_rows(c, a, trap, varpis):
-    """Per detuning: the angular integral of F = Re sum_j c_j e^{-a_j x}, and
-    its round-off scale sum_j |c_j 2 pi e^{-a_j x0} G(a_j span)|."""
+def _exact_rows(blocks, trap, varpis):
+    """Per detuning: the angular integral of F = Re sum_j c_j e^{-a_j x} over
+    the blocks (c, a), and its round-off scale sum_j |c_j 2 pi e^{-a_j x0}
+    G(a_j span)|."""
     kp = trap.kla * (1.0 + trap.gamma_ratio * varpis)
     x0 = (trap.kla - kp) ** 2
     span = 4.0 * trap.kla * kp
-    total, scale = np.empty(varpis.size), np.empty(varpis.size)
-    step = max(1, CHUNK_DOUBLES // c.size)
-    for lo in range(0, varpis.size, step):
-        rows = slice(lo, lo + step)
-        terms = c * _weighted_exp(a, x0[rows, None], span[rows, None])
-        total[rows] = terms.sum(axis=1).real
-        scale[rows] = np.abs(terms).sum(axis=1)
+    total, scale = np.zeros(varpis.size), np.zeros(varpis.size)
+    for c, a in blocks:
+        step = max(1, CHUNK_DOUBLES // c.size)
+        for lo in range(0, varpis.size, step):
+            rows = slice(lo, lo + step)
+            terms = c * _weighted_exp(a, x0[rows, None], span[rows, None])
+            total[rows] += terms.sum(axis=1).real
+            scale[rows] += np.abs(terms).sum(axis=1)
     return total, scale
 
 
@@ -194,37 +197,27 @@ def _closed_rows(form, incoherent, state, trap, method, tolerance, varpis, held)
     """The rows of _over_theta on a node path, in closed form: (values, ok),
     ok marking the rows whose value is certified; None on a table path.
 
-    A row is certified when its round-off, eps sum_j |term_j|, stays below
-    0.1 QUAD_REL_TOL of its value, and the power series' tail bound,
+    The terms are the ones the form functions sum (formfunc.node_terms),
+    the power series cut once where its tail bound reaches eps of the
+    channel's peak.  A row is certified when its round-off, eps sum_j
+    |term_j|, stays below 0.1 QUAD_REL_TOL of its value, and that tail,
     integrated against the weight (total THETA_WEIGHT_TOTAL), below
-    1e-3 QUAD_REL_TOL of it.  The series is cut again, at a quarter of
-    the tail the least such row allows, until every row that passes the
-    round-off test passes both, or until the series would grow past its
-    cap.  held keeps the cut between calls.
+    1e-3 QUAD_REL_TOL of it.
 
-    The first call makes one form-function call, at theta = 0 of the first
-    detuning, the node where a quadrature would start, so the auto
-    cross-check runs at the transfer it always used; the first cut is at
-    1e-3 QUAD_REL_TOL of F(0), the sum of the shortest series' c.
+    The first call (held empty) makes one form-function call, at theta = 0
+    of the first detuning, the node where a quadrature would start, so
+    the auto cross-check runs at the transfer it always used.
     """
-    if "floor" not in held:
-        coarse = node_terms(state, method, incoherent, tolerance, math.inf)
-        if coarse is None:
-            return None
+    terms = node_terms(state, method, incoherent, tolerance)
+    if terms is None:
+        return None
+    if not held:
         form(state, kinematics(trap, 0.0, varpis[0]), method, tolerance)
-        held["floor"] = 1e-3 * QUAD_REL_TOL * abs(float(coarse[0].sum().real))
-    floor, out = held["floor"], None
-    while (terms := node_terms(state, method, incoherent, tolerance, floor)) is not None:
-        c, a, tail = terms
-        total, scale = _exact_rows(c, a, trap, varpis)
-        exact = math.ulp(1.0) * scale <= 0.1 * QUAD_REL_TOL * np.abs(total)
-        need = 1e-3 * QUAD_REL_TOL * np.abs(total)
-        ok = exact & (THETA_WEIGHT_TOTAL * tail <= need)
-        held["floor"], out = floor, (total, ok)
-        if (ok == exact).all():
-            break
-        floor = 0.25 * need[exact].min() / THETA_WEIGHT_TOTAL
-    return out
+        held["checked"] = True
+    blocks, tail = terms
+    total, scale = _exact_rows(blocks, trap, varpis)
+    exact = math.ulp(1.0) * scale <= 0.1 * QUAD_REL_TOL * np.abs(total)
+    return total, exact & (THETA_WEIGHT_TOTAL * tail <= 1e-3 * QUAD_REL_TOL * np.abs(total))
 
 
 def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):

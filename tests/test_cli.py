@@ -404,10 +404,12 @@ class TestSpectrumCommand:
         assert rows["0.001EF"][0.0] == rows["1EF"][0.0]
 
 
-    @pytest.mark.parametrize("temperature", ["0.3EF", "0.5EF"])
+    @pytest.mark.parametrize("temperature", ["0.3EF", "0.5EF", "1EF"])
     def test_full_mode_fermi_dirac_few_hundred_atoms(self, tmp_path, temperature):
         # the signed Laguerre sum's round-off once stopped the detuning
-        # quadrature of these states; the exponential sums decay cleanly
+        # quadrature of the first two states, and the power series' per-x
+        # stop that of the third (z = 0.2); the exponential sums and the
+        # series cut once at eps of the peak decay cleanly
         out = tmp_path / "sp5"
         args = ["--atoms", "300", "--mode", "full", "--statistics", "fd", "--grid", "13x17"]
         assert main(["spectrum", *args, "--temperature", temperature, "--output", str(out)]) == 0
@@ -647,8 +649,8 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "35426597e5dd6d73",
-    "formfunc-fd-power-series": "776267283b49d075",
+    "formfunc-fd-auto": "06b46a88f12d0aff",
+    "formfunc-fd-power-series": "4333d031c0066146",
     "formfunc-fd-laguerre": "3bcdd53c3b47db15",
     "formfunc-fd-quad-sum": "81b26c058ae2964e",
     "formfunc-fd-convolution": "b5a101813c027845",
@@ -658,12 +660,12 @@ _PINNED_DIGESTS = {
     "formfunc-mb-closed-form-mb": "25cb6604c0633850",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
-    "total-frozen": "1de110e2b48846d5",
-    "spectrum-frozen": "aa014fb5bc20d038",
-    "spectrum-full": "4fe21fb7b69e81cb",
+    "total-frozen": "96439cde4ebd2628",
+    "spectrum-frozen": "09cf5c305ae27a8a",
+    "spectrum-full": "470797cd258201f0",
     "formfunc-fd-exp-sum": "40a3185f9ee378b0",
     "total-fd-exp-sum": "1093534527c00d93",
-    "formfunc-both-31x41": "1d9406e1be11fa0b",
+    "formfunc-both-31x41": "a2513b805b2e78b2",
 }
 
 

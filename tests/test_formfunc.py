@@ -512,6 +512,12 @@ class TestExpSum:
             fp.coherent_form(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt)
 
 
+def fit_form(st, x, incoherent):
+    """The exponential-sum branch at an array of x > 0, whether or not auto
+    would take it."""
+    return formfunc._branch(st, formfunc._EXP_SUM, incoherent, 1e-12, x)
+
+
 class TestOneKernel:
     """Every closed-form path evaluates the same two term builders: the
     Maxwell-Boltzmann node (z, 1), the fugacity series' nodes (z^l, l)
@@ -549,8 +555,8 @@ class TestOneKernel:
         pt = transfers(x)
         coh = fp.coherent_form(st, pt, Method.POWER_SERIES, 1e-12)
         inc = fp.incoherent_form(st, pt, Method.POWER_SERIES, 1e-12)
-        assert np.abs(coh - formfunc._exp_sum_form(st, x, False)).max() <= 1e-11 * st.total_atoms**2
-        assert np.abs(inc - formfunc._exp_sum_form(st, x, True)).max() <= 1e-11 * _incoherent_x0(st)
+        assert np.abs(coh - fit_form(st, x, False)).max() <= 1e-11 * st.total_atoms**2
+        assert np.abs(inc - fit_form(st, x, True)).max() <= 1e-11 * _incoherent_x0(st)
 
     def test_fit_matches_contraction(self, state_cache):
         # 10^6 atoms at 0.3 E_F: K = 18 terms, whose pair factors 1 - r r'
@@ -558,7 +564,7 @@ class TestOneKernel:
         st = state_cache(10**6, 0.3 * fp.fermi_energy(10**6))
         assert on_exp_sum(st)
         x = np.array([0.05, 0.5, 2.0, 8.0, 30.0])
-        got = formfunc._exp_sum_form(st, x, True)
+        got = fit_form(st, x, True)
         want = formfunc._incoherent_conv(st, x, 1e-12)
         assert np.abs(got - want).max() <= 6e-12 * _incoherent_x0(st)
 
@@ -779,22 +785,25 @@ def reference_incoherent_series(st, x, tol):
     ids=["z0.5", "z0.05", "1e4-1.36EF"],
 )
 def test_batched_series_match_one_x_at_a_time(state):
-    # np.exp and math.exp may differ in the last bit, which the coherent
-    # sum carries into its square; the incoherent blocks use np.exp on both
-    # sides, so each x must stop at the same block with the same sum
+    # the series is cut once for the state, at eps of each channel's peak,
+    # and every x of an array is summed over the same terms; the reference
+    # sums one x at a time to a relative stop of 1e-15 (about 4.5 eps of
+    # the peak at most).  8 eps of the peak covers both truncations and
+    # the round-off of both sums.
     st = state()
     xs = np.concatenate([np.linspace(0.0, 625.0, 26), [3.0, 3.0]])
     coh = fp.coherent_form(st, xs, Method.POWER_SERIES, 1e-10)
     inc = fp.incoherent_form(st, xs, Method.POWER_SERIES, 1e-10)
-    peak = st.total_atoms**2
+    bound = 8.0 * math.ulp(1.0)
     for x, c, i in zip(xs.tolist(), coh.tolist(), inc.tolist()):
-        assert abs(c - reference_coherent_series(st, x, 1e-10)) <= 1e-15 * peak
-        assert i == reference_incoherent_series(st, x, 1e-10)
+        assert abs(c - reference_coherent_series(st, x, 1e-15)) <= bound * st.total_atoms**2
+        assert abs(i - reference_incoherent_series(st, x, 1e-15)) <= bound * _incoherent_x0(st)
+    assert coh[-1] == coh[-2] and inc[-1] == inc[-2]
 
 
 class TestMomentIdentities:
     """Moments over [0, inf) of the node paths' exponential sums
-    (formfunc.node_terms), checked against sums over the occupation table
+    (formfunc.node_terms, summed over their blocks), checked against sums over the occupation table
     alone, with neither the fit nor any quadrature on the table side.
 
     Incoherent: phase-space completeness gives int_0^inf |<a|D(x)|b>|^2 dx
@@ -816,18 +825,23 @@ class TestMomentIdentities:
         s = np.arange(p.size, dtype=np.float64)
         tail = np.cumsum(p[::-1])[::-1]
         u = np.cumsum((s * p)[::-1])[::-1] - s * tail
-        inc = formfunc.node_terms(st, Method.AUTO, True, 1e-8, 1e-16 * _incoherent_x0(st))
-        coh = formfunc.node_terms(st, Method.AUTO, False, 1e-8, 1e-16 * st.total_atoms**2)
-        if inc is None:
+        if formfunc.node_terms(st, Method.AUTO, True, 1e-8) is None:
             # the degenerate Fermi-Dirac states are table paths
-            assert statistics == "fd" and t_over_ef <= 0.1 and coh is None
+            assert statistics == "fd" and t_over_ef <= 0.1
+            assert formfunc.node_terms(st, Method.AUTO, False, 1e-8) is None
             return
-        c, a, _ = inc
-        assert (c / a).sum().real == pytest.approx(np.sum((s + 1.0) * tail**2), rel=1e-12)
-        assert (c / a**2).sum().real == pytest.approx(np.sum((s + 1.0) * (tail**2 + 2.0 * tail * u)), rel=1e-12)
-        c, a, _ = coh
+
+        def moment(incoherent, j):
+            # int_0^inf x^j Re sum c e^{-a x} dx over every block; the
+            # blocks may be a generator, so each moment asks for them anew
+            blocks, _ = formfunc.node_terms(st, Method.AUTO, incoherent, 1e-8)
+            return sum(math.factorial(j) * (c / a ** (j + 1)).sum().real for c, a in blocks)
+
+        inc, coh = True, False
+        assert moment(inc, 0) == pytest.approx(np.sum((s + 1.0) * tail**2), rel=1e-12)
+        assert moment(inc, 1) == pytest.approx(np.sum((s + 1.0) * (tail**2 + 2.0 * tail * u)), rel=1e-12)
         above = np.append(tail[1:], 0.0)
-        assert (c / a**2).sum().real == pytest.approx(
+        assert moment(coh, 1) == pytest.approx(
             np.sum(0.5 * (s + 1.0) * (s + 2.0) * (p * p + 2.0 * p * above)), rel=1e-12
         )
-        assert (2.0 * c / a**3).sum().real == pytest.approx(np.sum((s + 1.0) * (s + 2.0) * p * p), rel=1e-12)
+        assert moment(coh, 2) == pytest.approx(np.sum((s + 1.0) * (s + 2.0) * p * p), rel=1e-12)

@@ -19,11 +19,12 @@ def test_log_factorials_match_gammaln():
 
 def test_fc_matrix_matches_loggamma_direct(rng):
     # the corners hold the largest d, where log d! sets the amplitude
-    # scale; from x = 3 up the oracle's split prefactor stays representable
+    # scale; at x = 0.04 the oracle's prefactor alone underflows for large
+    # d, and |<200|D|109>|^2 = 1.6007e-209 (60-digit mpmath) once read 0
     size = 200
-    for x in (3.0, 90.0, 625.0):
+    for x in (0.04, 3.0, 90.0, 625.0):
         mat = _kernels.fc_matrix(size, x)
-        for n, m in [(size, 0), (0, size), (size, size), *rng.integers(0, size + 1, (20, 2)).tolist()]:
+        for n, m in [(size, 0), (0, size), (size, size), (size, 109), *rng.integers(0, size + 1, (20, 2)).tolist()]:
             assert mat[n, m] == pytest.approx(franck_condon_sq_loggamma(n, m, x), rel=1e-11, abs=1e-250)
 
 

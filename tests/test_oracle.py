@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import fermipulse as fp
-from fermipulse import from_fugacity, oracle
-from fermipulse.formfunc import Method
+from fermipulse import formfunc, from_fugacity, oracle
+from fermipulse.formfunc import Method, _incoherent_x0
 
 
 class TestDisplacementOracle:
@@ -133,3 +134,78 @@ class TestBruteIncoherent:
             oracle.SmallTrapBasis(9, np.zeros((10, 10, 10)))
         with pytest.raises(ValueError):
             oracle.SmallTrapBasis(3, np.zeros((2, 2, 2)))
+
+
+def mp_node_sums(w, s, tau, xs, size):
+    """(F2_coh, F2_in) at each x of the occupations sum_j w_j e^{-s_j n/tau},
+    summed in mpmath at the working precision: the amplitude sum_j w_j/h_j^3
+    e^{-x (1/h_j - 1/2)} squared, and the pairs j <= k with j + k + 2 <=
+    size, w_j w_k/h_jk^3 e^{-x h_j h_k/h_jk}, off-diagonal ones doubled
+    (h = 1 - e^{-s/tau}, h_jk that of s_j + s_k)."""
+    w = [mpmath.mpc(v) for v in w]
+    s = [mpmath.mpc(v) for v in s]
+    h = [1 - mpmath.exp(-sj / tau) for sj in s]
+    pairs = [(j, k) for j in range(len(w)) for k in range(j, len(w)) if j + k + 2 <= size]
+    h_pair = [1 - mpmath.exp(-(s[j] + s[k]) / tau) for j, k in pairs]
+    out = []
+    for x in xs.tolist():
+        x = mpmath.mpf(x)
+        amp = mpmath.fsum(wj / hj**3 * mpmath.exp(-x * (1 / hj - mpmath.mpf(0.5))) for wj, hj in zip(w, h))
+        inc = mpmath.fsum(
+            (1 if j == k else 2) * w[j] * w[k] / hjk**3 * mpmath.exp(-x * h[j] * h[k] / hjk)
+            for (j, k), hjk in zip(pairs, h_pair)
+        )
+        out.append((float(mpmath.re(amp) ** 2), float(mpmath.re(inc))))
+    return np.array(out)
+
+
+class TestExtendedPrecision:
+    """The node paths against their own nodes summed in mpmath at 50
+    digits: Fermi-Dirac states of 56 and 300 atoms, both channels, x from 0
+    to 625, through the branch (which takes x = 0 too; the public form
+    functions return the occupation table's sums there).
+
+    At 1 and 3 E_F (z < 1) the forced power series must land within
+    8 eps of each channel's peak (N^2, F2_in(0)): its cut leaves at most
+    eps of the peak, and its sums add round-off of the same order.  The
+    oracle takes the series' nodes ((-1)^(l-1) z^l, l) until their tail
+    falls below 1e-32 of the peak.  At 0.5 E_F, z > 1 and there is no
+    series; the auto path, the exponential fit, must land within 4 times
+    its round-off floor, eps sum |c| on the amplitude (d, moving F2_coh by
+    d (2 sqrt(F2_coh) + d)) and on the pairs.
+    """
+
+    XS = np.array([0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 60.0, 150.0, 300.0, 625.0])
+
+    @staticmethod
+    def series_nodes(st):
+        z, tau = st.fugacity, st.tau
+        peak = min(st.total_atoms, _incoherent_x0(st))
+        size = 1
+        while z**size * size / (-math.expm1(-size / tau)) ** 3 / (1.0 - z) ** 2 > 1e-32 * peak:
+            size += 1
+        return [(-1) ** (l - 1) * mpmath.mpf(z) ** l for l in range(1, size + 1)], list(range(1, size + 1)), size
+
+    @pytest.mark.parametrize("n_atoms", [56, 300])
+    @pytest.mark.parametrize("t_over_ef", [0.5, 1.0, 3.0])
+    def test_node_paths_match_extended_precision(self, n_atoms, t_over_ef):
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        eps = math.ulp(1.0)
+        with mpmath.workdps(50):
+            if st.log_fugacity < 0.0:
+                path = Method.POWER_SERIES.value
+                w, s, size = self.series_nodes(st)
+            else:
+                path = formfunc._EXP_SUM
+                (w, s, _), size = formfunc._exp_sum(st), math.inf
+            want = mp_node_sums(w, s, mpmath.mpf(st.tau), self.XS, size)
+        coh = formfunc._branch(st, path, False, 1e-8, self.XS)
+        inc = formfunc._branch(st, path, True, 1e-8, self.XS)
+        if path == Method.POWER_SERIES.value:
+            assert np.abs(coh - want[:, 0]).max() <= 8.0 * eps * st.total_atoms**2
+            assert np.abs(inc - want[:, 1]).max() <= 8.0 * eps * _incoherent_x0(st)
+        else:
+            d = eps * np.abs(formfunc._exp_sum_terms(st, False)[0]).sum()
+            assert (np.abs(coh - want[:, 0]) <= 4.0 * d * (2.0 * np.sqrt(want[:, 0]) + d)).all()
+            pairs = eps * np.abs(formfunc._exp_sum_terms(st, True)[0]).sum()
+            assert np.abs(inc - want[:, 1]).max() <= 4.0 * pairs

@@ -128,9 +128,11 @@ class TestAngularDistribution:
 
     def test_known_full_mode_failure_is_cheap(self, trap, state_cache, monkeypatch):
         # Fermi-Dirac, 10^4 atoms, 1.0 E_F, 40 degrees: the coherent power
-        # series returns cancellation noise where F2_coh underflows, so the
-        # detuning quadrature cannot converge.  Refining a block of panels
-        # per call must reach the depth limit in few integrand calls.
+        # series once stopped each x on its own relative rule and returned
+        # cancellation noise where F2_coh underflows, and the detuning
+        # quadrature then refined to its depth limit.  Cut once at eps of
+        # the peak, the series' tail is round-off of one sign (the square
+        # of the amplitude), and the quadrature settles in few calls.
         from fermipulse import spectra
 
         calls = []
@@ -145,8 +147,8 @@ class TestAngularDistribution:
 
         monkeypatch.setattr(spectra, "adaptive_simpson", counting)
         st = state_cache(10**4, 1.0 * fp.fermi_energy(10**4))
-        with pytest.raises(fp.QuadratureFailure):
-            fp.angular_distribution(st, trap, math.radians(40.0), fp.AngularMode.FULL)
+        d_coh, d_in = fp.angular_distribution(st, trap, math.radians(40.0), fp.AngularMode.FULL)
+        assert all(math.isfinite(v) and v >= 0.0 for v in (d_coh, d_in))
         assert len(calls) <= 100
 
 
@@ -290,7 +292,8 @@ class TestFullModePins:
     call makes one form-function call per channel, at theta = 0 of its
     first detuning (the auto cross-check's trigger).  The values were
     re-recorded when the closed forms replaced the angular quadrature,
-    which moved them by at most 1e-7 relative.
+    which moved them by at most 1e-7 relative, and again when the series
+    was cut once at eps of each channel's peak, by at most 3.2e-15.
     """
 
     @pytest.fixture
@@ -303,12 +306,12 @@ class TestFullModePins:
 
     def test_total(self, trap, pulse, state, counts):
         got = fp.total_photons(state, trap, pulse, mode=fp.AngularMode.FULL)
-        assert got == (0.00021799805417101092, 0.05999739087617431)
+        assert got == (0.0002179980541710116, 0.05999739087617432)
         assert counts == {"coh": [1, 1], "inc": [1, 1]}
 
     def test_frequency_distribution(self, trap, state, counts):
         d_coh, d_in = fp.frequency_distribution(state, trap, np.linspace(-6.0, 6.0, 25))
-        assert (d_coh[3], d_in[3]) == (3.0156802114561993e-08, 5.533930648622096e-06)
+        assert (d_coh[3], d_in[3]) == (3.015680211456209e-08, 5.5339306486220964e-06)
         assert counts == {"coh": [1, 1], "inc": [1, 1]}
 
 
