@@ -36,8 +36,8 @@ c_j 2 pi e^{-a_j x0} G(a_j span) with
 G(0) = 4/3 (so the weight totals THETA_WEIGHT_TOTAL = 8 pi/3).  The
 closed form cancels for small |b|, where G's Taylor series takes over; b
 is complex for the Fermi-Dirac fit.  An angular integral then costs
-O(terms) per detuning, where a quadrature costs hundreds of form
-evaluations.  Each row is certified: its round-off eps sum_j |term_j|
+O(terms) per detuning and no form evaluation (node_terms runs the auto
+cross-check itself), where a quadrature costs hundreds.  Each row is certified: its round-off eps sum_j |term_j|
 must stay below 0.1 QUAD_REL_TOL of its value, and the power series'
 tail bound (the series is cut once, at eps of the channel's peak),
 integrated against the weight, below 1e-3 QUAD_REL_TOL of it.  A row
@@ -99,8 +99,9 @@ def resolve_mode(mode, trap):
 
     The frozen approximation error is governed by how much the momentum
     transfer drifts across the line support, gamma_ratio * LINE_SUPPORT *
-    (kla)^2.  The drift enters the line integrals only through its even
-    part, so a drift bound of 0.05 keeps the frozen error well under 1e-3.
+    (kla)^2.  At the largest drift auto freezes, 0.05 (kla 12.5, 1 E_F),
+    frozen N_in is within 1e-9 of the full integral, but N_coh is off by
+    2.8e-4 at 10^4 atoms, 1.3e-3 at 10^6 and 2.8e-3 at 10^7.
     """
     if isinstance(mode, str):
         mode = AngularMode.parse(mode)
@@ -193,27 +194,20 @@ def _exact_rows(blocks, trap, varpis):
     return total, scale
 
 
-def _closed_rows(form, incoherent, state, trap, method, tolerance, varpis, held):
+def _closed_rows(incoherent, state, trap, method, tolerance, varpis):
     """The rows of _over_theta on a node path, in closed form: (values, ok),
     ok marking the rows whose value is certified; None on a table path.
 
-    The terms are the ones the form functions sum (formfunc.node_terms),
-    the power series cut once where its tail bound reaches eps of the
-    channel's peak.  A row is certified when its round-off, eps sum_j
-    |term_j|, stays below 0.1 QUAD_REL_TOL of its value, and that tail,
-    integrated against the weight (total THETA_WEIGHT_TOTAL), below
-    1e-3 QUAD_REL_TOL of it.
-
-    The first call (held empty) makes one form-function call, at theta = 0
-    of the first detuning, the node where a quadrature would start, so
-    the auto cross-check runs at the transfer it always used.
+    The terms are the ones the form functions sum (formfunc.node_terms,
+    which runs the auto cross-check on its first read), the power series
+    cut once where its tail bound reaches eps of the channel's peak.  A
+    row is certified when its round-off, eps sum_j |term_j|, stays below
+    0.1 QUAD_REL_TOL of its value, and that tail, integrated against the
+    weight (total THETA_WEIGHT_TOTAL), below 1e-3 QUAD_REL_TOL of it.
     """
     terms = node_terms(state, method, incoherent, tolerance)
     if terms is None:
         return None
-    if not held:
-        form(state, kinematics(trap, 0.0, varpis[0]), method, tolerance)
-        held["checked"] = True
     blocks, tail = terms
     total, scale = _exact_rows(blocks, trap, varpis)
     exact = math.ulp(1.0) * scale <= 0.1 * QUAD_REL_TOL * np.abs(total)
@@ -233,7 +227,6 @@ def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
     returns a float or an array of their shape.  A QuadratureFailure
     names the detuning of its row.
     """
-    held = {}
 
     def integrate(varpi):
         varpi = np.asarray(varpi, dtype=np.float64)
@@ -241,7 +234,7 @@ def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
         form = incoherent_form if incoherent else coherent_form
         values = np.empty(varpis.size)
         rest = np.arange(varpis.size)
-        closed = _closed_rows(form, incoherent, state, trap, method, tolerance, varpis, held) if rest.size else None
+        closed = _closed_rows(incoherent, state, trap, method, tolerance, varpis)
         if closed is not None:
             total, ok = closed
             values[ok] = total[ok]

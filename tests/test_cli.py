@@ -481,6 +481,18 @@ class TestTotalCommand:
         n_in = [float(r[2]) for r in rows]
         assert (max(n_in) - min(n_in)) / min(n_in) < 0.05
 
+    def test_hot_million_atoms_exit_0(self, tmp_path):
+        # n_max 218,238 to 727,031: auto checks the power series by its
+        # moments, where the pointwise table-sum check once exited 3 for FD
+        out = tmp_path / "hot"
+        args = ["--atoms", "1000000", "--statistics", "both", "--temperature", "30EF,100EF"]
+        assert main(["total", *args, "--output", str(out)]) == 0
+        _, rows = read_rows(tmp_path / "hot_total.csv")
+        assert [r[3] for r in rows] == ["fd", "mb", "fd", "mb"]
+        for r in rows:
+            n_coh, n_in = float(r[1]), float(r[2])
+            assert 0.0 < n_coh < math.inf and 0.0 < n_in < math.inf
+
 
     def test_failure_keeps_earlier_rows(self, tmp_path, capsys, monkeypatch):
         # rows are written as each state finishes, so a failure at the

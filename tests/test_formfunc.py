@@ -37,6 +37,18 @@ def agreement(a, b, rtol, peak):
     return abs(a - b) <= rtol * max(abs(a), abs(b)) + 1e-13 * peak
 
 
+def perturb_first_series_node(monkeypatch, skew):
+    """Scale the fugacity series' first node weight by 1 + skew.  The
+    series terms are cached on the state, so use a fresh one."""
+    nodes = formfunc._series_nodes
+
+    def perturbed(state, size):
+        w, l = nodes(state, size)
+        return np.concatenate([w[:1] * (1.0 + skew), w[1:]]), l
+
+    monkeypatch.setattr(formfunc, "_series_nodes", perturbed)
+
+
 class TestCoherentForm:
     @pytest.mark.parametrize("n_atoms", [100, 10**4])
     @pytest.mark.parametrize("f", [0.0016, 0.5, 1.36])
@@ -104,20 +116,20 @@ class TestCoherentForm:
                 form(st, point(0.0, 0.0), Method.CLOSED_FORM_MB)
 
     def test_auto_cross_check_runs_when_first_x_is_zero(self, monkeypatch):
-        # a table sum off by 1e-3 must fail the check even when the first x
-        # is 0, where both routes return N^2; a fresh state, never checked
+        # the moment check takes no x: a series off by 1e-4 in its first
+        # node fails it even when the first x is 0, where the form returns
+        # N^2; a fresh state, never checked
         st = fp.solve_fugacity(1000, 1.36 * fp.fermi_energy(1000))
-        lag = _kernels.laguerre_weighted_sum
-        monkeypatch.setattr(_kernels, "laguerre_weighted_sum", lambda w, a, x: lag(w, a, x) * (1.0 + 1e-3))
-        with pytest.raises(ToleranceNotMet):
+        perturb_first_series_node(monkeypatch, 1e-4)
+        with pytest.raises(ToleranceNotMet, match=r"auto cross-check failed on the x\^1 moment: power-series"):
             fp.coherent_form(st, np.array([0.0, 1.0]))
 
     def test_auto_cross_check_keyed_by_its_bound(self, monkeypatch):
-        # the same skewed table sum: a pass at tolerance 1e-3, whose bound
-        # 0.1 the skew meets, must not stand for a later call at 1e-8
+        # the first node off by 1e-3 moves the moments by about 2e-3: a
+        # pass at tolerance 1e-3, whose bound 0.1 that meets, must not
+        # stand for a later call at 1e-8
         st = fp.solve_fugacity(1000, 1.36 * fp.fermi_energy(1000))
-        lag = _kernels.laguerre_weighted_sum
-        monkeypatch.setattr(_kernels, "laguerre_weighted_sum", lambda w, a, x: lag(w, a, x) * (1.0 + 1e-3))
+        perturb_first_series_node(monkeypatch, 1e-3)
         xs = np.array([0.0, 1.0])
         fp.coherent_form(st, xs, tolerance=1e-3)
         with pytest.raises(ToleranceNotMet, match="auto cross-check failed"):
@@ -236,8 +248,8 @@ class TestIncoherentForm:
             assert a == pytest.approx(b, rel=1e-10)
 
     def test_convolution_zero_transfer(self):
-        # the auto path cross-checks the power series at the damped point,
-        # which is x = 0 itself for a zero-transfer request
+        # auto checks the power series by its moments whatever the x, so a
+        # zero-transfer request runs the check too
         st = from_fugacity(math.log(0.5), 1.2, 46)
         g = _degeneracy_array(st.n_max)
         want = float(g @ st.occupations**2)
@@ -302,42 +314,44 @@ class TestIncoherentForm:
         assert "BudgetExceeded" in proc.stderr
         assert str(CONVOLUTION_SUM_CEILING) in proc.stderr
 
-    @staticmethod
-    def skew_zero_transfer_sum(monkeypatch):
-        # sum g P^2 off by 1e-3: the power series at x = 0 must disagree
-        x0 = formfunc._incoherent_x0
-        monkeypatch.setattr(formfunc, "_incoherent_x0", lambda st: x0(st) * (1.0 + 1e-3))
-
     def test_auto_cross_check_runs_when_first_x_is_zero(self, monkeypatch):
-        # at x = 0 the contraction returns sum g P^2 too, so the check
-        # compares the series there with the table's zero-transfer sum
         st = from_fugacity(math.log(0.5), 1.2, 46)
-        self.skew_zero_transfer_sum(monkeypatch)
-        with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
+        perturb_first_series_node(monkeypatch, 1e-4)
+        with pytest.raises(ToleranceNotMet, match=r"auto cross-check failed on the x\^0 moment: power-series"):
             fp.incoherent_form(st, np.array([0.0, 1.0]))
 
-    def test_auto_cross_check_runs_above_contraction_limit(self, monkeypatch):
-        # 10^6 atoms at 1.36 EF: n_eff = 6891, past the limit on the weight
-        # table, so the check compares at x = 0 whatever the first x
-        n = 10**6
-        st = fp.solve_fugacity(n, 1.36 * fp.fermi_energy(n))
-        pt = point(10.0, 30.0)
+    @pytest.mark.parametrize("n_atoms, t_over_ef", [(10**4, 1.0), (10**6, 1.36), (10**6, 100.0)])
+    def test_perturbed_series_fails_cross_check(self, monkeypatch, n_atoms, t_over_ef):
+        # n_max 1607, 10068 and 727031: the first node off by 1e-4 fails
+        # both channels, while a fresh copy of the state passes, with no
+        # table sum and no weight table
+        solved = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        assert formfunc.describe_methods(solved)["coh_method"] == "power-series"
+
+        def fresh():
+            return from_fugacity(solved.log_fugacity, solved.tau, solved.n_max)
+
+        st = fresh()
         with monkeypatch.context() as m:
-            self.skew_zero_transfer_sum(m)
-            with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=0"):
-                fp.incoherent_form(st, pt)
-        assert fp.incoherent_form(st, pt) > 0.0
-        assert st._cache[("auto_checked_inc", 1e-6)] is True
-        # the check built no weight table
+            perturb_first_series_node(m, 1e-4)
+            for form in (fp.coherent_form, fp.incoherent_form):
+                with pytest.raises(ToleranceNotMet, match="auto cross-check failed"):
+                    form(st, 1e-3)
+        st = fresh()
+        for name in ("fc_weighted_sum", "laguerre_weighted_sum"):
+            monkeypatch.setattr(_kernels, name, None)
+        assert fp.coherent_form(st, 1e-3) > 0.0 and fp.incoherent_form(st, 1e-3) > 0.0
+        assert {("auto_checked_coh", 1e-6), ("auto_checked_inc", 1e-6)} <= set(st._cache)
         assert not any(isinstance(k, tuple) and k[0] == "weight_diagonals" for k in st._cache)
 
     def test_failed_cross_check_raises_every_call(self, monkeypatch):
         st = from_fugacity(math.log(0.5), 1.2, 46)
-        self.skew_zero_transfer_sum(monkeypatch)
+        perturb_first_series_node(monkeypatch, 1e-4)
         for _ in range(2):
-            with pytest.raises(ToleranceNotMet):
-                fp.incoherent_form(st, point(0.0, 0.0))
-            assert ("auto_checked_inc", 1e-6) not in st._cache
+            for form, key in ((fp.coherent_form, "auto_checked_coh"), (fp.incoherent_form, "auto_checked_inc")):
+                with pytest.raises(ToleranceNotMet):
+                    form(st, point(0.0, 0.0))
+                assert (key, 1e-6) not in st._cache
 
     def test_mb_closed_form_matches_table_sum(self):
         st = fp.solve_fugacity(300, 4.0, "mb")
@@ -485,16 +499,23 @@ class TestExpSum:
             got = form(st, pt)
             assert got.tolist() == form(st, pt, table).tolist()
 
-    def test_skewed_contraction_fails_cross_check(self, monkeypatch):
-        # 300 atoms at 0.5 EF: n_eff is far below the contraction limit, so
-        # the check compares with the contraction at the first x > 0
+    def test_perturbed_fit_terms_fail_cross_check(self, monkeypatch):
+        # certification refuses a perturbed fit before the check runs
+        # (test_perturbed_fit_fails_certification), so the terms are
+        # perturbed after it: each channel's terms off by 1e-4
         st = fp.solve_fugacity(300, 0.5 * fp.fermi_energy(300))
         assert on_exp_sum(st)
-        conv = _kernels.fc_weighted_sum
-        monkeypatch.setattr(_kernels, "fc_weighted_sum", lambda w, n, x: conv(w, n, x) * (1.0 + 1e-3))
-        with pytest.raises(ToleranceNotMet, match="auto cross-check failed at x=1: exp-sum"):
-            fp.incoherent_form(st, transfers([1.0, 0.0]))
-        assert ("auto_checked_inc", 1e-6) not in st._cache
+        terms = formfunc._exp_sum_terms
+
+        def perturbed(state, incoherent):
+            c, a = terms(state, incoherent)
+            return c * (1.0 + 1e-4), a
+
+        monkeypatch.setattr(formfunc, "_exp_sum_terms", perturbed)
+        for form, key in ((fp.coherent_form, "auto_checked_coh"), (fp.incoherent_form, "auto_checked_inc")):
+            with pytest.raises(ToleranceNotMet, match=r"auto cross-check failed on the x\^. moment: exp-sum"):
+                form(st, transfers([1.0, 0.0]))
+            assert (key, 1e-6) not in st._cache
 
     def test_no_fit_above_log_z_bound(self, monkeypatch):
         def refuse(log_z):
