@@ -1,25 +1,30 @@
 """Coherent and incoherent form functions of the trapped gas.
 
-The coherent form function is the squared thermal average of the atomic
-phase factor, F2_coh = |sum_n P(n) stuff|^2; the incoherent one is the
-double occupation sum F2_in = sum_{n,n'} N_n N_n' |eta_nn'|^2 that is
-subtracted from N-proportional terms in the incoherent spectrum.
+The coherent form function is the square of the thermal average of the
+atomic phase factor, F2_coh = A(x)^2, with the amplitude A(x) = sum_n P(n)
+e^{-x/2} L_n^(2)(x) over the shells n of occupation P(n) per level; the
+incoherent one is the double occupation sum F2_in = sum_{n,n'} N_n N_n'
+|eta_nn'|^2 that is subtracted from N-proportional terms in the
+incoherent spectrum.  In the isotropic trap F2_in is the Hankel image of
+A^2, F2_in(x) = (1/x) int_0^inf A(y)^2 J_2(2 sqrt(x y)) y dy (phase-space
+completeness; Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), which maps
+each term c e^{-a y} of A^2 to (c/a^3) e^{-x/a} (``_image``).
 
-One builder, three node sources.  An occupation term P(n) = w e^{-s n/tau},
-r = e^{-s/tau}, has the coherent amplitude sum_n P(n) e^{-x/2} L_n^(2)(x) =
-w (1-r)^{-3} e^{-x (1+r) / (2 (1-r))} (the generating function of the
-Laguerre polynomials), and a pair (w, r), (w', r') adds
-w w' (1 - r r')^{-3} e^{-x (1-r)(1-r') / (1 - r r')} to F2_in;
-``_amplitude_terms`` and ``_pair_terms`` write both, once, as c e^{-a x}.
+One amplitude, three node sources.  An occupation term P(n) = w e^{-s n/tau},
+h = 1 - e^{-s/tau}, has the amplitude w h^{-3} e^{-x (1/h - 1/2)} (the
+generating function of the Laguerre polynomials; ``_amplitude_terms``).
 The nodes (w, s) are the exact Maxwell-Boltzmann node (z, 1); for
 Fermi-Dirac at 0.8 <= z <= e^4, a short exponential fit of the Fermi
 function f(u) = 1/(1 + e^{u - log z}) ~ sum_k w_k e^{-s_k u}, so a point
 costs O(K) and O(K^2) for K terms; and for z < 1, the fugacity power
 series' nodes ((-1)^(l-1) z^l, l), cut once per state where the tail
-bound reaches eps of the channel's peak.  Each node path is one term
-source, cached on the state per channel (``_node_terms``): the form
-functions sum it and the angular integrals of ``spectra`` integrate it
-(``node_terms``).
+bounds reach eps of each channel's peak (``_series_cut``: the first L
+nodes for A, the pairs l + l' <= M for F2_in).  Each node path's
+amplitude, cached on the state, is the term source of both channels
+(``_node_terms``): the coherent one sums it and squares the sum, the
+incoherent one sums the image of its square (``_squared``).  The form
+functions sum these terms and the angular integrals of ``spectra``
+integrate them (``node_terms``).
 
 Every form function takes the momentum transfer x = |k - k_L|^2 a^2 of
 ``model.kinematics``: shell projectors commute with rotations, so in the
@@ -211,12 +216,12 @@ def _amplitude_terms(w, s, tau):
     return w / h**3, 1.0 / h - 0.5
 
 
-def _pair_terms(w1, s1, w2, s2, tau):
-    """(c, a) with the incoherent sum of the occupation pair w1 e^{-s1 n/tau},
-    w2 e^{-s2 n/tau} equal to c e^{-a x}: c = w1 w2/h12^3 and a = h1 h2/h12,
-    h12 being the h of s1 + s2.  The arguments broadcast."""
-    h12 = -np.expm1((s1 + s2) / -tau)
-    return w1 * w2 / h12**3, np.expm1(s1 / -tau) * np.expm1(s2 / -tau) / h12
+def _image(c, a):
+    """The Hankel image (1/x) int_0^inf c e^{-a y} J_2(2 sqrt(x y)) y dy =
+    (c/a^3) e^{-x/a} of terms c e^{-a y} of A^2: F2_in's terms (c/a^3, 1/a).
+    For the amplitude terms of two occupation terms it is w w'/h''^3
+    e^{-x h h'/h''}, h'' the h of s + s'."""
+    return c / a**3, 1.0 / a
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +350,24 @@ def _exp_sum_certified(state, tol):
         w, _, bound = _exp_sum(state)
         if w.size > _EXP_SUM_MAX_TERMS or bound > 1e-3 * tol * state.total_atoms:
             return False
-        amplitude = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state, False)[0]).sum())
-        pairs = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state, True)[0]).sum())
-        return 2.0 * amplitude <= 0.1 * tol * state.total_atoms and pairs <= 0.1 * tol * _incoherent_x0(state)
+        amplitude = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state)[0]).sum())
+        blocks, _ = _node_terms(state, _EXP_SUM, True)
+        image = math.ulp(1.0) * sum(float(np.abs(c).sum()) for c, _ in blocks)
+        return 2.0 * amplitude <= 0.1 * tol * state.total_atoms and image <= 0.1 * tol * _incoherent_x0(state)
 
     return state.cached(("exp_sum_certified", tol), check)
 
 
-def _exp_sum_terms(state, incoherent):
-    """(c, a) with the channel's amplitude Re sum_j c_j e^{-a_j x}: the K
-    coherent terms, or the K^2 incoherent pairs flattened, of the exact
-    Maxwell-Boltzmann node (z, 1) or the Fermi-Dirac fit."""
+def _exp_sum_terms(state):
+    """(c, a) with the amplitude Re sum_j c_j e^{-a_j x}: the K terms of
+    the exact Maxwell-Boltzmann node (z, 1) or the Fermi-Dirac fit."""
 
     def build():
         mb = state.statistics is Statistics.MAXWELL_BOLTZMANN
         w, s = (np.array([state.fugacity]), np.array([1.0])) if mb else _exp_sum(state)[:2]
-        if not incoherent:
-            return _amplitude_terms(w, s, state.tau)
-        c, a = _pair_terms(w[:, None], s[:, None], w, s, state.tau)
-        return c.ravel(), a.ravel()
+        return _amplitude_terms(w, s, state.tau)
 
-    return state.cached(("exp_sum_terms", incoherent), build)
+    return state.cached("exp_sum_terms", build)
 
 
 # ---------------------------------------------------------------------------
@@ -401,45 +403,45 @@ def _term_sum(blocks, x):
     return acc
 
 
-def _triangle_blocks(counts):
-    """(rows, offsets) index arrays over the entries of a triangle whose
-    row i holds entries 0..counts[i]-1, row by row, in blocks of at most
-    _BLOCK_TERMS entries."""
+def _squared(c, a, limit=None):
+    """Blocks (c, a) whose terms sum to (Re u)^2, u = sum_j c_j e^{-a_j x}:
+    for real terms the pairs j <= k with j + k <= limit (every pair if
+    None), off-diagonal ones doubled, row j at a time, in blocks of at
+    most _BLOCK_TERMS; for complex terms (the fit, never cut) the K^2
+    products of u^2, in one block.  Re(u^2) = (Re u)^2 - (Im u)^2, and
+    the fit's Im u is round-off, at most eps sum |c|."""
+    if np.iscomplexobj(c):
+        yield np.multiply.outer(c, c).ravel(), np.add.outer(a, a).ravel()
+        return
+    last = c.size - 1
+    top = 2 * last if limit is None else limit
+    rows = np.arange(min(last, top // 2) + 1)
+    counts = np.minimum(last, top - rows) - rows + 1  # row j holds k = j..min(last, top - j)
     ends = np.cumsum(counts)
     for lo in range(0, int(ends[-1]), _BLOCK_TERMS):
         flat = np.arange(lo, min(lo + _BLOCK_TERMS, int(ends[-1])))
-        rows = np.searchsorted(ends, flat, side="right")
-        yield rows, flat - (ends[rows] - counts[rows])
+        j = np.searchsorted(ends, flat, side="right")
+        k = j + flat - (ends - counts)[j]  # row j starts at entry ends[j] - counts[j]
+        yield np.where(k == j, 1.0, 2.0) * c[j] * c[k], a[j] + a[k]
 
 
-def _squared(c, a):
-    """Blocks (c, a) whose terms sum to (Re sum_j c_j e^{-a_j x})^2: for
-    real terms the pairs j <= k, off-diagonal ones doubled, row j at a
-    time; for complex terms Re(u)^2 = (Re(u^2) + |u|^2)/2, every ordered
-    pair of both, in one block."""
-    if np.iscomplexobj(c):
-        c = 0.5 * np.concatenate([np.multiply.outer(c, c).ravel(), np.multiply.outer(c, c.conj()).ravel()])
-        yield c, np.concatenate([np.add.outer(a, a).ravel(), np.add.outer(a, a.conj()).ravel()])
-        return
-    for j, off in _triangle_blocks(np.arange(c.size, 0, -1)):
-        k = j + off
-        yield np.where(off == 0, 1.0, 2.0) * c[j] * c[k], a[j] + a[k]
-
-
-def _series_cut(state, incoherent):
-    """(length, tail): the fugacity power series of one channel, z < 1, cut
-    at the first length whose tail bound is at most eps times the
-    channel's peak (eps N for the coherent amplitude, eps F2_in(0) for
-    F2_in), and that bound.
+def _series_cut(state):
+    """(length, tail, limit, pair_tail): the fugacity power series, z < 1,
+    cut for both channels.  The amplitude keeps its first length nodes and
+    F2_in the image of the pairs l + l' <= limit, each cut at the first
+    length whose tail bound is at most eps times the channel's peak (eps N
+    for the amplitude, eps F2_in(0) for F2_in); tail and pair_tail are
+    those bounds.
 
     Amplitude node l, ((-1)^(l-1) z^l, l), has |c_l| = z^l/h_l^3 with h_l
     growing in l, so |c_{l+1}| <= z |c_l|, and the nodes past L sum to at
-    most |c_{L+1}|/(1-z) at every x.  Incoherent block m, the pairs
-    l + l' = m, holds m - 1 terms of magnitude z^m/h_m^3, so the blocks
-    past M sum to at most z^{M+1} (M/(1-z) + z/(1-z)^2)/h_{M+1}^3.  Both
-    bounds fall with the length, found by bisection.  A series longer
-    than _POWER_SERIES_MAX_TERMS nodes or _POWER_SERIES_MAX_BLOCKS blocks
-    raises ToleranceNotMet.
+    most |c_{L+1}|/(1-z) at every x.  The image of the pairs l + l' = m
+    holds m - 1 terms of magnitude z^m/h_m^3, so the pairs past M sum to
+    at most z^{M+1} (M/(1-z) + z/(1-z)^2)/h_{M+1}^3.  Both bounds fall
+    with the length, found by bisection.  A channel whose series does not
+    settle within _POWER_SERIES_MAX_TERMS nodes or _POWER_SERIES_MAX_BLOCKS
+    pair sums l + l' gets that cap and an infinite tail (``_node_terms``
+    raises).
     """
     log_z, tau = state.log_fugacity, state.tau
     gap = -math.expm1(log_z)  # 1 - z
@@ -447,25 +449,20 @@ def _series_cut(state, incoherent):
     def log_mag(n):  # log(z^n/h_n^3)
         return n * log_z - 3.0 * math.log(-math.expm1(-n / tau))
 
-    if incoherent:
-        name, lo, hi, peak = "incoherent", 2, _POWER_SERIES_MAX_BLOCKS, _incoherent_x0(state)
+    def cut(lo, hi, peak, log_tail):
+        target = math.log(math.ulp(1.0) * peak)
+        if log_tail(hi) > target:
+            return hi, math.inf
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if log_tail(mid) <= target else (mid + 1, hi)
+        return lo, math.exp(log_tail(lo))
 
-        def log_tail(m):
-            return log_mag(m + 1) + math.log(m * gap + state.fugacity) - 2.0 * math.log(gap)
+    def pair_log_tail(m):
+        return log_mag(m + 1) + math.log(m * gap + state.fugacity) - 2.0 * math.log(gap)
 
-    else:
-        name, lo, hi, peak = "coherent", 1, _POWER_SERIES_MAX_TERMS, state.total_atoms
-
-        def log_tail(l):
-            return log_mag(l + 1) - math.log(gap)
-
-    target = math.log(math.ulp(1.0) * peak)
-    if log_tail(hi) > target:
-        raise ToleranceNotMet(f"{name} power series did not settle within {hi} terms")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if log_tail(mid) <= target else (mid + 1, hi)
-    return lo, math.exp(log_tail(lo))
+    coherent = cut(1, _POWER_SERIES_MAX_TERMS, state.total_atoms, lambda l: log_mag(l + 1) - math.log(gap))
+    return coherent + cut(2, _POWER_SERIES_MAX_BLOCKS, _incoherent_x0(state), pair_log_tail)
 
 
 def _series_nodes(state, size):
@@ -477,34 +474,32 @@ def _series_nodes(state, size):
 
 def _node_terms(state, path, incoherent):
     """The node path named path in one channel: (blocks, tail), blocks of
-    terms (c, a) and a bound tail on their error at every x >= 0.  The
-    coherent channel has one block, its amplitude's K terms, whose square
-    is F2_coh; the incoherent one holds F2_in's pairs.  The closed forms
-    and the fit give the terms their nodes sum (tail 0; the fit's own
-    bound is certified apart); the power series is cut by _series_cut.
-    The terms are cached on the state, except the pairs of a series that
-    fill more than one block: those are rebuilt from its nodes on each
-    use, a block at a time, so that no long series is held in memory.
-    """
+    terms (c, a) and a bound tail on their error at every x >= 0.  Both
+    channels read the state's one amplitude (the closed form's or the
+    fit's terms, tail 0, the fit's own bound certified apart; or the power
+    series, cut by _series_cut): the coherent channel as one block, whose
+    sum squared is F2_coh, the incoherent one as the image of its square.
+    All is cached on the state except an image of more than one block,
+    rebuilt a block at a time on each use, so that no long series' pairs
+    are held in memory."""
     if path != Method.POWER_SERIES.value:
-        return (_exp_sum_terms(state, incoherent),), 0.0
-    size, tail = state.cached(("series_cut", incoherent), lambda: _series_cut(state, incoherent))
+        c, a = _exp_sum_terms(state)
+        if not incoherent:
+            return ((c, a),), 0.0
+        return state.cached(("node_image", path), lambda: tuple(_image(*p) for p in _squared(c, a))), 0.0
+    length, tail, limit, pair_tail = state.cached("series_cut", lambda: _series_cut(state))
+    if math.isinf(pair_tail if incoherent else tail):
+        channel, cap = ("incoherent", limit) if incoherent else ("coherent", length)
+        raise ToleranceNotMet(f"{channel} power series did not settle within {cap} terms")
+    # one amplitude for both channels: the pairs l + l' <= limit reach node limit - 1
+    size = max(length, limit - 1)
+    c, a = state.cached("series_amplitude", lambda: _amplitude_terms(*_series_nodes(state, size), state.tau))
     if not incoherent:
-        amplitude = state.cached("series_amplitude", lambda: _amplitude_terms(*_series_nodes(state, size), state.tau))
-        return (amplitude,), tail
-    w, l = _series_nodes(state, size - 1)
-    # block m = l + l' is symmetric in l and l': the pairs l < l' count twice
-    rows = np.arange(2, size + 1) // 2
-
-    def pairs():
-        # row i is block m = i + 2: pairs (l, m - l) for l = 1..m//2
-        for i, j in _triangle_blocks(rows):
-            k = i - j
-            yield _pair_terms(np.where(j == k, 1.0, 2.0) * w[j], l[j], w[k], l[k], state.tau)
-
-    if int(rows.sum()) <= _BLOCK_TERMS:
-        return state.cached("series_pairs", lambda: tuple(pairs())), tail
-    return pairs(), tail
+        return ((c[:length], a[:length]),), tail
+    image = (_image(*p) for p in _squared(c, a, limit - 2))  # j + k <= limit - 2 for j = l - 1, k = l' - 1
+    if limit * limit // 4 <= _BLOCK_TERMS:  # the number of pairs l <= l' with l + l' <= limit
+        return state.cached("series_image", lambda: tuple(image)), pair_tail
+    return image, pair_tail
 
 
 def node_terms(state, method, incoherent, tol):
@@ -643,14 +638,17 @@ def _auto_cross_check(state, method, path, incoherent, tol):
     bound max(1e-6, 100 tol), compare two exact moments of its terms
     (int x^j c e^{-a x} dx = j! c/a^{j+1}) with O(n_max) positive sums over
     the occupations and their tails T_s = sum_{n>=s} P(n), U_s = sum_{n>s}
-    T_n: by phase-space completeness (Cahill & Glauber, Phys. Rev. 177,
-    1857 (1969)) int F2_in dx = sum_s (s+1) T_s^2 and int x F2_in dx =
-    sum_s (s+1) (T_s^2 + 2 T_s U_s), and int x F2_coh dx = sum_s g(s) P(s)
-    (P(s) + 2 T_{s+1}) and int x^2 F2_coh dx = 2 F2_in(0).  No x, no
-    Laguerre sum, no weight table.  Only a pass marks the state checked at
-    that bound, so a failure raises on every call and a looser pass does
-    not stand for a tighter bound.  Moments cannot see a pointwise defect
-    that integrates to zero: the tests keep the pointwise oracles.
+    T_n.  By phase-space completeness (Cahill & Glauber, Phys. Rev. 177,
+    1857 (1969)) the moments int y^j A^2 dy of the squared amplitude are
+    W0 = sum_s (s+1) (T_s^2 + 2 T_s U_s), W1 = sum_s (s+1) T_s^2 and W2 =
+    2 F2_in(0).  The coherent channel checks A^2's y^1 and y^2 moments
+    against W1 and W2; F2_in, the Hankel image of A^2 (``_image``), has
+    x^0 and x^1 moments equal to A^2's y^1 and y^0, checked against W1 and
+    W0.  No x, no Laguerre sum, no weight table.  Only a pass marks the
+    state checked at that bound, so a failure raises on every call and a
+    looser pass does not stand for a tighter bound.  Moments cannot see a
+    pointwise defect that integrates to zero: the tests keep the pointwise
+    oracles.
 
     The series' dropped terms (``_series_cut``; the fit drops none), of
     magnitudes summing to tail, move the x^j moment by at most j! tail /
@@ -670,14 +668,13 @@ def _auto_cross_check(state, method, path, incoherent, tol):
     def check():
         p = state.occupations
         t = np.cumsum(p[::-1])[::-1]
-        above = np.append(t[1:], 0.0)
+        s1, u = np.arange(1.0, p.size + 1), np.cumsum(np.append(t[1:], 0.0)[::-1])[::-1]
+        w0, w1, w2 = np.add.reduce(s1 * t * (t + 2.0 * u)), np.add.reduce(s1 * t * t), 2.0 * _incoherent_x0(state)
         blocks, _ = _node_terms(state, path, incoherent)
         if incoherent:
-            j, s1, u = np.array([0, 1]), np.arange(1.0, p.size + 1), np.cumsum(above[::-1])[::-1]
-            want = np.add.reduce(s1 * t * t), np.add.reduce(s1 * t * (t + 2.0 * u))
+            j, want = np.array([0, 1]), (w1, w0)
         else:
-            j, blocks = np.array([1, 2]), _squared(*blocks[0])
-            want = _shell_sum(p * (p + 2.0 * above)), 2.0 * _incoherent_x0(state)
+            j, blocks, want = np.array([1, 2]), _squared(*blocks[0]), (w1, w2)
         # np.maximum(j, 1) is j! for j <= 2
         got = np.maximum(j, 1) * sum((c[:, None] / a[:, None] ** (j + 1)).sum(axis=0).real for c, a in blocks)
         for k, a, b in zip(j.tolist(), got.tolist(), want):

@@ -661,23 +661,23 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "06b46a88f12d0aff",
-    "formfunc-fd-power-series": "4333d031c0066146",
+    "formfunc-fd-auto": "2dd10a4ae09d2829",
+    "formfunc-fd-power-series": "847317efee3bbe1a",
     "formfunc-fd-laguerre": "3bcdd53c3b47db15",
     "formfunc-fd-quad-sum": "81b26c058ae2964e",
     "formfunc-fd-convolution": "b5a101813c027845",
-    "formfunc-mb-auto": "f06f3a9da189459b",
-    "formfunc-mb-power-series": "90a6b59f9fe645ed",
+    "formfunc-mb-auto": "2e994f9ef295c015",
+    "formfunc-mb-power-series": "afb7532b2b45ef92",
     "formfunc-mb-laguerre": "d72b10268f5b9e49",
-    "formfunc-mb-closed-form-mb": "25cb6604c0633850",
+    "formfunc-mb-closed-form-mb": "03e1e7f9b6d0b40b",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
     "total-frozen": "96439cde4ebd2628",
     "spectrum-frozen": "09cf5c305ae27a8a",
-    "spectrum-full": "470797cd258201f0",
-    "formfunc-fd-exp-sum": "40a3185f9ee378b0",
-    "total-fd-exp-sum": "1093534527c00d93",
-    "formfunc-both-31x41": "a2513b805b2e78b2",
+    "spectrum-full": "82b8a29a35962f4d",
+    "formfunc-fd-exp-sum": "e365728282718cb4",
+    "total-fd-exp-sum": "64e9a3a7b9084293",
+    "formfunc-both-31x41": "3c68cf6c63431de2",
 }
 
 

@@ -102,6 +102,15 @@ class TestCoherentForm:
             with pytest.raises(SeriesDivergence):
                 form(st, point(1.0, 0.0), Method.POWER_SERIES)
 
+    def test_series_channels_settle_apart(self):
+        # both channels are cut once per state; at z = 0.9995 the
+        # amplitude settles within its 500000 nodes but the pairs do not
+        # within their 40000 sums, which fails the incoherent channel alone
+        st = from_fugacity(math.log(0.9995), 3.0, 200)
+        assert fp.coherent_form(st, 1.0, Method.POWER_SERIES) > 0.0
+        with pytest.raises(ToleranceNotMet, match="incoherent power series did not settle within 40000 terms"):
+            fp.incoherent_form(st, 1.0, Method.POWER_SERIES)
+
     def test_mb_laguerre_matches_closed_form(self):
         st = fp.solve_fugacity(200, 5.0, "mb")
         for x in (0.0, 2.0, 31.0):
@@ -501,17 +510,19 @@ class TestExpSum:
 
     def test_perturbed_fit_terms_fail_cross_check(self, monkeypatch):
         # certification refuses a perturbed fit before the check runs
-        # (test_perturbed_fit_fails_certification), so the terms are
-        # perturbed after it: each channel's terms off by 1e-4
+        # (test_perturbed_fit_fails_certification), so the amplitude terms
+        # built from it are perturbed instead: off by 1e-4, which the
+        # certification's round-off estimate does not see, and which both
+        # channels read (F2_in as the image of the amplitude squared)
         st = fp.solve_fugacity(300, 0.5 * fp.fermi_energy(300))
-        assert on_exp_sum(st)
         terms = formfunc._exp_sum_terms
 
-        def perturbed(state, incoherent):
-            c, a = terms(state, incoherent)
+        def perturbed(state):
+            c, a = terms(state)
             return c * (1.0 + 1e-4), a
 
         monkeypatch.setattr(formfunc, "_exp_sum_terms", perturbed)
+        assert on_exp_sum(st)
         for form, key in ((fp.coherent_form, "auto_checked_coh"), (fp.incoherent_form, "auto_checked_inc")):
             with pytest.raises(ToleranceNotMet, match=r"auto cross-check failed on the x\^. moment: exp-sum"):
                 form(st, transfers([1.0, 0.0]))
@@ -539,10 +550,17 @@ def fit_form(st, x, incoherent):
     return formfunc._branch(st, formfunc._EXP_SUM, incoherent, 1e-12, x)
 
 
+def image_round_off(st):
+    """eps sum |c| over the exponential sums' incoherent terms, the image
+    of the squared amplitude."""
+    blocks, _ = formfunc._node_terms(st, formfunc._EXP_SUM, True)
+    return math.ulp(1.0) * sum(np.abs(c).sum() for c, _ in blocks)
+
+
 class TestOneKernel:
-    """Every closed-form path evaluates the same two term builders: the
-    Maxwell-Boltzmann node (z, 1), the fugacity series' nodes (z^l, l)
-    and the Fermi-Dirac fit."""
+    """Every closed-form path evaluates the same amplitude builder, squared
+    and mapped to its image for F2_in: the Maxwell-Boltzmann node (z, 1),
+    the fugacity series' nodes (z^l, l) and the Fermi-Dirac fit."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -611,10 +629,10 @@ class TestOneKernel:
         assume(described["coh_method"] == formfunc._EXP_SUM)
         b, n, eps = described["fit_bound"], st.total_atoms, math.ulp(1.0)
         x = transfers(xs)
-        amp = b + eps * np.abs(formfunc._exp_sum_terms(st, False)[0]).sum() + eps * st.n_max * n
+        amp = b + eps * np.abs(formfunc._exp_sum_terms(st)[0]).sum() + eps * st.n_max * n
         coh = fp.coherent_form(st, x)
         assert np.abs(coh - fp.coherent_form(st, x, Method.LAGUERRE_SUM)).max() <= amp * (2.0 * n + amp)
-        floor = eps * np.abs(formfunc._exp_sum_terms(st, True)[0]).sum() + 0.5e-14 * _incoherent_x0(st)
+        floor = image_round_off(st) + 0.5e-14 * _incoherent_x0(st)
         inc = fp.incoherent_form(st, x)
         assert np.abs(inc - fp.incoherent_form(st, x, Method.CONVOLUTION_SUM, 1e-14)).max() <= 2.0 * b + b * b + floor
 
@@ -846,6 +864,12 @@ class TestMomentIdentities:
         s = np.arange(p.size, dtype=np.float64)
         tail = np.cumsum(p[::-1])[::-1]
         u = np.cumsum((s * p)[::-1])[::-1] - s * tail
+        # the coherent channel's x^1 moment, Sigma g P (P + 2 T_{s+1}), equals
+        # the incoherent x^0 moment Sigma (s+1) T_s^2, so the cross-check
+        # compares both with the latter alone
+        above = np.append(tail[1:], 0.0)
+        g = 0.5 * (s + 1.0) * (s + 2.0)
+        assert np.sum((s + 1.0) * tail**2) == pytest.approx(np.sum(g * p * (p + 2.0 * above)), rel=1e-14)
         if formfunc.node_terms(st, Method.AUTO, True, 1e-8) is None:
             # the degenerate Fermi-Dirac states are table paths
             assert statistics == "fd" and t_over_ef <= 0.1
@@ -861,8 +885,48 @@ class TestMomentIdentities:
         inc, coh = True, False
         assert moment(inc, 0) == pytest.approx(np.sum((s + 1.0) * tail**2), rel=1e-12)
         assert moment(inc, 1) == pytest.approx(np.sum((s + 1.0) * (tail**2 + 2.0 * tail * u)), rel=1e-12)
-        above = np.append(tail[1:], 0.0)
-        assert moment(coh, 1) == pytest.approx(
-            np.sum(0.5 * (s + 1.0) * (s + 2.0) * (p * p + 2.0 * p * above)), rel=1e-12
-        )
+        assert moment(coh, 1) == pytest.approx(np.sum(g * (p * p + 2.0 * p * above)), rel=1e-12)
         assert moment(coh, 2) == pytest.approx(np.sum((s + 1.0) * (s + 2.0) * p * p), rel=1e-12)
+
+
+class TestHankelIdentity:
+    """F2_in is the Hankel image of the squared coherent amplitude,
+    F2_in(x) = (1/x) int_0^inf A(y)^2 J_2(2 sqrt(x y)) y dy, with the x = 0
+    face F2_in(0) = 1/2 int A(y)^2 y^2 dy (J_2(u) ~ u^2/8).  A is the
+    signed Laguerre sum over the occupation table and the integral is
+    taken by quadrature in t = sqrt(y), so neither side shares the node
+    paths' image map.  Node states (the Fermi-Dirac power series, the
+    Maxwell-Boltzmann closed form) and a table state (the contraction)
+    must all land within 1e-10 of F2_in(0): the node paths are exact to
+    round-off of it, the contraction at tolerance 1e-12 drops shells
+    worth 0.5e-12 of it, and the quadrature is asked for 1e-12 of it.
+    """
+
+    @pytest.mark.parametrize(
+        "statistics, t_over_ef, method, path",
+        [
+            ("fd", 1.0, Method.AUTO, "power-series"),
+            ("mb", 1.0, Method.AUTO, "closed-form-mb"),
+            ("fd", 0.05, Method.CONVOLUTION_SUM, "convolution"),
+        ],
+    )
+    def test_incoherent_is_hankel_image_of_amplitude(self, statistics, t_over_ef, method, path):
+        from scipy.integrate import quad_vec
+        from scipy.special import jv
+
+        st = fp.solve_fugacity(300, t_over_ef * fp.fermi_energy(300), statistics)
+        assert formfunc.describe_methods(st, method, 1e-12)["inc_method"] == path
+        p, peak = st.occupations, _incoherent_x0(st)
+        xs = np.array([0.5, 5.0, 50.0])
+
+        def integrands(t):
+            # the x = 0 face and (1/x) A^2 J_2(2 sqrt(x) t) 2 t^3, y = t^2
+            a = float(_kernels.laguerre_weighted_sum(p, 2.0, np.array([t * t]))[0])
+            return a * a * np.concatenate([[t**5], 2.0 * jv(2, 2.0 * np.sqrt(xs) * t) * t**3 / xs])
+
+        # e^{-y/2} L_n^(2)(y) decays past its turning point y ~ 4n + 6, so no
+        # term of A is left past y = 4 n_max + 200
+        end = math.sqrt(4.0 * st.n_max + 200.0)
+        want, _ = quad_vec(integrands, 0.0, end, epsabs=1e-12 * peak, epsrel=0.0, norm="max", limit=400)
+        got = fp.incoherent_form(st, np.concatenate([[0.0], xs]), method, 1e-12)
+        assert np.abs(got - want).max() <= 1e-10 * peak

@@ -141,7 +141,9 @@ def mp_node_sums(w, s, tau, xs, size):
     summed in mpmath at the working precision: the amplitude sum_j w_j/h_j^3
     e^{-x (1/h_j - 1/2)} squared, and the pairs j <= k with j + k + 2 <=
     size, w_j w_k/h_jk^3 e^{-x h_j h_k/h_jk}, off-diagonal ones doubled
-    (h = 1 - e^{-s/tau}, h_jk that of s_j + s_k)."""
+    (h = 1 - e^{-s/tau}, h_jk that of s_j + s_k).  The pairs are written
+    from the nodes, apart from the Hankel image (c/a^3, 1/a) of the
+    squared amplitude that formfunc sums for F2_in."""
     w = [mpmath.mpc(v) for v in w]
     s = [mpmath.mpc(v) for v in s]
     h = [1 - mpmath.exp(-sj / tau) for sj in s]
@@ -172,7 +174,7 @@ class TestExtendedPrecision:
     falls below 1e-32 of the peak.  At 0.5 E_F, z > 1 and there is no
     series; the auto path, the exponential fit, must land within 4 times
     its round-off floor, eps sum |c| on the amplitude (d, moving F2_coh by
-    d (2 sqrt(F2_coh) + d)) and on the pairs.
+    d (2 sqrt(F2_coh) + d)) and on F2_in's terms, the image of the pairs.
     """
 
     XS = np.array([0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 60.0, 150.0, 300.0, 625.0])
@@ -205,7 +207,8 @@ class TestExtendedPrecision:
             assert np.abs(coh - want[:, 0]).max() <= 8.0 * eps * st.total_atoms**2
             assert np.abs(inc - want[:, 1]).max() <= 8.0 * eps * _incoherent_x0(st)
         else:
-            d = eps * np.abs(formfunc._exp_sum_terms(st, False)[0]).sum()
+            d = eps * np.abs(formfunc._exp_sum_terms(st)[0]).sum()
             assert (np.abs(coh - want[:, 0]) <= 4.0 * d * (2.0 * np.sqrt(want[:, 0]) + d)).all()
-            pairs = eps * np.abs(formfunc._exp_sum_terms(st, True)[0]).sum()
+            image, _ = formfunc._node_terms(st, path, True)
+            pairs = eps * sum(np.abs(c).sum() for c, _ in image)
             assert np.abs(inc - want[:, 1]).max() <= 4.0 * pairs
