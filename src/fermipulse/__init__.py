@@ -25,7 +25,7 @@ from .formfunc import (
 )
 from .model import TrapModel, kinematics
 from .pulse import PulseModel, S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
-from .quadrature import QuadratureFailure, adaptive_simpson
+from .quadrature import QuadratureFailure
 from .spectra import (
     AngularMode,
     angular_distribution,
@@ -71,7 +71,6 @@ __all__ = [
     "ThermalState",
     "ToleranceNotMet",
     "TrapModel",
-    "adaptive_simpson",
     "angular_distribution",
     "angular_weight",
     "coherent_form",

@@ -49,11 +49,9 @@ def single_atom_spectra(varpi):
     s_coh = math.pi * w * w / np.cosh(u) ** 2
     small = np.abs(u) < 1e-4
     u_safe = np.where(small, 1.0, u)
-    s_in = np.where(
-        small,
-        (4.0 / math.pi) * (1.0 - u * u / 3.0),
-        math.pi * w * w / np.sinh(u_safe) ** 2,
-    )
+    # s_coh / tanh^2 rather than pi w^2 / sinh^2: dividing by tanh^2 <= 1
+    # keeps s_in >= s_coh in floating point
+    s_in = np.where(small, (4.0 / math.pi) * (1.0 - u * u / 3.0), s_coh / np.tanh(u_safe) ** 2)
     if np.ndim(varpi) == 0:
         return float(s_coh), float(s_in)
     return s_coh, s_in

@@ -37,16 +37,26 @@ G(0) = 4/3 (so the weight totals THETA_WEIGHT_TOTAL = 8 pi/3).  The
 closed form cancels for small |b|, where G's Taylor series takes over; b
 is complex for the Fermi-Dirac fit.  An angular integral then costs
 O(terms) per detuning and no form evaluation (node_terms runs the auto
-cross-check itself), where a quadrature costs hundreds.  Each row is certified: its round-off eps sum_j |term_j|
-must stay below 0.1 QUAD_REL_TOL of its value, and the power series'
-tail bound (the series is cut once, at eps of the channel's peak),
-integrated against the weight, below 1e-3 QUAD_REL_TOL of it.  A row
-that fails, and every row on a table path (laguerre, convolution,
-quad-sum), takes the adaptive quadrature simpson_family over theta on
-form-function values, one row per detuning.
+cross-check itself), where a quadrature costs hundreds.  Each row is
+certified: its round-off eps sum_j |term_j| must stay below 0.1
+QUAD_REL_TOL of its value, and the power series' tail bound (the series
+is cut once, at eps of the channel's peak), integrated against the
+weight, below 1e-3 QUAD_REL_TOL of it.
+
+Quadratures.  Every other integral is one family of quadrature.nested
+over a fixed rule, one row per detuning or angle, each level evaluating
+the form function once on the level's new nodes.  A row that fails
+certification, and every row on a table path (laguerre, convolution,
+quad-sum), integrates over theta by Clenshaw-Curtis in s = sqrt(t),
+whose nodes crowd into the forward cone (_theta_rule, 17 to 4097
+nodes).  The detuning integrands carry the sech line shapes, analytic
+in the strip |Im varpi| < 1, so the trapezoid rule converges
+exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014));
+_varpi_rule starts at h = 0.2 and halves up to 6 times.
 """
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -55,7 +65,9 @@ from ._kernels import CHUNK_DOUBLES
 from .formfunc import Method, coherent_form, incoherent_form, node_terms
 from .model import VARPI_QUAD_WINDOW, kinematics
 from .pulse import S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
-from .quadrature import QuadratureFailure, adaptive_simpson, simpson_family
+from .quadrature import QuadratureFailure, clenshaw_curtis, nested, trapezoid, weighted
+
+adaptive_simpson = nested  # unused; fermibench/tracer.py patches spectra.adaptive_simpson
 
 # azimuth-integrated polarization weight integrates to 8*pi/3 over [0, pi]
 THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
@@ -63,6 +75,23 @@ THETA_WEIGHT_TOTAL = 8.0 * math.pi / 3.0
 QUAD_REL_TOL = 1e-6
 # the line shapes decay like e^{-pi |w|}: only |w| below this carries weight
 LINE_SUPPORT = 2.5
+
+
+@functools.cache
+def _theta_rule():
+    """The levels of every angular quadrature: Clenshaw-Curtis in
+    s = sqrt(t), 17 to 4097 nodes, the weight 2 pi (1 + (1-2t)^2) dt =
+    2 pi (1 + (1-2s^2)^2) 2s ds folded in."""
+    return weighted(clenshaw_curtis(16, 8), lambda s: 4.0 * math.pi * (1.0 + (1.0 - 2.0 * s * s) ** 2) * s)
+
+
+@functools.cache
+def _varpi_rule():
+    """The levels of every detuning quadrature: the trapezoid rule on the
+    window from h = 0.2, halved up to 6 times, the coherent line shape
+    folded in."""
+    n = round(2.0 * VARPI_QUAD_WINDOW / 0.2)
+    return weighted(trapezoid(-VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW, n, 6), lambda w: single_atom_spectra(w)[0])
 
 
 class AngularMode(enum.Enum):
@@ -138,16 +167,6 @@ def differential(state, trap, theta, varpi, method=Method.AUTO, tolerance=1e-8):
     return c_coh, c_in
 
 
-def _theta_seeds(trap):
-    w = 1.0 / trap.kla
-    seeds = []
-    f = w / 8.0
-    while f < math.pi:
-        seeds.append(f)
-        f *= 2.0
-    return seeds
-
-
 # moments int_0^1 t^n (1 + (1-2t)^2) dt of the Taylor series of G below
 _G_MOMENTS = [2.0 / (n + 1) - 4.0 / (n + 2) + 4.0 / (n + 3) for n in range(32)]
 
@@ -176,13 +195,17 @@ def _weighted_exp(a, x0, span):
     return 2.0 * math.pi * out
 
 
+def _transfer(trap, varpis):
+    """(x0, span) per detuning: the transfer is x = x0 + span t."""
+    kp = trap.kla * (1.0 + trap.gamma_ratio * varpis)
+    return (trap.kla - kp) ** 2, 4.0 * trap.kla * kp
+
+
 def _exact_rows(blocks, trap, varpis):
     """Per detuning: the angular integral of F = Re sum_j c_j e^{-a_j x} over
     the blocks (c, a), and its round-off scale sum_j |c_j 2 pi e^{-a_j x0}
     G(a_j span)|."""
-    kp = trap.kla * (1.0 + trap.gamma_ratio * varpis)
-    x0 = (trap.kla - kp) ** 2
-    span = 4.0 * trap.kla * kp
+    x0, span = _transfer(trap, varpis)
     total, scale = np.zeros(varpis.size), np.zeros(varpis.size)
     for c, a in blocks:
         step = max(1, CHUNK_DOUBLES // c.size)
@@ -214,14 +237,13 @@ def _closed_rows(incoherent, state, trap, method, tolerance, varpis):
     return total, exact & (THETA_WEIGHT_TOTAL * tail <= 1e-3 * QUAD_REL_TOL * np.abs(total))
 
 
-def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
+def _over_theta(incoherent, state, trap, method, tolerance):
     """The angular integral int w(theta) F2(theta, varpi) dtheta over [0, pi]
     of one form function, as a function of varpi: in closed form on a
     node path (see the module docstring; _closed_rows), else, and on rows
-    that closed form does not certify, by one simpson_family refinement
-    with one row per detuning, each integrand call evaluating the form
-    function on one array of (theta, varpi) points, seeds the extra panel
-    edges.
+    that closed form does not certify, by one nested family of the
+    angular rule _theta_rule with one row per detuning, each level
+    evaluating the form function on one array of transfers.
 
     The returned function takes a float or an array of detunings and
     returns a float or an array of their shape.  A QuadratureFailure
@@ -240,50 +262,40 @@ def _over_theta(incoherent, state, trap, method, tolerance, seeds=None):
             values[ok] = total[ok]
             rest = rest[~ok]
 
-        def f(rows, theta):
-            x = kinematics(trap, theta, varpis[rest[rows]])
-            return angular_weight(theta) * form(state, x, method, tolerance)
+        x0, span = _transfer(trap, varpis[rest])
+
+        def f(rows, s):
+            return form(state, x0[rows] + span[rows] * (s * s), method, tolerance)
 
         try:
-            values[rest] = simpson_family(f, 0.0, math.pi, rest.size, rel_tol=QUAD_REL_TOL, seeds=seeds)
+            values[rest] = nested(f, _theta_rule(), rest.size, QUAD_REL_TOL)
         except QuadratureFailure as e:
             row = int(rest[e.row])
-            raise QuadratureFailure(
-                f"theta integral at varpi={varpis[row]:.6g}: {e}", a=e.a, b=e.b, err=e.err, row=row
-            ) from e
+            raise QuadratureFailure(f"theta integral at varpi={varpis[row]:.6g}: {e}", err=e.err, row=row) from e
         return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
 
     return integrate
 
 
-def _over_varpi(g, mode):
-    """int s_coh(varpi) g(varpi) dvarpi over the detuning window.
+def _over_varpi(g, n_rows, mode):
+    """int s_coh(varpi) g(rows, varpi) dvarpi over the detuning window for
+    each of n_rows rows: an array of n_rows integrals.
 
-    Frozen form factors do not depend on varpi, so in frozen mode this is
-    S_COH_LINE_INTEGRAL * g(0.0).  In full mode g takes an array of
-    detunings; it is not called where s_coh vanishes (varpi = 0 and the
-    far tails).
+    g takes arrays of row indices and detunings, as nested() does.
+    Frozen form factors do not depend on varpi, so in frozen mode this
+    is S_COH_LINE_INTEGRAL times g at varpi = 0.  In full mode it is one
+    nested family of the detuning rule _varpi_rule, which calls g on no
+    node where s_coh vanishes (varpi = 0 and the far tails).
     """
     if mode is AngularMode.FROZEN:
-        return S_COH_LINE_INTEGRAL * g(0.0)
-
-    def f(varpi):
-        s_coh, _ = single_atom_spectra(varpi)
-        out = np.zeros(varpi.shape)
-        live = s_coh != 0.0
-        if live.any():
-            out[live] = s_coh[live] * g(varpi[live])
-        return out
-
-    return adaptive_simpson(f, -VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW, rel_tol=QUAD_REL_TOL)
+        return S_COH_LINE_INTEGRAL * g(np.arange(n_rows), np.zeros(n_rows))
+    return nested(g, _varpi_rule(), n_rows, QUAD_REL_TOL)
 
 
 def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
     """(coherent, incoherent): int w(theta) F2(theta, 0) dtheta for both form functions."""
     return (
-        _over_theta(False, state, trap, method, tolerance, _theta_seeds(trap))(0.0),
-        # the incoherent form function is broad in angle; forward-cone seeds
-        # would only multiply the panel count
+        _over_theta(False, state, trap, method, tolerance)(0.0),
         _over_theta(True, state, trap, method, tolerance)(0.0),
     )
 
@@ -291,24 +303,29 @@ def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
 def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
     """Photon densities (dN_coh/dtheta, dN_in/dtheta) at theta.
 
-    theta may be an array: frozen form factors then take one call per form
-    function, and the full mode one detuning quadrature per angle.
+    theta may be an array; floats for a scalar.  Each form function
+    takes one call in frozen mode, and in full mode one call per level of
+    a single detuning family with one row per angle; a failing row names
+    its angle.
     """
     mode = resolve_mode(mode, trap)
-    if mode is AngularMode.FULL and np.ndim(theta):
-        values = [
-            angular_distribution(state, trap, t, mode, method, tolerance) for t in np.ravel(theta).tolist()
-        ]
-        values = np.array(values, dtype=np.float64).reshape(np.shape(theta) + (2,))
-        return values[..., 0], values[..., 1]
+    thetas = np.ravel(np.asarray(theta, dtype=np.float64))
 
-    def at(form):
-        return lambda varpi: form(state, kinematics(trap, theta, varpi), method, tolerance)
+    def over_varpi(form):
+        def g(rows, varpi):
+            return form(state, kinematics(trap, thetas[rows], varpi), method, tolerance)
+
+        try:
+            return _over_varpi(g, thetas.size, mode).reshape(np.shape(theta))
+        except QuadratureFailure as e:
+            raise QuadratureFailure(f"varpi integral at theta={thetas[e.row]:.6g}: {e}", err=e.err, row=e.row) from e
 
     norm_w = photon_norm(trap) * angular_weight(theta)
-    i_coh = _over_varpi(at(coherent_form), mode)
-    i_sub = _over_varpi(at(incoherent_form), mode)
-    return norm_w * i_coh, norm_w * (state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - i_sub)
+    d_coh = norm_w * over_varpi(coherent_form)
+    d_in = norm_w * (state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) - over_varpi(incoherent_form))
+    if np.ndim(theta) == 0:
+        return float(d_coh), float(d_in)
+    return d_coh, d_in
 
 
 def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-8, mode=AngularMode.FULL):
@@ -317,8 +334,8 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
     varpi may be an array; floats for a scalar.  Frozen form factors take
     one theta_integrals call per call, so pass the detunings as one array.
     The full mode integrates the angles of all detunings at once per form
-    function (in closed form on a node path, else one refinement with one
-    row per detuning), and has no row where s_coh vanishes (varpi = 0):
+    function (in closed form on a node path, else one nested family with
+    one row per detuning), and has no row where s_coh vanishes (varpi = 0):
     the form-function terms carry s_coh and drop out, leaving the closed
     weight total.  The default is the full mode, the exact (theta, varpi)
     integral.
@@ -333,7 +350,7 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
     else:
         i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
         varpis = np.asarray(varpi, dtype=np.float64)[live]
-        i_coh[live] = _over_theta(False, state, trap, method, tolerance, _theta_seeds(trap))(varpis)
+        i_coh[live] = _over_theta(False, state, trap, method, tolerance)(varpis)
         i_sub[live] = _over_theta(True, state, trap, method, tolerance)(varpis)
     d_coh = norm * s_coh * i_coh
     d_in = norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
@@ -348,18 +365,19 @@ def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-
 def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
     """Total scattered photon numbers (N_coh, N_in) for a 2*pi sech pulse.
 
-    In the full mode, each integrand call of the detuning quadrature
-    integrates the angles of all its detuning nodes at once per form
-    function, as frequency_distribution does; frozen form factors take
-    one angular integral per form function, at varpi = 0.
+    In the full mode, each level of the detuning quadrature integrates
+    the angles of all its new detuning nodes at once per form function,
+    as frequency_distribution does; frozen form factors take one angular
+    integral per form function, at varpi = 0.
     """
     if not math.isclose(pulse.total_area, 2.0 * math.pi, rel_tol=1e-9):
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
 
     norm = photon_norm(trap)
-    n_coh = norm * _over_varpi(_over_theta(False, state, trap, method, tolerance, _theta_seeds(trap)), mode)
-    sub = _over_varpi(_over_theta(True, state, trap, method, tolerance), mode)
+    i_coh, i_sub = (_over_theta(incoherent, state, trap, method, tolerance) for incoherent in (False, True))
+    n_coh = norm * _over_varpi(lambda rows, varpi: i_coh(varpi), 1, mode)[0]
+    sub = _over_varpi(lambda rows, varpi: i_sub(varpi), 1, mode)[0]
     n_in = norm * (
         state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
     )

@@ -417,6 +417,17 @@ class TestSpectrumCommand:
             _, rows = read_rows(tmp_path / f"sp5_{kind}_fd_{temperature}.csv")
             assert all(math.isfinite(float(v)) and float(v) >= 0.0 for r in rows for v in r[1:])
 
+    def test_wide_band_full_mode_exit_0(self, tmp_path):
+        # gamma 0.05 resolves to full mode; adaptive Simpson over varpi once
+        # refined into round-off at 0.97 and exited 3
+        out = tmp_path / "wb"
+        args = ["--atoms", "10000", "--temperature", "1.0EF", "--grid", "91x25", "--gamma-ratio", "0.05"]
+        assert main(["spectrum", *args, "--statistics", "both", "--output", str(out)]) == 0
+        for stat in ("fd", "mb"):
+            _, rows = read_rows(tmp_path / f"wb_angular_{stat}_1EF.csv")
+            assert len(rows) == 91
+            assert all(math.isfinite(float(v)) and float(v) >= 0.0 for r in rows for v in r[1:])
+
     def test_non_finite_value_exit_3(self, tmp_path, capsys, monkeypatch):
         from fermipulse import cli
 
@@ -672,9 +683,9 @@ _PINNED_DIGESTS = {
     "formfunc-mb-closed-form-mb": "03e1e7f9b6d0b40b",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
-    "total-frozen": "96439cde4ebd2628",
-    "spectrum-frozen": "09cf5c305ae27a8a",
-    "spectrum-full": "82b8a29a35962f4d",
+    "total-frozen": "08e73d159ef5fd07",
+    "spectrum-frozen": "39ff02d68ac5140d",
+    "spectrum-full": "0569889031890f49",
     "formfunc-fd-exp-sum": "e365728282718cb4",
     "total-fd-exp-sum": "64e9a3a7b9084293",
     "formfunc-both-31x41": "3c68cf6c63431de2",

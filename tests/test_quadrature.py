@@ -3,160 +3,143 @@ import math
 import numpy as np
 import pytest
 
-from fermipulse.quadrature import PANELS_PER_CALL, QuadratureFailure, adaptive_simpson, simpson_family
+from fermipulse.quadrature import QuadratureFailure, clenshaw_curtis, nested, trapezoid, weighted
+
+CC = clenshaw_curtis(16, 8)
+TRAPEZOID = trapezoid(-12.0, 12.0, 120, 6)
+
+
+def one_row(f, levels, rel_tol=1e-10):
+    """nested() on one integrand of the nodes alone, as a float."""
+    return float(nested(lambda rows, x: f(x), levels, 1, rel_tol)[0])
+
+
+def all_nodes(levels, k):
+    """Every node of levels[: k + 1], in the order of level k's weights."""
+    return np.concatenate([nodes for nodes, _ in levels[: k + 1]])
 
 
 def test_polynomial_is_exact():
-    assert adaptive_simpson(lambda x: x**3 - 2 * x, 0.0, 2.0) == pytest.approx(0.0, abs=1e-12)
+    # m intervals integrate every polynomial of degree m + 1 exactly
+    for k, (_, weights) in enumerate(CC[:4]):
+        s = all_nodes(CC, k)
+        for p in range((16 << k) + 2):
+            assert abs(np.sum(weights * s**p) - 1.0 / (p + 1)) <= 2e-15
+    assert one_row(lambda s: 7.0 * s**17 - 2.0 * s, CC) == pytest.approx(7.0 / 18.0 - 1.0, abs=1e-15)
+
+
+def test_weights_are_nested():
+    # every level reuses the nodes before it; the weights sum to the length
+    cc_nodes, trap_nodes = all_nodes(CC, len(CC) - 1), all_nodes(TRAPEZOID, len(TRAPEZOID) - 1)
+    assert cc_nodes.size == np.unique(cc_nodes).size == 4097
+    assert trap_nodes.size == np.unique(trap_nodes).size == 120 * 64 + 1
+    for (_, a), (_, b) in zip(CC, TRAPEZOID):
+        assert a.sum() == pytest.approx(1.0, rel=1e-14)
+        assert b.sum() == pytest.approx(24.0, rel=1e-14)
 
 
 def test_sine():
-    assert adaptive_simpson(np.sin, 0.0, math.pi, rel_tol=1e-10) == pytest.approx(2.0, rel=1e-9)
+    assert one_row(lambda s: np.sin(math.pi * s), CC) == pytest.approx(2.0 / math.pi, rel=1e-9)
 
 
-def test_narrow_peak_with_seeds():
+def test_narrow_forward_peak():
+    # the nodes crowd into s = 0 like (j pi / 2m)^2, where the forward
+    # cone peaks
     w = 1e-3
-    f = lambda x: np.exp(-((x / w) ** 2))
-    got = adaptive_simpson(f, 0.0, math.pi, rel_tol=1e-8, seeds=[w, 4 * w, 16 * w, 128 * w])
+    got = one_row(lambda s: np.exp(-((s / w) ** 2)), CC, rel_tol=1e-8)
     assert got == pytest.approx(0.5 * w * math.sqrt(math.pi), rel=1e-6)
 
 
 def test_decaying_exponential():
-    got = adaptive_simpson(lambda x: np.exp(-abs(x) * math.pi), -12, 12, rel_tol=1e-9)
-    assert got == pytest.approx(2.0 / math.pi, rel=1e-7)
-
-
-def test_zero_function():
-    assert adaptive_simpson(lambda x: 0.0, 0.0, 1.0) == 0.0
-
-
-def test_failure_carries_worst_panel():
-    wild = lambda x: np.sin(1.0 / (x + 1e-9))
-    with pytest.raises(QuadratureFailure) as info:
-        adaptive_simpson(wild, 0.0, 1.0, rel_tol=1e-12, max_depth=4)
-    assert info.value.a is not None
-    assert info.value.b is not None
-    assert info.value.err is not None
-
-
-def test_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        adaptive_simpson(np.sin, 1.0, 1.0)
-
-
-def distinct_nodes(f, *args, **kwargs):
-    """Integral and the set of distinct nodes f was called on."""
-    seen = set()
-
-    def g(x):
-        seen.update(x.tolist())
-        return f(x)
-
-    return adaptive_simpson(g, *args, **kwargs), seen
-
-
-def family_nodes(fs, *args, **kwargs):
-    """simpson_family over the integrands fs, and each row's set of distinct nodes."""
-    seen = [set() for _ in fs]
-
-    def g(rows, x):
-        out = np.empty(x.shape)
-        for r, f in enumerate(fs):
-            mine = rows == r
-            seen[r].update(x[mine].tolist())
-            out[mine] = f(x[mine])
-        return out
-
-    return simpson_family(g, *args, len(fs), **kwargs), seen
-
-
-@pytest.mark.parametrize(
-    "f, args, kwargs, nodes",
-    [
-        # counts of one-panel-at-a-time depth-first refinement with the same
-        # accept rule; batching the refinement must not change the node set
-        (lambda x: np.exp(-abs(x) * math.pi), (-12, 12), dict(rel_tol=1e-9), 1201),
-        (
-            lambda x: np.exp(-((x / 1e-3) ** 2)),
-            (0.0, math.pi),
-            dict(rel_tol=1e-8, seeds=[1e-3, 4e-3, 16e-3, 128e-3]),
-            1253,
-        ),
-        (np.sin, (0.0, math.pi), dict(rel_tol=1e-10), 425),
-    ],
-    ids=["decaying-exponential", "seeded-narrow-peak", "sine"],
-)
-def test_distinct_node_count(f, args, kwargs, nodes):
-    _, seen = distinct_nodes(f, *args, **kwargs)
-    assert len(seen) == nodes
-    # in a family, each row visits exactly the nodes of its one-row call
-    rows = [f, lambda x: 3.7 * f(x), lambda x: np.zeros(x.shape), lambda x: -1e-5 * f(x)]
-    values, seen = family_nodes(rows, *args, **kwargs)
-    for g, value, nodes_of_row in zip(rows, values.tolist(), seen):
-        alone, alone_seen = distinct_nodes(g, *args, **kwargs)
-        assert value == alone
-        assert nodes_of_row == alone_seen
-    assert len(seen[0]) == nodes
-
-
-def test_integrand_called_on_arrays():
+    # sech^2, analytic in a strip: the trapezoid rule converges
+    # exponentially and settles at the second level, h = 0.1
     calls = []
 
     def f(x):
-        calls.append(x.shape)
-        return np.exp(-abs(x) * math.pi)
+        calls.append(x.size)
+        return 1.0 / np.cosh(x) ** 2
 
-    adaptive_simpson(f, -12, 12, rel_tol=1e-9)
-    assert all(len(shape) == 1 for shape in calls)
-    # at most PANELS_PER_CALL panels, two new nodes each, after the first call
-    assert max(shape[0] for shape in calls[1:]) <= 2 * PANELS_PER_CALL
-    assert len(calls) < 40
+    got = one_row(f, TRAPEZOID)
+    assert got == pytest.approx(2.0 * math.tanh(12.0), rel=1e-13)
+    assert calls == [121, 120]
 
 
-def depth_first_simpson(f, a, b, rel_tol, seeds=(), max_depth=48):
-    """Reference: one panel at a time from a LIFO stack, f on scalars."""
-    edges = sorted({a, b, *(a + (b - a) * k / 8.0 for k in range(1, 8)), *(s for s in seeds if a < s < b)})
-    stack = []
-    total0 = 0.0
-    for u, v in zip(edges[:-1], edges[1:]):
-        m = 0.5 * (u + v)
-        fu, fm, fv = f(u), f(m), f(v)
-        s = (v - u) / 6.0 * (fu + 4.0 * fm + fv)
-        stack.append((u, v, fu, fm, fv, s, 0))
-        total0 += s
-    tol = rel_tol * abs(total0)
-    acc = 0.0
-    while stack:
-        u, v, fu, fm, fv, s, depth = stack.pop()
-        m = 0.5 * (u + v)
-        flm, frm = f(0.5 * (u + m)), f(0.5 * (m + v))
-        sl = (m - u) / 6.0 * (fu + 4.0 * flm + fm)
-        sr = (v - m) / 6.0 * (fm + 4.0 * frm + fv)
-        err = (sl + sr - s) / 15.0
-        if abs(err) <= tol * (v - u) / (b - a) or sl + sr == s:
-            acc += sl + sr + err
-        elif depth >= max_depth:
-            raise QuadratureFailure("unresolved")
-        else:
-            stack.append((u, m, fu, flm, fm, sl, depth + 1))
-            stack.append((m, v, fm, frm, fv, sr, depth + 1))
-    return acc
+def test_weighted_folds_the_weight_and_drops_its_zeros():
+    line = lambda w: math.pi * w * w / np.cosh(0.5 * math.pi * w) ** 2
+    levels = weighted(TRAPEZOID, line)
+    # the node varpi = 0, where the weight vanishes, is gone
+    assert [nodes.size for nodes, _ in levels[:2]] == [120, 120]
+    assert 0.0 not in levels[0][0]
+    assert one_row(lambda x: np.ones(x.shape), levels) == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+def test_zero_function():
+    assert one_row(lambda x: 0.0, CC) == 0.0
+
+
+def test_subnormal_row_closes():
+    # values of the order of the smallest subnormal, different at every
+    # node: the levels never agree relatively, but within the floor
+    noise = lambda s: 5e-324 * np.floor(1e4 * np.modf(s * 1e7)[0])
+    got = one_row(noise, CC)
+    assert 0.0 <= got < np.finfo(np.float64).tiny
+
+
+def test_failure_carries_last_difference():
+    wild = lambda s: np.sin(1.0 / (s + 1e-9))
+    with pytest.raises(QuadratureFailure, match="row 0 unresolved after 9 levels") as info:
+        one_row(wild, CC, rel_tol=1e-12)
+    assert info.value.row == 0
+    assert info.value.err > 0.0
+
+
+def family_nodes(fs, levels, rel_tol):
+    """nested() over the integrands fs, the calls' sizes, and each row's
+    list of nodes."""
+    seen = [[] for _ in fs]
+    sizes = []
+
+    def g(rows, x):
+        sizes.append(x.size)
+        out = np.empty(x.shape)
+        for r, f in enumerate(fs):
+            mine = rows == r
+            seen[r].extend(x[mine].tolist())
+            out[mine] = f(x[mine])
+        return out
+
+    return nested(g, levels, len(fs), rel_tol), sizes, seen
+
+
+@pytest.mark.parametrize(
+    "f, levels, calls",
+    [
+        (lambda x: 1.0 / np.cosh(x) ** 2, TRAPEZOID, 2),
+        (lambda s: np.exp(-((s / 1e-3) ** 2)), CC, 7),
+        (lambda s: np.sin(math.pi * s), CC, 2),
+    ],
+    ids=["decaying-exponential", "narrow-peak", "sine"],
+)
+def test_distinct_node_count(f, levels, calls):
+    # each level calls f once, on its new nodes only
+    _, sizes, (seen,) = family_nodes([f], levels, 1e-10)
+    assert sizes == [nodes.size for nodes, _ in levels[:calls]]
+    assert len(seen) == len(set(seen)) == sum(sizes)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
-def test_equals_depth_first_refinement(rel_tol):
-    # arithmetic only, so the scalar and array integrands agree bit for bit;
-    # the batched refinement then returns the depth-first sum exactly, for
-    # one integrand and for each row of a family whose rows are scaled
-    # differently (each with its own budget), one of them all zero
-    f = lambda x: 1.0 / (1.0 + (x * 100.0) ** 2) + x**3
-    seeds = [0.01, 0.1]
-    want = depth_first_simpson(f, -1.3, 2.0, rel_tol, seeds)
-    assert adaptive_simpson(f, -1.3, 2.0, rel_tol=rel_tol, seeds=seeds) == want
-    scales = np.array([1.0, 1e-7, 0.0, -3.1, 2.0**40])
-    got = simpson_family(lambda rows, x: scales[rows] * f(x), -1.3, 2.0, scales.size, rel_tol=rel_tol, seeds=seeds)
-    for c, value in zip(scales.tolist(), got.tolist()):
-        assert value == depth_first_simpson(lambda x: c * f(x), -1.3, 2.0, rel_tol, seeds)
+def test_row_equals_one_row_call(rel_tol):
+    # rows of different widths close at different levels; each equals its
+    # one-row call bit for bit, on the same nodes, one of them all zero
+    widths = [1e-3, 0.3, 1.0, 3e-2, 0.1]
+    scales = [1.0, 1e-7, 0.0, -3.1, 2.0**40]
+    fs = [lambda s, w=w, c=c: c * np.exp(-((s / w) ** 2)) for w, c in zip(widths, scales)]
+    values, _, seen = family_nodes(fs, CC, rel_tol)
+    for f, value, nodes in zip(fs, values.tolist(), seen):
+        alone, _, (alone_nodes,) = family_nodes([f], CC, rel_tol)
+        assert value == alone[0]
+        assert nodes == alone_nodes
+    assert len({len(nodes) for nodes in seen}) > 2
 
 
 def test_family_first_call_is_row_by_row():
@@ -164,39 +147,49 @@ def test_family_first_call_is_row_by_row():
 
     def f(rows, x):
         calls.append((rows.copy(), x.copy()))
-        return np.exp(-abs(x)) * (1.0 + rows)
+        return np.exp(-x * x) * (1.0 + rows)
 
-    simpson_family(f, -1.0, 1.0, 3, rel_tol=1e-9)
+    nested(f, TRAPEZOID, 3, 1e-9)
     rows, x = calls[0]
     assert rows.tolist() == sorted(rows.tolist())
     n = x.size // 3
-    assert x[:n].tolist() == x[n : 2 * n].tolist() == x[2 * n :].tolist()
+    assert x[:n].tolist() == x[n : 2 * n].tolist() == x[2 * n :].tolist() == TRAPEZOID[0][0].tolist()
+
+
+def test_integrand_called_on_arrays():
+    calls = []
+
+    def f(rows, x):
+        calls.append((rows.shape, x.shape))
+        return np.exp(-x * x)
+
+    nested(f, TRAPEZOID, 2, 1e-9)
+    assert all(len(r) == len(x) == 1 and r == x for r, x in calls)
+    assert 2 <= len(calls) <= len(TRAPEZOID)
 
 
 def test_family_failure_names_the_wild_row():
-    wild = lambda x: np.sin(1.0 / (x + 1e-9))
-    tame = lambda x: np.exp(3.0 * x)
-    per_row = []
+    wild = lambda s: np.sin(1.0 / (s + 1e-9))
+    tame = lambda s: np.exp(3.0 * s)
+    per_call = []
 
-    def f(rows, x):
-        per_row.append(np.bincount(rows, minlength=5))
-        return np.where(rows == 2, wild(x), (1.0 + rows) * tame(x))
+    def f(rows, s):
+        per_call.append(np.bincount(rows, minlength=5))
+        return np.where((rows == 2) | (rows == 4), wild(s), (1.0 + rows) * tame(s))
 
     with pytest.raises(QuadratureFailure) as info:
-        simpson_family(f, 0.0, 1.0, 5, rel_tol=1e-12, max_depth=8)
+        nested(f, CC, 5, 1e-12)
     assert info.value.row == 2
-    # the tame rows converge alone; the wild row raises the panel it raises alone
-    assert adaptive_simpson(tame, 0.0, 1.0, rel_tol=1e-12, max_depth=8) > 0.0
+    # the tame rows close early and leave the later calls; the wild row
+    # carries the difference it carries alone
+    assert per_call[-1].tolist() == [0, 0, 2048, 0, 2048]
     with pytest.raises(QuadratureFailure) as alone:
-        adaptive_simpson(wild, 0.0, 1.0, rel_tol=1e-12, max_depth=8)
-    assert (info.value.a, info.value.b, info.value.err) == (alone.value.a, alone.value.b, alone.value.err)
-    assert alone.value.row == 0
-    # while all rows refine, each call still takes at most PANELS_PER_CALL panels per row
-    assert max(counts.max() for counts in per_row[1:]) == 2 * PANELS_PER_CALL
+        one_row(wild, CC, rel_tol=1e-12)
+    assert info.value.err == alone.value.err
 
 
 def test_empty_family_makes_no_call():
     def f(rows, x):
         raise AssertionError("called")
 
-    assert simpson_family(f, 0.0, 1.0, 0).shape == (0,)
+    assert nested(f, CC, 0, 1e-6).shape == (0,)

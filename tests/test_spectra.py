@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, quad_vec
 
 import fermipulse as fp
 from fermipulse import _kernels
@@ -133,24 +134,52 @@ class TestAngularDistribution:
         # cancellation noise where F2_coh underflows, and the detuning
         # quadrature then refined to its depth limit.  Cut once at eps of
         # the peak, the series' tail is round-off of one sign (the square
-        # of the amplitude), and the quadrature settles in few calls.
-        from fermipulse import spectra
-
-        calls = []
-        real = spectra.adaptive_simpson
-
-        def counting(f, *args, **kwargs):
-            def g(x):
-                calls.append(x.size)
-                return f(x)
-
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(spectra, "adaptive_simpson", counting)
+        # of the amplitude); the detuning rule's first two levels, h = 0.2
+        # and 0.1, agree on it (the node varpi = 0 carries no weight)
+        counts = counting_forms(monkeypatch)
         st = state_cache(10**4, 1.0 * fp.fermi_energy(10**4))
         d_coh, d_in = fp.angular_distribution(st, trap, math.radians(40.0), fp.AngularMode.FULL)
         assert all(math.isfinite(v) and v >= 0.0 for v in (d_coh, d_in))
-        assert len(calls) <= 100
+        assert counts == {"coh": [2, 240], "inc": [2, 240]}
+
+
+def varpi_reference(state, trap, theta, incoherent):
+    """int s_coh(varpi) F2(theta, varpi) dvarpi over the detuning window
+    by scipy's quad, in pieces split at the line shapes' zero and peaks."""
+    form = fp.incoherent_form if incoherent else fp.coherent_form
+
+    def f(varpi):
+        return fp.single_atom_spectra(varpi)[0] * form(state, fp.kinematics(trap, theta, varpi))
+
+    edges = [-12.0, -4.0, -1.5, 0.0, 1.5, 4.0, 12.0]
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
+
+
+class TestWideBand:
+    """Full-mode angular densities at theta = 0.05 on wide bands, where the
+    transfer drifts across the line: adaptive Simpson over varpi raised
+    QuadratureFailure at all five; the trapezoid rule meets scipy's quad."""
+
+    @pytest.mark.parametrize(
+        "n_atoms, t_over_ef, statistics, gamma_ratio",
+        [
+            (10**4, 1.0, "mb", 0.05),
+            (10**4, 1.0, "mb", 0.08),
+            (10**4, 1.0, "fd", 0.05),
+            (10**4, 1.0, "fd", 0.08),
+            (10**6, 0.5, "fd", 0.08),
+        ],
+    )
+    def test_matches_quad(self, state_cache, n_atoms, t_over_ef, statistics, gamma_ratio):
+        trap = fp.TrapModel(gamma_ratio=gamma_ratio)
+        st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), fp.Statistics.parse(statistics))
+        d_coh, d_in = fp.angular_distribution(st, trap, 0.05, fp.AngularMode.FULL)
+        norm_w = fp.photon_norm(trap) * fp.angular_weight(0.05)
+        want_coh = norm_w * varpi_reference(st, trap, 0.05, False)
+        lines = fp.S_COH_LINE_INTEGRAL + fp.S_IN_LINE_INTEGRAL
+        want_in = norm_w * (n_atoms * lines - varpi_reference(st, trap, 0.05, True))
+        assert d_coh == pytest.approx(want_coh, rel=1e-10)
+        assert d_in == pytest.approx(want_in, rel=1e-10)
 
 
 class TestCoherentCone:
@@ -211,22 +240,35 @@ class TestFrequencyDistribution:
     def test_failing_angular_integral_names_its_detuning(self, trap, state_cache, monkeypatch):
         from fermipulse import spectra
 
-        # the (theta, varpi) of the last transfer spectra asked for
-        last = {}
+        transfer = spectra._transfer
 
-        def recording(trap, theta, varpi):
-            last.update(theta=theta, varpi=varpi)
-            return fp.kinematics(trap, theta, varpi)
+        def shifted(trap, varpis):
+            # move the transfers of varpi = 1.5 above 1e4, out of reach of
+            # the other rows
+            x0, span = transfer(trap, varpis)
+            return np.where(varpis == 1.5, x0 + 1e4, x0), span
 
         def noisy_at_one_detuning(state, x, *rest):
-            # digits of theta: noise on every scale, so refinement never settles
-            noise = np.modf(last["theta"] * 1e15)[0]
-            return np.where(last["varpi"] == 1.5, noise, 1.0)
+            # digits of x: noise on every scale, so the levels never agree
+            return np.where(x > 1e4, np.modf(x * 1e11)[0], 1.0)
 
-        monkeypatch.setattr(spectra, "kinematics", recording)
+        monkeypatch.setattr(spectra, "_transfer", shifted)
         monkeypatch.setattr(spectra, "coherent_form", noisy_at_one_detuning)
-        with pytest.raises(fp.QuadratureFailure, match=r"theta integral at varpi=1\.5: panel") as info:
-            fp.frequency_distribution(state_cache(100, 1.0), trap, np.array([-1.0, 1.5, 2.0]))
+        with pytest.raises(fp.QuadratureFailure, match=r"theta integral at varpi=1\.5: row 1 unresolved") as info:
+            fp.frequency_distribution(state_cache(100, 1.0), trap, np.array([-1.0, 1.5, 2.0]), method="laguerre")
+        assert info.value.row == 1
+
+    def test_failing_detuning_integral_names_its_angle(self, trap, state_cache, monkeypatch):
+        from fermipulse import spectra
+
+        def noisy_at_one_angle(state, x, *rest):
+            # across the detuning window the transfers of theta = 0.7 stay
+            # within 0.04 of their value at varpi = 0, far from theta = 2's
+            return np.where(np.abs(x - fp.kinematics(trap, 0.7, 0.0)) < 1.0, np.modf(x * 1e11)[0], 1.0)
+
+        monkeypatch.setattr(spectra, "coherent_form", noisy_at_one_angle)
+        with pytest.raises(fp.QuadratureFailure, match=r"varpi integral at theta=0\.7: row 1 unresolved") as info:
+            fp.angular_distribution(state_cache(100, 1.0), trap, np.array([2.0, 0.7, 0.7]), fp.AngularMode.FULL)
         assert info.value.row == 1
 
     @pytest.mark.parametrize("mode", [fp.AngularMode.FROZEN, fp.AngularMode.FULL])
@@ -293,8 +335,11 @@ class TestFullModePins:
     auto cross-check compares their moments, so no call evaluates a form
     function.  The values were re-recorded when the closed forms replaced
     the angular quadrature, which moved them by at most 1e-7 relative,
-    and again when the series was cut once at eps of each channel's
-    peak, by at most 3.2e-15.
+    when the series was cut once at eps of each channel's peak, by at
+    most 3.2e-15, and when the trapezoid rule replaced adaptive Simpson
+    over varpi: N_coh moved by 7.5e-8 relative, to within one ulp of
+    scipy's quad, and N_in by 3.4e-12; d_in moved by one ulp, with s_in
+    formed as s_coh / tanh^2.
     """
 
     @pytest.fixture
@@ -307,19 +352,21 @@ class TestFullModePins:
 
     def test_total(self, trap, pulse, state, counts):
         got = fp.total_photons(state, trap, pulse, mode=fp.AngularMode.FULL)
-        assert got == (0.0002179980541710116, 0.05999739087617432)
+        assert got == (0.0002179980378524375, 0.05999739087638021)
         assert counts == {"coh": [0, 0], "inc": [0, 0]}
 
     def test_frequency_distribution(self, trap, state, counts):
         d_coh, d_in = fp.frequency_distribution(state, trap, np.linspace(-6.0, 6.0, 25))
-        assert (d_coh[3], d_in[3]) == (3.015680211456209e-08, 5.5339306486220964e-06)
+        assert (d_coh[3], d_in[3]) == (3.015680211456209e-08, 5.533930648622096e-06)
         assert counts == {"coh": [0, 0], "inc": [0, 0]}
 
 
 class TestTablePathRefinement:
-    """A forced table method integrates the angles by simpson_family, one
-    refinement over all detunings; each row must equal the call for its
-    detuning alone bit for bit."""
+    """A forced table method integrates the angles by one nested family
+    of the angular rule over all detunings; each row must equal the call
+    for its detuning alone bit for bit.  The pinned values moved by
+    1.5e-10 and 2.2e-11 relative when Clenshaw-Curtis in s replaced
+    adaptive Simpson."""
 
     def test_rows_equal_single_detunings(self, trap, state_cache, monkeypatch):
         st = state_cache(300, 0.5 * fp.fermi_energy(300))
@@ -327,24 +374,29 @@ class TestTablePathRefinement:
         counts = counting_forms(monkeypatch)
         d_coh, d_in = fp.frequency_distribution(st, trap, varpis, method="laguerre")
         assert counts["coh"][0] > 1 and counts["inc"][0] > 1
-        assert (d_coh[1], d_in[1]) == (0.0004844040633427008, 0.021221342346226982)
+        assert (d_coh[1], d_in[1]) == (0.0004844040632700088, 0.02122134234669459)
         for v, c, i in zip(varpis.tolist(), d_coh.tolist(), d_in.tolist()):
             assert (c, i) == fp.frequency_distribution(st, trap, v, method="laguerre")
 
 
-def theta_reference(state, trap, varpis, incoherent, method):
-    """The angular integrals by simpson_family on form-function values at
-    rel_tol 1e-8, with the seeds the quadrature path uses."""
-    from fermipulse.quadrature import simpson_family
-    from fermipulse.spectra import _theta_seeds
+# the pieces in s = sin(theta / 2) of theta_reference: halving towards the
+# forward cone, down to the width 1e-4 of the narrowest cone in these tests
+S_PIECES = [0.0, *(2.0**-k for k in range(14, 0, -1)), 1.0]
 
+
+def theta_reference(state, trap, varpis, incoherent, method, epsrel=1e-10):
+    """The angular integrals by scipy's quad_vec on form-function values,
+    one component per detuning, in pieces in s: int 4 pi (1 + (1 -
+    2 s^2)^2) F(x(theta, varpi)) s ds, cos theta = 1 - 2 s^2."""
     form = fp.incoherent_form if incoherent else fp.coherent_form
+    varpis = np.asarray(varpis, dtype=np.float64)
 
-    def f(rows, theta):
-        return fp.angular_weight(theta) * form(state, fp.kinematics(trap, theta, varpis[rows]), method, 1e-8)
+    def f(s):
+        x = fp.kinematics(trap, 2.0 * math.asin(s), varpis)
+        return 4.0 * math.pi * (1.0 + (1.0 - 2.0 * s * s) ** 2) * s * form(state, x, method, 1e-8)
 
-    seeds = None if incoherent else _theta_seeds(trap)
-    return simpson_family(f, 0.0, math.pi, varpis.size, rel_tol=1e-8, seeds=seeds)
+    value, _ = quad_vec(f, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, norm="max", limit=1000, points=S_PIECES[1:-1])
+    return value
 
 
 class TestClosedFormAngles:
@@ -426,6 +478,18 @@ class TestClosedFormAngles:
         assert d_in[0] == d_in[1] == pytest.approx(want, rel=1e-14)
         assert counts == {"coh": [0, 0], "inc": [0, 0]}
 
+    def test_cold_table_path_matches_quad(self, trap, state_cache):
+        # FD, 10^4 atoms, 0.001 E_F: the Laguerre sum under auto, the
+        # coherent cone narrowest; adaptive Simpson missed its own
+        # tolerance here by 2.0e-6 relative
+        from fermipulse.formfunc import describe_methods
+        from fermipulse.spectra import _over_theta
+
+        st = state_cache(10**4, 0.001 * fp.fermi_energy(10**4))
+        assert describe_methods(st, "auto")["coh_method"] == "laguerre"
+        got = _over_theta(False, st, trap, "auto", 1e-8)(0.5)
+        assert got == pytest.approx(theta_reference(st, trap, [0.5], False, "auto", epsrel=1e-13)[0], rel=1e-10)
+
     def test_uncertified_row_takes_quadrature(self, state_cache, monkeypatch):
         # a wide band: at varpi = -6 the coherent transfer starts at
         # x0 = (0.48 kla)^2, where the alternating series' terms exceed
@@ -436,16 +500,19 @@ class TestClosedFormAngles:
         st = state_cache(300, 1.12 * fp.fermi_energy(300))
         varpis = np.array([-6.0, 0.5])
         rows = []
-        real = spectra.simpson_family
-        monkeypatch.setattr(spectra, "simpson_family", lambda f, a, b, n, **kw: rows.append(n) or real(f, a, b, n, **kw))
-        got = spectra._over_theta(False, st, trap, "auto", 1e-8, spectra._theta_seeds(trap))(varpis)
+        real = spectra.nested
+        monkeypatch.setattr(spectra, "nested", lambda f, levels, n, tol: rows.append(n) or real(f, levels, n, tol))
+        got = spectra._over_theta(False, st, trap, "auto", 1e-8)(varpis)
         assert rows == [1]
-        # that row is the one-row quadrature on form values, bit for bit
-        def f(rows, theta):
-            return fp.angular_weight(theta) * fp.coherent_form(st, fp.kinematics(trap, theta, -6.0), "auto", 1e-8)
+        # that row is the one-row angular rule on form values, bit for bit
+        x0, span = spectra._transfer(trap, np.array([-6.0]))
 
-        alone = real(f, 0.0, math.pi, 1, rel_tol=spectra.QUAD_REL_TOL, seeds=spectra._theta_seeds(trap))
-        assert got[0] == alone[0] == pytest.approx(4.114938e-63, rel=1e-5)
+        def f(rows, s):
+            return fp.coherent_form(st, x0 + span * (s * s), "auto", 1e-8)
+
+        alone = real(f, spectra._theta_rule(), 1, spectra.QUAD_REL_TOL)
+        assert got[0] == alone[0]
+        assert got[0] == pytest.approx(theta_reference(st, trap, varpis[:1], False, "auto", epsrel=1e-13)[0], rel=1e-10)
         assert got[1] == pytest.approx(theta_reference(st, trap, varpis[1:], False, "auto")[0], rel=5e-8)
 
 
