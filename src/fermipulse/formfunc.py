@@ -15,11 +15,13 @@ h = 1 - e^{-s/tau}, has the amplitude w h^{-3} e^{-x (1/h - 1/2)} (the
 generating function of the Laguerre polynomials; ``_amplitude_terms``).
 The nodes (w, s) are the exact Maxwell-Boltzmann node (z, 1); for
 Fermi-Dirac at 0.8 <= z <= e^4, a short exponential fit of the Fermi
-function f(u) = 1/(1 + e^{u - log z}) ~ sum_k w_k e^{-s_k u}, so a point
-costs O(K) and O(K^2) for K terms; and for z < 1, the fugacity power
-series' nodes ((-1)^(l-1) z^l, l), cut once per state where the tail
-bounds reach eps of each channel's peak (``_series_cut``: the first L
-nodes for A, the pairs l + l' <= M for F2_in).  Each node path's
+function f(u) = 1/(1 + e^{u - log z}) ~ Re sum_k w_k e^{-s_k u}, stored
+at two anchors with each conjugate pair folded into one term and shifted
+to the state's log z (``_fermi_fit``: no linear algebra at run time), so
+a point costs O(K) and O(K^2) for K = 9-13 terms; and for z < 1, the
+fugacity power series' nodes ((-1)^(l-1) z^l, l), cut once per state
+where the tail bounds reach eps of each channel's peak (``_series_cut``:
+the first L nodes for A, the pairs l + l' <= M for F2_in).  Each node path's
 amplitude, cached on the state, is the term source of both channels
 (``_node_terms``): the coherent one sums it and squares the sum, the
 incoherent one sums the image of its square (``_squared``).  The form
@@ -279,40 +281,64 @@ def _incoherent_conv(state, x, tol):
 # ---------------------------------------------------------------------------
 
 _EXP_SUM = "exp-sum"  # the branch auto may take; no Method forces it
-# no fit is tried above: from log z ~ 4.3 the fits leave more than 1e-11 N
-_EXP_SUM_MAX_LOG_Z = 4.0
-_EXP_SUM_MAX_TERMS = 32
-_EXP_SUM_STEP = 0.1  # sample step in u
-_EXP_SUM_SPAN = 40.0  # samples run to u = log z + span, where f ~ e^{-span}
+_EXP_SUM_MAX_TERMS = 32  # the stored fits' length cap, checked by the tests
+
+# f(u) = 1/(1 + e^{u - A}) ~ Re sum_k w_k e^{-s_k u} on 0 <= u <= A + 40, one
+# fit (w, s) per anchor A: the real nodes, then each conjugate pair folded
+# into one term; printed by scripts/fermi_fit_table.py
+_FERMI_FIT_TABLE = {
+    1.0: (
+        (2.718281828785147, 1.0000000000095357),
+        (-7.389042206157039, 1.999999804695967),
+        (20.1584080059859, 3.0004527467193336),
+        (-28.697849610140512, 3.870766788043201),
+        (14.311880431498935-7.881737093358795j, 4.251103814262294+0.6966554447466764j),
+        (-0.35860878198279866+1.0862737880311855j, 4.667233226496731+1.7160433340333867j),
+        (-0.012446884587096925-0.04208398615313691j, 5.063709888582237+2.933809288691479j),
+        (0.0004372499095430804+0.0005439135535037932j, 5.43686430098073+4.441287194201165j),
+        (-1.4546820708999977e-06-1.942876508450869e-06j, 5.778532683125498+6.46579370485492j),
+    ),
+    4.0: (
+        (54.598148224603264, 0.999999998153843),
+        (-2998.854355825201, 2.000398261126315),
+        (11370.268425678292, 2.632522153259444),
+        (-10530.577399389682+4221.999759480761j, 2.731041648249522+0.5731783506048869j),
+        (2502.124061739113-1341.382413037068j, 2.862392155212711+1.2067848089870412j),
+        (-454.7224411996373+260.9561969272309j, 2.9616884025585843+1.89211415099208j),
+        (64.45106248642138-30.845762524875962j, 3.0262344450379204+2.6317493658486946j),
+        (-6.751820601892431+1.7215122862387109j, 3.0531445337490752+3.43214446956278j),
+        (0.4623009856466713+0.042994234476607704j, 3.0375959382058406+4.30262103621669j),
+        (-0.016062877431578058-0.011359832926249107j, 2.971783887094416+5.257635623531306j),
+        (9.057111901711323e-05+0.00046133791229863164j, 2.842569395426689+6.3215676737379525j),
+        (4.004883635388978e-06-3.0621120856721973e-06j, 2.62440627319413+7.541394984651145j),
+        (-6.195108426254592e-09-1.2043273045492242e-08j, 2.248614523943443+9.04039809766872j),
+    ),
+}
+_FERMI_FITS = tuple((anchor, np.array(terms, dtype=complex).T.copy()) for anchor, terms in _FERMI_FIT_TABLE.items())
+# auto tries no fit above the last anchor
+_EXP_SUM_MAX_LOG_Z = _FERMI_FITS[-1][0]
 
 
 def _fermi_fit(log_z):
-    """Matrix-pencil fit f(u) ~ sum_k w_k e^{-s_k u} of the Fermi function
-    f(u) = 1/(1 + e^{u - log z}) sampled at u = 0, step, ..., log z + span
-    (Hua & Sarkar, IEEE Trans. ASSP 38, 814 (1990)): the nodes are the
-    eigenvalues of the shift between the leading right singular vectors
-    of the samples' Hankel matrix, the weights a least-squares fit to the
-    samples.  Terms of weight below 1e-13 of the largest are dropped.
-    Returns (w, s), complex."""
-    size = int(math.ceil((max(log_z, 0.0) + _EXP_SUM_SPAN) / _EXP_SUM_STEP)) + 1
-    y = 0.5 * (1.0 - np.tanh(0.5 * (_EXP_SUM_STEP * np.arange(size) - log_z)))
-    pencil = size // 2
-    _, sv, vh = np.linalg.svd(np.lib.stride_tricks.sliding_window_view(y, pencil + 1), full_matrices=False)
-    v = vh[: int(np.count_nonzero(sv > 1e-15 * sv[0]))].T
-    mu = np.linalg.eigvals(np.linalg.lstsq(v[:-1], v[1:], rcond=None)[0])
-    w = np.linalg.lstsq(mu ** np.arange(size)[:, None], y.astype(complex), rcond=None)[0]
-    keep = np.abs(w) >= 1e-13 * np.abs(w).max()
-    return w[keep], -np.log(mu[keep]) / _EXP_SUM_STEP
+    """The fit f(u) ~ Re sum_k w_k e^{-s_k u} of the Fermi function f(u) =
+    1/(1 + e^{u - log z}) on 0 <= u <= log z + 40: the stored fit at the
+    first anchor A >= log z, shifted, since f(u) = f_A(u + A - log z).
+    The nodes stay, the weights become w_k e^{s_k (log z - A)}.  Returns
+    (w, s), complex."""
+    for anchor, (w, s) in _FERMI_FITS:
+        if log_z <= anchor:
+            return w * np.exp(s * (log_z - anchor)), s
+    raise ValueError(f"no stored Fermi-function fit above log z = {_EXP_SUM_MAX_LOG_Z}, got {log_z!r}")
 
 
 def _exp_sum_bound(state, w, s):
-    """sum_n g(n) |P(n) - sum_k w_k r_k^n| over all n >= 0: exact over the
-    table, and past n_max, where P is zero, the geometric tail of each
+    """sum_n g(n) |P(n) - Re sum_k w_k r_k^n| over all n >= 0: exact over
+    the table, and past n_max, where P is zero, the geometric tail of each
     term, sum_{n > n_max} g(n) |w_k| |r_k|^n in closed form."""
     if not (s.real > 0.0).all():
         return math.inf
     n = np.arange(state.n_max + 1, dtype=np.float64)
-    fit = np.exp(np.multiply.outer(n, -s / state.tau)) @ w
+    fit = np.add.reduce(np.exp(np.multiply.outer(n, -s / state.tau)) * w, axis=1).real
     inside = _shell_sum(np.abs(state.occupations - fit))
     tail = sum(
         math.exp(_log_shell_tail(math.log(abs(wk)), state.tau / sk, state.n_max))
@@ -322,10 +348,10 @@ def _exp_sum_bound(state, w, s):
 
 
 def _exp_sum(state):
-    """The state's occupations as a short exponential sum, P(n) ~ sum_k
-    w_k e^{-s_k n/tau}: (w, s, bound), where bound is
-    ``_exp_sum_bound``.  For log z up to _EXP_SUM_MAX_LOG_Z it stays
-    below 1e-12 N.
+    """The state's occupations as a short exponential sum, P(n) ~ Re
+    sum_k w_k e^{-s_k n/tau} (``_fermi_fit`` at the state's log z): (w, s,
+    bound), where bound is ``_exp_sum_bound``.  For log z up to
+    _EXP_SUM_MAX_LOG_Z it stays below 1e-11 N.
 
     The bound certifies both channels: |e^{-x/2} L_n^(2)(x)| <= g(n)
     bounds the coherent amplitude's error by it, and each displacement
@@ -340,15 +366,14 @@ def _exp_sum(state):
 
 def _exp_sum_certified(state, tol):
     """Whether the exponential sums evaluate both channels to tol of their
-    peak: at most _EXP_SUM_MAX_TERMS terms, a fit bound below 1e-3 tol N,
-    and round-off below 0.1 tol of each peak.  The round-off estimate is
-    eps times the sum of the closed forms' magnitudes at x = 0, which
-    bound them at every x; it is what stops cold states of few atoms,
-    whose weights cancel to about |w|^2 eps in the pair sum."""
+    peak: a fit bound below 1e-3 tol N, and round-off below 0.1 tol of
+    each peak.  The round-off estimate is eps times the sum of the closed
+    forms' magnitudes at x = 0, which bound them at every x; it is what
+    stops cold states of few atoms, whose weights cancel to about |w|^2
+    eps in the pair sum."""
 
     def check():
-        w, _, bound = _exp_sum(state)
-        if w.size > _EXP_SUM_MAX_TERMS or bound > 1e-3 * tol * state.total_atoms:
+        if _exp_sum(state)[2] > 1e-3 * tol * state.total_atoms:
             return False
         amplitude = math.ulp(1.0) * float(np.abs(_exp_sum_terms(state)[0]).sum())
         blocks, _ = _node_terms(state, _EXP_SUM, True)
@@ -359,8 +384,10 @@ def _exp_sum_certified(state, tol):
 
 
 def _exp_sum_terms(state):
-    """(c, a) with the amplitude Re sum_j c_j e^{-a_j x}: the K terms of
-    the exact Maxwell-Boltzmann node (z, 1) or the Fermi-Dirac fit."""
+    """(c, a) with the amplitude Re sum_j c_j e^{-a_j x}: the term of the
+    exact Maxwell-Boltzmann node (z, 1) or the K complex terms of the
+    Fermi-Dirac fit, whose real part is the amplitude of the fit's real
+    part, since _amplitude_terms commutes with conjugation."""
 
     def build():
         mb = state.statistics is Statistics.MAXWELL_BOLTZMANN
@@ -404,14 +431,17 @@ def _term_sum(blocks, x):
 
 
 def _squared(c, a, limit=None):
-    """Blocks (c, a) whose terms sum to (Re u)^2, u = sum_j c_j e^{-a_j x}:
-    for real terms the pairs j <= k with j + k <= limit (every pair if
-    None), off-diagonal ones doubled, row j at a time, in blocks of at
-    most _BLOCK_TERMS; for complex terms (the fit, never cut) the K^2
-    products of u^2, in one block.  Re(u^2) = (Re u)^2 - (Im u)^2, and
-    the fit's Im u is round-off, at most eps sum |c|."""
+    """Blocks (c, a) whose terms' real parts sum to (Re u)^2, u = sum_j
+    c_j e^{-a_j x}: for real terms the pairs j <= k with j + k <= limit
+    (every pair if None), off-diagonal ones doubled, row j at a time, in
+    blocks of at most _BLOCK_TERMS; for complex terms (the fit, never
+    cut), as (Re u)^2 = (Re u^2 + |u|^2)/2, the two products c_j c_k and
+    c_j conj(c_k) of each pair j <= k, halved on the diagonal: K (K + 1)
+    terms in one block."""
     if np.iscomplexobj(c):
-        yield np.multiply.outer(c, c).ravel(), np.add.outer(a, a).ravel()
+        j, k = np.triu_indices(c.size)
+        half = np.where(j == k, 0.5, 1.0) * c[j]
+        yield np.concatenate([half * c[k], half * np.conj(c[k])]), np.concatenate([a[j] + a[k], a[j] + np.conj(a[k])])
         return
     last = c.size - 1
     top = 2 * last if limit is None else limit

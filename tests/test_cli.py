@@ -686,8 +686,8 @@ _PINNED_DIGESTS = {
     "total-frozen": "08e73d159ef5fd07",
     "spectrum-frozen": "39ff02d68ac5140d",
     "spectrum-full": "0569889031890f49",
-    "formfunc-fd-exp-sum": "e365728282718cb4",
-    "total-fd-exp-sum": "64e9a3a7b9084293",
+    "formfunc-fd-exp-sum": "83ebc1e643bdaa6f",
+    "total-fd-exp-sum": "9300255c7f05c0f3",
     "formfunc-both-31x41": "3c68cf6c63431de2",
 }
 

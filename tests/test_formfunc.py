@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from hypothesis import strategies as st_
 
 import fermipulse as fp
 from fermipulse import _kernels, formfunc, from_fugacity
+from fermipulse.cli import main
 from fermipulse.formfunc import (
     BudgetExceeded,
     CONVOLUTION_SUM_CEILING,
@@ -544,6 +547,70 @@ class TestExpSum:
             fp.coherent_form(from_fugacity(formfunc._EXP_SUM_MAX_LOG_Z, 1.0, 60), pt)
 
 
+def folded_sum(w, s, u):
+    """Re sum_k w_k e^{-s_k u} at each u."""
+    return np.add.reduce(np.exp(np.multiply.outer(u, -s)) * w, axis=1).real
+
+
+def fermi_fit_error(log_z, w, s, step=0.01):
+    """max |f(u) - Re sum_k w_k e^{-s_k u}| over u = 0, step, ..., log z +
+    40, f the Fermi function at log z."""
+    u = np.arange(0.0, log_z + 40.0 + 0.5 * step, step)
+    return float(np.abs(0.5 * (1.0 - np.tanh(0.5 * (u - log_z))) - folded_sum(w, s, u)).max())
+
+
+class TestFermiFitTable:
+    """The stored fits of the Fermi function that _fermi_fit shifts to
+    each state's fugacity, and the run time they leave free of linear
+    algebra."""
+
+    @staticmethod
+    def generator():
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.path.join(root, "scripts", "fermi_fit_table.py")
+        spec = importlib.util.spec_from_file_location("fermi_fit_table", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_table_reproduces_generator(self):
+        # functions, not coefficients: the pencil's last bits vary with LAPACK
+        fits = self.generator().table()
+        assert [anchor for anchor, _ in formfunc._FERMI_FITS] == list(fits)
+        for anchor, (w, s) in formfunc._FERMI_FITS:
+            u = np.linspace(0.0, anchor + 40.0, 20001)
+            assert np.abs(folded_sum(w, s, u) - folded_sum(*fits[anchor], u)).max() <= 1e-13
+
+    def test_terms_decay_within_cap(self):
+        for _, (w, s) in formfunc._FERMI_FITS:
+            assert w.size <= formfunc._EXP_SUM_MAX_TERMS
+            assert (s.real > 0.0).all()
+
+    def test_shifted_fit_accuracy(self):
+        worst = max(
+            fermi_fit_error(log_z, *formfunc._fermi_fit(log_z))
+            for log_z in np.linspace(math.log(0.8), formfunc._EXP_SUM_MAX_LOG_Z, 60).tolist()
+        )
+        assert worst <= 2e-11
+
+    def test_no_linear_algebra_at_run_time(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("svd", "lstsq", "eig", "eigvals", "solve", "qr"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        temps = "0.01EF,0.05EF,0.1EF,0.5EF,1.0EF,1.36EF"
+        args = ["total", "--atoms", "30000", "--statistics", "both", "--temperature", temps]
+        assert main([*args, "--output", str(tmp_path / "run")]) == 0
+        x = transfers([0.0, 0.5, 8.0, 120.0])
+        for log_z in np.linspace(math.log(0.8), formfunc._EXP_SUM_MAX_LOG_Z, 7).tolist():
+            st = from_fugacity(log_z, 1.2, 60)
+            formfunc.describe_methods(st)
+            assert "exp_sum" in st._cache
+            fp.coherent_form(st, x)
+            fp.incoherent_form(st, x)
+
+
 def fit_form(st, x, incoherent):
     """The exponential-sum branch at an array of x > 0, whether or not auto
     would take it."""
@@ -598,8 +665,9 @@ class TestOneKernel:
         assert np.abs(inc - fit_form(st, x, True)).max() <= 1e-11 * _incoherent_x0(st)
 
     def test_fit_matches_contraction(self, state_cache):
-        # 10^6 atoms at 0.3 E_F: K = 18 terms, whose pair factors 1 - r r'
-        # lost digits when they were formed from r = e^{-s/tau}
+        # 10^6 atoms at 0.3 E_F: K = 13 stored terms (18 in a fit made for
+        # the state), whose pair factors 1 - r r' lost digits when they were
+        # formed from r = e^{-s/tau}
         st = state_cache(10**6, 0.3 * fp.fermi_energy(10**6))
         assert on_exp_sum(st)
         x = np.array([0.05, 0.5, 2.0, 8.0, 30.0])

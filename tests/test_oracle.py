@@ -161,6 +161,20 @@ def mp_node_sums(w, s, tau, xs, size):
     return np.array(out)
 
 
+def unfold(w, s):
+    """The full node set of a folded fit Re sum_k w_k e^{-s_k u}: a real
+    node with the real part of its weight, and each complex node as the
+    conjugate pair (w/2, s), (conj w/2, conj s).  Halving and conjugation
+    are exact, so the pair sums to the folded term, and the oracle sums
+    the nodes as a fit of a real function without the fold it checks."""
+    real = s.imag == 0.0
+    half = 0.5 * w[~real]
+    return (
+        np.concatenate([w[real].real, half, np.conj(half)]),
+        np.concatenate([s[real], s[~real], np.conj(s[~real])]),
+    )
+
+
 class TestExtendedPrecision:
     """The node paths against their own nodes summed in mpmath at 50
     digits: Fermi-Dirac states of 56 and 300 atoms, both channels, x from 0
@@ -172,7 +186,8 @@ class TestExtendedPrecision:
     eps of the peak, and its sums add round-off of the same order.  The
     oracle takes the series' nodes ((-1)^(l-1) z^l, l) until their tail
     falls below 1e-32 of the peak.  At 0.5 E_F, z > 1 and there is no
-    series; the auto path, the exponential fit, must land within 4 times
+    series; the auto path, the exponential fit, its stored conjugate
+    pairs unfolded for the oracle (``unfold``), must land within 4 times
     its round-off floor, eps sum |c| on the amplitude (d, moving F2_coh by
     d (2 sqrt(F2_coh) + d)) and on F2_in's terms, the image of the pairs.
     """
@@ -199,7 +214,7 @@ class TestExtendedPrecision:
                 w, s, size = self.series_nodes(st)
             else:
                 path = formfunc._EXP_SUM
-                (w, s, _), size = formfunc._exp_sum(st), math.inf
+                (w, s), size = unfold(*formfunc._exp_sum(st)[:2]), math.inf
             want = mp_node_sums(w, s, mpmath.mpf(st.tau), self.XS, size)
         coh = formfunc._branch(st, path, False, 1e-8, self.XS)
         inc = formfunc._branch(st, path, True, 1e-8, self.XS)
