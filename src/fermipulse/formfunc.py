@@ -661,22 +661,71 @@ def _evaluate(state, x, method, tol, incoherent):
 # the branches auto checks against the table sums; a state takes at most
 # one of them (the power series below z = 0.8, the exponential sums above)
 _CHECKED_PATHS = (Method.POWER_SERIES.value, _EXP_SUM)
+_TAIL_ORDERS = 40  # F2_in's moments M_{2+k} kept, k <= this
+
+
+def _x_moments(state, incoherent):
+    """(M0, M1, M2), M_j = int_0^inf x^j F dx of one channel, by O(n_max)
+    positive sums over the occupations and their tails T_s = sum_{n>=s}
+    P(n), U_s = sum_{n>s} T_n.  By phase-space completeness (Cahill &
+    Glauber, Phys. Rev. 177, 1857 (1969)) the coherent ones, int y^j A^2 dy,
+    are W0 = sum_s (s+1) (T_s^2 + 2 T_s U_s), W1 = sum_s (s+1) T_s^2 and W2 =
+    2 F2_in(0); F2_in's, by ``_image``'s x^j (c/a^3) e^{-x/a} -> j! c
+    a^{j-2}, are W1, W0 and 2 A(0)^2 = 2 N^2."""
+
+    def build():
+        p = state.occupations
+        t = np.cumsum(p[::-1])[::-1]
+        s1, u = np.arange(1.0, p.size + 1), np.cumsum(np.append(t[1:], 0.0)[::-1])[::-1]
+        w0, w1 = np.add.reduce(s1 * t * (t + 2.0 * u)), np.add.reduce(s1 * t * t)
+        return (w0, w1, 2.0 * _incoherent_x0(state)), (w1, w0, 2.0 * state.total_atoms**2)
+
+    return state.cached("x_moments", build)[incoherent]
+
+
+def _tail_moments(state, incoherent):
+    """(j, log_m): orders j >= 2 and the logs of M_j (F2_in, j <= 42) or of
+    bounds on it (coherent, j = 2, 4), by the formulas of spectra's module
+    docstring: positive sums, F2_in's in logs (math.lgamma), since the
+    factorials in C(n+2, j+2) overflow a double from 171! on."""
+    p = state.occupations
+    if not incoherent:
+        n = np.arange(p.size + 1.0)
+        v = np.append(p * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)), 0.0)
+        jv = (2.0 * n + 3.0) * v
+        jv[1:] += np.sqrt(n[1:] * (n[1:] + 2.0)) * v[:-1]
+        jv[:-1] += np.sqrt((n[:-1] + 1.0) * (n[:-1] + 3.0)) * v[1:]
+        return np.array([2, 4]), np.log([np.add.reduce(v * v), np.add.reduce(jv * jv)])
+    n = np.nonzero(p > 0.0)[0]
+    lf = _kernels._log_factorials(int(n[-1]) + _TAIL_ORDERS + 2)
+    lp, k = np.log(p[n]) + lf[n + 2], np.arange(_TAIL_ORDERS + 1)
+    # log beta_j, beta_j = sum_n P(n) C(n+2, j+2)/j!: zero past the table
+    lb = np.array([np.logaddexp.reduce(lp[n >= j] - lf[n[n >= j] - j]) if j <= n[-1] else -np.inf for j in k])
+    lb -= lf[k + 2] + lf[k]
+    i, j = k[:, None], k[None, :]
+    lower = np.where(j <= i, 0.0, -np.inf)  # the terms j <= i of a sum over j
+    # log a_i, a_i = sum_{j<=i} beta_j 2^{j-i}/(i-j)!
+    la = np.logaddexp.reduce(lower + lb[j] - (i - j) * math.log(2.0) - lf[abs(i - j)], axis=1)
+    return k + 2, lf[k + 2] + lf[k] + np.logaddexp.reduce(lower + la[j] + la[abs(i - j)], axis=1)
+
+
+def x_moments(state, method, incoherent, tol):
+    """Under auto, ((M0, M1, M2), j, log_m) of ``_x_moments`` and
+    ``_tail_moments``, cached; None for a forced method."""
+    if _checked_method(state, method, tol) is not Method.AUTO:
+        return None
+    tail = state.cached(("tail_moments", incoherent), lambda: _tail_moments(state, incoherent))
+    return _x_moments(state, incoherent), *tail
 
 
 def _auto_cross_check(state, method, path, incoherent, tol):
     """On auto's first read of a branch path of _CHECKED_PATHS per state and
     bound max(1e-6, 100 tol), compare two exact moments of its terms
-    (int x^j c e^{-a x} dx = j! c/a^{j+1}) with O(n_max) positive sums over
-    the occupations and their tails T_s = sum_{n>=s} P(n), U_s = sum_{n>s}
-    T_n.  By phase-space completeness (Cahill & Glauber, Phys. Rev. 177,
-    1857 (1969)) the moments int y^j A^2 dy of the squared amplitude are
-    W0 = sum_s (s+1) (T_s^2 + 2 T_s U_s), W1 = sum_s (s+1) T_s^2 and W2 =
-    2 F2_in(0).  The coherent channel checks A^2's y^1 and y^2 moments
-    against W1 and W2; F2_in, the Hankel image of A^2 (``_image``), has
-    x^0 and x^1 moments equal to A^2's y^1 and y^0, checked against W1 and
-    W0.  No x, no Laguerre sum, no weight table.  Only a pass marks the
-    state checked at that bound, so a failure raises on every call and a
-    looser pass does not stand for a tighter bound.  Moments cannot see a
+    (int x^j c e^{-a x} dx = j! c/a^{j+1}) with the table sums of
+    ``_x_moments``: the coherent channel's x^1 and x^2 moments, and F2_in's
+    x^0 and x^1.  No x, no Laguerre sum, no weight table.  Only a pass
+    marks the state checked at that bound, so a failure raises on every
+    call and a looser pass does not stand for a tighter bound.  Moments cannot see a
     pointwise defect that integrates to zero: the tests keep the pointwise
     oracles.
 
@@ -696,15 +745,9 @@ def _auto_cross_check(state, method, path, incoherent, tol):
     bound = max(1e-6, 100.0 * tol)
 
     def check():
-        p = state.occupations
-        t = np.cumsum(p[::-1])[::-1]
-        s1, u = np.arange(1.0, p.size + 1), np.cumsum(np.append(t[1:], 0.0)[::-1])[::-1]
-        w0, w1, w2 = np.add.reduce(s1 * t * (t + 2.0 * u)), np.add.reduce(s1 * t * t), 2.0 * _incoherent_x0(state)
         blocks, _ = _node_terms(state, path, incoherent)
-        if incoherent:
-            j, want = np.array([0, 1]), (w1, w0)
-        else:
-            j, blocks, want = np.array([1, 2]), _squared(*blocks[0]), (w1, w2)
+        j, blocks = (np.array([0, 1]), blocks) if incoherent else (np.array([1, 2]), _squared(*blocks[0]))
+        want = [_x_moments(state, incoherent)[k] for k in j.tolist()]
         # np.maximum(j, 1) is j! for j <= 2
         got = np.maximum(j, 1) * sum((c[:, None] / a[:, None] ** (j + 1)).sum(axis=0).real for c, a in blocks)
         for k, a, b in zip(j.tolist(), got.tolist(), want):

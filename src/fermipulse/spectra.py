@@ -43,16 +43,32 @@ QUAD_REL_TOL of its value, and the power series' tail bound (the series
 is cut once, at eps of the channel's peak), integrated against the
 weight, below 1e-3 QUAD_REL_TOL of it.
 
+The varpi = 0 row from x-moments.  There x0 = 0, span = X = 4 kla^2 and
+the weight 2 - 4x/X + 4x^2/X^2 is quadratic in x, so the row is (2 pi/X)
+[2 M0 - (4/X) M1 + (4/X^2) M2] - R, M_j = int_0^inf x^j F dx, R = (2 pi/X)
+int_X^inf (1 + (1 - 2x/X)^2) F dx, with (M0, M1, M2) the table sums (W0,
+W1, W2) coherent and (W1, W0, 2 N^2) for F2_in (formfunc._x_moments).
+Past X the weight is at most 4 (x/X)^2, so 0 <= R <= (8 pi/X) M_j/X^j for
+every j >= 2 (Markov).  Coherent M4 = |J v|^2 <= ||J| v|^2, v_n = P(n)
+sqrt((n+1)(n+2)) and J the Jacobi matrix of y in the orthonormal L^(2)
+basis (diagonal 2n+3, off-diagonal -sqrt((n+1)(n+3))); F2_in's M_{2+k} =
+(2+k)! k! sum_{i<=k} a_i a_{k-i}, the image of A^2's Taylor coefficients,
+a_k = sum_n P(n) d_k(n) with d_k(n) = sum_{j<=k} C(n+2, j+2)/j! 2^{j-k}/
+(k-j)! those of e^{-y/2} L_n^(2)(y), unsigned.  Under auto a varpi = 0 row
+that no closed form certifies takes this value, and no form evaluation,
+where the least bound plus round-off stays below 0.1 QUAD_REL_TOL of it;
+F2_in reaching past X (4 E_F > X: 10^6 atoms, cold) takes the rule below.
+
 Quadratures.  Every other integral is one family of quadrature.nested
 over a fixed rule, one row per detuning or angle, each level evaluating
 the form function once on the level's new nodes.  A row that fails
 certification, and every row on a table path (laguerre, convolution,
-quad-sum), integrates over theta by Clenshaw-Curtis in s = sqrt(t),
-whose nodes crowd into the forward cone (_theta_rule, 17 to 4097
-nodes).  The detuning integrands carry the sech line shapes, analytic
-in the strip |Im varpi| < 1, so the trapezoid rule converges
-exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56, 385 (2014));
-_varpi_rule starts at h = 0.2 and halves up to 6 times.
+quad-sum) but auto's moment rows, integrates over theta by
+Clenshaw-Curtis in s = sqrt(t), whose nodes crowd into the forward cone
+(_theta_rule, 17 to 4097 nodes).  The detuning integrands carry the
+sech line shapes, analytic in the strip |Im varpi| < 1, so the trapezoid
+rule converges exponentially in 1/h (Trefethen & Weideman, SIAM Rev. 56,
+385 (2014)); _varpi_rule starts at h = 0.2 and halves up to 6 times.
 """
 
 import enum
@@ -62,7 +78,7 @@ import math
 import numpy as np
 
 from ._kernels import CHUNK_DOUBLES
-from .formfunc import Method, coherent_form, incoherent_form, node_terms
+from .formfunc import Method, coherent_form, incoherent_form, node_terms, x_moments
 from .model import VARPI_QUAD_WINDOW, kinematics
 from .pulse import S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure, clenshaw_curtis, nested, trapezoid, weighted
@@ -237,13 +253,28 @@ def _closed_rows(incoherent, state, trap, method, tolerance, varpis):
     return total, exact & (THETA_WEIGHT_TOTAL * tail <= 1e-3 * QUAD_REL_TOL * np.abs(total))
 
 
+def _moment_row(incoherent, state, trap, method, tolerance):
+    """The varpi = 0 row from x-moments (module docstring): (value, err),
+    err the least Markov bound on the tail past X = 4 kla^2 plus the
+    round-off eps sum|term| of the three terms; None for a forced method."""
+    moments = x_moments(state, method, incoherent, tolerance)
+    if moments is None:
+        return None
+    (m0, m1, m2), j, log_m = moments
+    big = 4.0 * trap.kla * trap.kla
+    terms = (2.0 * math.pi / big) * np.array([2.0 * m0, -4.0 * m1 / big, 4.0 * m2 / big**2])
+    bound = 8.0 * math.pi / big * math.exp(float(np.min(log_m - j * math.log(big))))
+    return float(terms.sum()), bound + math.ulp(1.0) * float(np.abs(terms).sum())
+
+
 def _over_theta(incoherent, state, trap, method, tolerance):
     """The angular integral int w(theta) F2(theta, varpi) dtheta over [0, pi]
     of one form function, as a function of varpi: in closed form on a
-    node path (see the module docstring; _closed_rows), else, and on rows
-    that closed form does not certify, by one nested family of the
-    angular rule _theta_rule with one row per detuning, each level
-    evaluating the form function on one array of transfers.
+    node path (see the module docstring; _closed_rows), at varpi = 0 under
+    auto from the x-moments (_moment_row), else, and on rows neither
+    certifies, by one nested family of the angular rule _theta_rule with
+    one row per detuning, each level evaluating the form function on one
+    array of transfers; with no such row it builds no rule.
 
     The returned function takes a float or an array of detunings and
     returns a float or an array of their shape.  A QuadratureFailure
@@ -261,17 +292,22 @@ def _over_theta(incoherent, state, trap, method, tolerance):
             total, ok = closed
             values[ok] = total[ok]
             rest = rest[~ok]
+        frozen = varpis[rest] == 0.0
+        moment = _moment_row(incoherent, state, trap, method, tolerance) if frozen.any() else None
+        if moment is not None and moment[1] <= 0.1 * QUAD_REL_TOL * abs(moment[0]):
+            values[rest[frozen]] = moment[0]
+            rest = rest[~frozen]
+        if rest.size:
+            x0, span = _transfer(trap, varpis[rest])
 
-        x0, span = _transfer(trap, varpis[rest])
+            def f(rows, s):
+                return form(state, x0[rows] + span[rows] * (s * s), method, tolerance)
 
-        def f(rows, s):
-            return form(state, x0[rows] + span[rows] * (s * s), method, tolerance)
-
-        try:
-            values[rest] = nested(f, _theta_rule(), rest.size, QUAD_REL_TOL)
-        except QuadratureFailure as e:
-            row = int(rest[e.row])
-            raise QuadratureFailure(f"theta integral at varpi={varpis[row]:.6g}: {e}", err=e.err, row=row) from e
+            try:
+                values[rest] = nested(f, _theta_rule(), rest.size, QUAD_REL_TOL)
+            except QuadratureFailure as e:
+                row = int(rest[e.row])
+                raise QuadratureFailure(f"theta integral at varpi={varpis[row]:.6g}: {e}", err=e.err, row=row) from e
         return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
 
     return integrate

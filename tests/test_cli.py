@@ -683,8 +683,8 @@ _PINNED_DIGESTS = {
     "formfunc-mb-closed-form-mb": "03e1e7f9b6d0b40b",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
-    "total-frozen": "08e73d159ef5fd07",
-    "spectrum-frozen": "39ff02d68ac5140d",
+    "total-frozen": "236480c370f03bdb",
+    "spectrum-frozen": "6617a2191684379e",
     "spectrum-full": "0569889031890f49",
     "formfunc-fd-exp-sum": "83ebc1e643bdaa6f",
     "total-fd-exp-sum": "9300255c7f05c0f3",

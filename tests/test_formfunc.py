@@ -957,6 +957,74 @@ class TestMomentIdentities:
         assert moment(coh, 2) == pytest.approx(np.sum((s + 1.0) * (s + 2.0) * p * p), rel=1e-12)
 
 
+    # the x^j moments of formfunc.x_moments and the Markov bound on the
+    # angular row's tail (spectra._moment_row), against numerical integrals
+    # of forced laguerre (coherent) and convolution (F2_in) form values
+
+    @staticmethod
+    def numeric(st, incoherent, weight, lo=0.0, hi=None):
+        """int_lo^hi weight(x) F(x) dx, weight returning rows, by scipy's
+        fixed_quad (32 Gauss-Legendre nodes) on 24 panels in t = sqrt(x),
+        where the Laguerre functions oscillate evenly; no term is left past
+        x = 4 n_max + 200 (TestHankelIdentity)."""
+        from scipy.integrate import fixed_quad
+
+        form, method = (fp.incoherent_form, "convolution") if incoherent else (fp.coherent_form, "laguerre")
+        hi = 4.0 * st.n_max + 200.0 if hi is None else hi
+        edges = np.linspace(math.sqrt(lo), math.sqrt(hi), 25)
+
+        def f(t):
+            return 2.0 * t * weight(t * t) * form(st, t * t, method, 1e-12)
+
+        return sum(fixed_quad(f, a, b, n=32)[0] for a, b in zip(edges, edges[1:]))
+
+    @pytest.mark.parametrize("statistics", ["fd", "mb"])
+    @pytest.mark.parametrize("t_over_ef", [0.05, 0.3, 1.0])
+    def test_x_moments_match_integrals(self, statistics, t_over_ef):
+        st = fp.solve_fugacity(300, t_over_ef * fp.fermi_energy(300), statistics)
+        j = np.arange(6.0)
+        # the coherent amplitude in the orthonormal L^(2) basis, and y there:
+        # x^{2+m} A^2 integrates to v J^m v
+        n = np.arange(st.n_max + 5.0)
+        v = np.zeros(n.size)
+        v[: st.n_max + 1] = st.occupations * np.sqrt((n[: st.n_max + 1] + 1.0) * (n[: st.n_max + 1] + 2.0))
+        jac = np.diag(2.0 * n + 3.0) - np.diag(np.sqrt((n[:-1] + 1.0) * (n[:-1] + 3.0)), 1)
+        jac = jac + np.triu(jac, 1).T
+        for incoherent in (False, True):
+            got = self.numeric(st, incoherent, lambda x: x ** j[:, None])
+            (m0, m1, m2), orders, log_m = formfunc.x_moments(st, "auto", incoherent, 1e-8)
+            if incoherent:
+                assert orders[:4].tolist() == [2, 3, 4, 5]
+                want = np.array([m0, m1, m2, *np.exp(log_m[1:4])])
+                assert np.exp(log_m[0]) == pytest.approx(m2, rel=1e-12)
+            else:
+                # M4 = |J v|^2; the library bounds it by ||J| v|^2
+                want = np.array([m0, m1, m2, v @ jac @ v, v @ jac @ jac @ v, v @ jac @ jac @ jac @ v])
+                assert orders.tolist() == [2, 4] and np.exp(log_m[0]) == pytest.approx(m2, rel=1e-12)
+                assert np.exp(log_m[1]) == pytest.approx(np.sum((np.abs(jac) @ v) ** 2), rel=1e-12)
+                assert np.exp(log_m[1]) >= want[4]
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n_atoms, t_over_ef, statistics", [(300, 1.0, "fd"), (300, 0.3, "mb"), (300, 0.05, "fd")])
+    def test_markov_bound_covers_tail(self, n_atoms, t_over_ef, statistics):
+        # kla = 3: the row's transfer ends at X = 36, inside F2_in's support
+        from fermipulse import spectra
+
+        trap = fp.TrapModel(kla=3.0)
+        big = 4.0 * trap.kla**2
+        st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
+        for incoherent in (False, True):
+            value, err = spectra._moment_row(incoherent, st, trap, "auto", 1e-8)
+            weight = lambda x: (2.0 * math.pi / big) * (1.0 + (1.0 - 2.0 * x / big) ** 2)  # noqa: E731
+            tail = self.numeric(st, incoherent, weight, lo=big)
+            head = self.numeric(st, incoherent, weight, hi=big)
+            assert 0.0 <= tail <= err
+            assert value - tail == pytest.approx(head, rel=1e-9)
+            if incoherent and statistics == "fd" and t_over_ef == 1.0:
+                # a tail this large fails the row's certification
+                assert tail > 1e-3 * value and err > 0.1 * spectra.QUAD_REL_TOL * value
+
+
 class TestHankelIdentity:
     """F2_in is the Hankel image of the squared coherent amplitude,
     F2_in(x) = (1/x) int_0^inf A(y)^2 J_2(2 sqrt(x y)) y dy, with the x = 0

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -514,6 +517,109 @@ class TestClosedFormAngles:
         assert got[0] == alone[0]
         assert got[0] == pytest.approx(theta_reference(st, trap, varpis[:1], False, "auto", epsrel=1e-13)[0], rel=1e-10)
         assert got[1] == pytest.approx(theta_reference(st, trap, varpis[1:], False, "auto")[0], rel=5e-8)
+
+
+class TestMomentRows:
+    """On the table paths, auto takes a frozen (varpi = 0) row from the
+    channel's x-moments (spectra._moment_row): checked against the
+    quadrature, counted, and routed back to the angular rule where the
+    Markov bound on its tail fails."""
+
+    @pytest.mark.parametrize(
+        "n_atoms, t_over_ef", [(10**4, 0.001), (10**4, 0.05), (3 * 10**4, 0.01), (3 * 10**4, 0.05), (3 * 10**4, 0.1)]
+    )
+    def test_matches_quadrature(self, trap, state_cache, n_atoms, t_over_ef):
+        from fermipulse.formfunc import describe_methods
+        from fermipulse.spectra import _over_theta
+
+        st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
+        assert describe_methods(st, "auto") == {"coh_method": "laguerre", "inc_method": "convolution"}
+        for incoherent in (False, True):
+            got = _over_theta(incoherent, st, trap, "auto", 1e-8)(np.array([0.0]))
+            want = theta_reference(st, trap, [0.0], incoherent, "auto")
+            assert np.abs(got - want).max() <= 5e-8 * np.abs(want).max()
+
+    def test_frozen_total_calls_no_form(self, trap, pulse, monkeypatch):
+        # fresh states, so that no table is left from another test
+        counts = counting_forms(monkeypatch)
+        for t_over_ef in (0.01, 0.05, 0.1):
+            st = fp.solve_fugacity(3 * 10**4, t_over_ef * fp.fermi_energy(3 * 10**4))
+            n_coh, n_in = fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+            assert n_coh > 0.0 and n_in > 0.0
+            assert not any(isinstance(k, tuple) and k[0] in ("weight_diagonals", "n_eff") for k in st._cache)
+        assert counts == {"coh": [0, 0], "inc": [0, 0]}
+
+    def test_uncertified_row_takes_quadrature(self, trap, state_cache, monkeypatch):
+        # 10^6 atoms, 0.01 E_F: F2_in reaches past X = 4 kla^2 (4 E_F = 727 >
+        # 625), so its bound fails and the row is the angular rule's; the
+        # coherent row still comes from the moments
+        from fermipulse import spectra
+
+        st = state_cache(10**6, 0.01 * fp.fermi_energy(10**6))
+        rows = []
+        real = spectra.nested
+        monkeypatch.setattr(spectra, "nested", lambda f, levels, n, tol: rows.append(n) or real(f, levels, n, tol))
+        got = [spectra._over_theta(incoherent, st, trap, "auto", 1e-8)(0.0) for incoherent in (False, True)]
+        assert rows == [1]
+        value, err = spectra._moment_row(True, st, trap, "auto", 1e-8)
+        assert err > 0.1 * spectra.QUAD_REL_TOL * value
+        for incoherent, g in zip((False, True), got):
+            assert g == pytest.approx(theta_reference(st, trap, [0.0], incoherent, "auto")[0], rel=5e-8)
+
+    @pytest.mark.parametrize("method", ["laguerre", "convolution"])
+    def test_forced_methods_integrate_forms(self, trap, pulse, state_cache, monkeypatch, method):
+        st = state_cache(3 * 10**4, 0.01 * fp.fermi_energy(3 * 10**4))
+        counts = counting_forms(monkeypatch)
+        forced = fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN, method=method)
+        assert counts["coh"][1] > 0 and counts["inc"][1] > 0
+        auto = fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+        assert forced == pytest.approx(auto, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "n_atoms, tau, kla",
+        [
+            (1, 0.05, 12.5),
+            (2, 0.05, 12.5),
+            (1, 1.0, 12.5),
+            (10**7, 0.01 * fp.fermi_energy(10**7), 12.5),
+            (10**7, 100.0 * fp.fermi_energy(10**7), 12.5),
+            (10**6, 10.0 * fp.fermi_energy(10**6), 12.5),
+            (3 * 10**4, 0.01 * fp.fermi_energy(3 * 10**4), 0.5),
+            (3 * 10**4, 0.01 * fp.fermi_energy(3 * 10**4), 50.0),
+        ],
+    )
+    def test_extremes_finite(self, pulse, n_atoms, tau, kla):
+        # RuntimeWarnings are errors (pyproject.toml).  The moments sum the
+        # factorials in logs, which a double overflows from 171! on; at 10^6
+        # atoms, 10 E_F, n_max = 72868.  At 10^7 atoms, 100 E_F (n_max =
+        # 1566340) they take seconds, and the closed rows leave none to take
+        from fermipulse import spectra
+
+        trap = fp.TrapModel(kla=kla)
+        st = fp.solve_fugacity(n_atoms, tau)
+        for incoherent in (False, True):
+            if st.n_max < 10**6:
+                value, err = spectra._moment_row(incoherent, st, trap, "auto", 1e-8)
+                assert math.isfinite(value) and value > 0.0 and math.isfinite(err) and err > 0.0
+        n_coh, n_in = fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+        assert math.isfinite(n_coh) and n_coh > 0.0 and math.isfinite(n_in) and n_in > 0.0
+
+    def test_no_rule_built_without_a_row(self, package_env):
+        # a frozen total whose rows are all closed forms or moments never
+        # builds the 4097-node angular rule
+        code = textwrap.dedent(
+            """
+            import fermipulse as fp
+            from fermipulse import spectra
+            trap, pulse = fp.TrapModel(), fp.PulseModel.two_pi()
+            for n, t in ((10**4, 1.0), (3 * 10**4, 0.01)):
+                st = fp.solve_fugacity(n, t * fp.fermi_energy(n))
+                fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
+            print(spectra._theta_rule.cache_info().currsize)
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
 
 
 class TestResolveMode:
