@@ -1,17 +1,17 @@
 """Alternating benchmark pairs of two checkouts, summarised per metric.
 
-    python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N
+    python scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N [--seed S]
 
-Runs ``python3 fermibench/run.py --workload W --seed 1 --seconds 40
---trace 0`` in the checkouts PARENT and CHANGE, N times each, as N pairs:
-the parent runs first in even pairs and the change first in odd ones, so
-drift in the machine's load falls on both sides alike.  Reads the result
-line (the last line of standard output) of every run and, for each
-end-to-end metric that the change's ``BENCHMARK.json`` lists, prints
-both sides' median and quartiles, in how many pairs the change was
-better, and whether the change's median stays within the metric's
-bound: worse than the parent's median by at most bound times its
-magnitude.
+Runs ``python3 fermibench/run.py --workload W --seed S --seconds 40
+--trace 0`` (S 1 unless given) in the checkouts PARENT and CHANGE, N
+times each, as N pairs: the parent runs first in even pairs and the
+change first in odd ones, so drift in the machine's load falls on both
+sides alike.  Reads the result line (the last line of standard output)
+of every run and, for each end-to-end metric that the change's
+``BENCHMARK.json`` lists, prints both sides' median and quartiles, in
+how many pairs the change was better, and whether the change's median
+stays within the metric's bound: worse than the parent's median by at
+most bound times its magnitude.
 
 Exits 1 when a run fails or reports ``correct: false``, or when the two
 runs of a pair differ in ``attempted`` or ``failed``; exits 0 otherwise.
@@ -26,9 +26,9 @@ import subprocess
 import sys
 
 
-def run_once(checkout, workload):
+def run_once(checkout, workload, seed=1):
     """The result object of one benchmark run in checkout."""
-    cmd = [sys.executable, "fermibench/run.py", "--workload", workload, "--seed", "1", "--seconds", "40"]
+    cmd = [sys.executable, "fermibench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "40"]
     done = subprocess.run([*cmd, "--trace", "0"], cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"run in {checkout} exited {done.returncode}: {done.stderr.strip()[-500:]}")
@@ -82,6 +82,7 @@ def main(argv=None):
     p.add_argument("change", help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
@@ -89,11 +90,11 @@ def main(argv=None):
     try:
         for i in range(args.pairs):
             if i % 2 == 0:
-                parent = run_once(args.parent, args.workload)
-                change = run_once(args.change, args.workload)
+                parent = run_once(args.parent, args.workload, args.seed)
+                change = run_once(args.change, args.workload, args.seed)
             else:
-                change = run_once(args.change, args.workload)
-                parent = run_once(args.parent, args.workload)
+                change = run_once(args.change, args.workload, args.seed)
+                parent = run_once(args.parent, args.workload, args.seed)
             pairs.append((parent, change))
             print(f"pair {i}: parent {json.dumps(parent)}", file=sys.stderr, flush=True)
             print(f"pair {i}: change {json.dumps(change)}", file=sys.stderr, flush=True)

@@ -47,6 +47,7 @@ depends on the other x of its array.
 """
 
 import enum
+import itertools
 import math
 
 import numpy as np
@@ -664,49 +665,65 @@ _CHECKED_PATHS = (Method.POWER_SERIES.value, _EXP_SUM)
 _TAIL_ORDERS = 40  # F2_in's moments M_{2+k} kept, k <= this
 
 
+def _tails(p, scale):
+    """The repeated tails T^(1)_s = sum_{n>=s} P(n), T^(k+1)_s = sum_{n>=s}
+    T^(k)_n of the table p (zero past its end), one cumsum each, T^(k)
+    divided by scale^k: a power of two >= len(p), which divides exactly and
+    keeps every tail and product of them finite."""
+    while True:
+        p = np.cumsum(p[::-1])[::-1] / scale
+        yield p
+
+
+def _coherent_moment(d, j):
+    """sum_s (s+j)!/s! d_s^2: the coherent M_j = int x^j A^2 dx for d =
+    D^(j-2) P, the (j-2)-th forward difference of P (for j < 2 the tail
+    T^(2-j)).  By L_n^(a) = L_n^(a+1) - L_{n-1}^(a+1), A = +-e^{-x/2} sum_s
+    d_s L_s^(j), and the L^(j) are orthogonal under x^j e^{-x}, with norms
+    (s+j)!/s!."""
+    s = np.arange(d.size, dtype=np.float64)
+    return np.add.reduce(math.prod(s + m for m in range(1, j + 1)) * d * d)
+
+
 def _x_moments(state, incoherent):
     """(M0, M1, M2), M_j = int_0^inf x^j F dx of one channel, by O(n_max)
-    positive sums over the occupations and their tails T_s = sum_{n>=s}
-    P(n), U_s = sum_{n>s} T_n.  By phase-space completeness (Cahill &
-    Glauber, Phys. Rev. 177, 1857 (1969)) the coherent ones, int y^j A^2 dy,
-    are W0 = sum_s (s+1) (T_s^2 + 2 T_s U_s), W1 = sum_s (s+1) T_s^2 and W2 =
-    2 F2_in(0); F2_in's, by ``_image``'s x^j (c/a^3) e^{-x/a} -> j! c
-    a^{j-2}, are W1, W0 and 2 A(0)^2 = 2 N^2."""
+    positive sums (phase-space completeness; Cahill & Glauber, Phys. Rev.
+    177, 1857 (1969)): the coherent W0 = sum_s (T^(2)_s)^2, W1 = sum_s (s+1)
+    (T^(1)_s)^2 (``_coherent_moment``) and W2 = 2 F2_in(0); F2_in's, by
+    ``_image``'s x^j (c/a^3) e^{-x/a} -> j! c a^{j-2}, W1, W0 and 2 N^2."""
 
     def build():
         p = state.occupations
-        t = np.cumsum(p[::-1])[::-1]
-        s1, u = np.arange(1.0, p.size + 1), np.cumsum(np.append(t[1:], 0.0)[::-1])[::-1]
-        w0, w1 = np.add.reduce(s1 * t * (t + 2.0 * u)), np.add.reduce(s1 * t * t)
+        scale = 2.0 ** p.size.bit_length()
+        t1, t2 = itertools.islice(_tails(p, scale), 2)
+        w0, w1 = _coherent_moment(t2, 0) * scale**4, _coherent_moment(t1, 1) * scale**2
         return (w0, w1, 2.0 * _incoherent_x0(state)), (w1, w0, 2.0 * state.total_atoms**2)
 
     return state.cached("x_moments", build)[incoherent]
 
 
 def _tail_moments(state, incoherent):
-    """(j, log_m): orders j >= 2 and the logs of M_j (F2_in, j <= 42) or of
-    bounds on it (coherent, j = 2, 4), by the formulas of spectra's module
-    docstring: positive sums, F2_in's in logs (math.lgamma), since the
-    factorials in C(n+2, j+2) overflow a double from 171! on."""
+    """(j, log_m): orders j >= 2 and log M_j, exact, coherent j = 2, 4 (W2
+    and ``_coherent_moment``) and F2_in j = 2..42.  F2_in is the image of
+    A^2 = e^{-y} B(-y)^2, B(u) = sum_j beta_j u^j with beta_j = sum_n P(n)
+    C(n+2, j+2)/j! = T^(j+3)_j/j! (hockey stick), and ``_image`` takes
+    e^{-y} y^m to the x^j moment j! (j-2)!/(j-2-m)!, so M_{2+k} = (2+k)! k!
+    sum_{i<=k} (beta * beta)_i/(k-i)!, * the convolution: positive terms
+    over the scaled tails, the scale restored in logs."""
     p = state.occupations
     if not incoherent:
-        n = np.arange(p.size + 1.0)
-        v = np.append(p * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0)), 0.0)
-        jv = (2.0 * n + 3.0) * v
-        jv[1:] += np.sqrt(n[1:] * (n[1:] + 2.0)) * v[:-1]
-        jv[:-1] += np.sqrt((n[:-1] + 1.0) * (n[:-1] + 3.0)) * v[1:]
-        return np.array([2, 4]), np.log([np.add.reduce(v * v), np.add.reduce(jv * jv)])
-    n = np.nonzero(p > 0.0)[0]
-    lf = _kernels._log_factorials(int(n[-1]) + _TAIL_ORDERS + 2)
-    lp, k = np.log(p[n]) + lf[n + 2], np.arange(_TAIL_ORDERS + 1)
-    # log beta_j, beta_j = sum_n P(n) C(n+2, j+2)/j!: zero past the table
-    lb = np.array([np.logaddexp.reduce(lp[n >= j] - lf[n[n >= j] - j]) if j <= n[-1] else -np.inf for j in k])
-    lb -= lf[k + 2] + lf[k]
-    i, j = k[:, None], k[None, :]
-    lower = np.where(j <= i, 0.0, -np.inf)  # the terms j <= i of a sum over j
-    # log a_i, a_i = sum_{j<=i} beta_j 2^{j-i}/(i-j)!
-    la = np.logaddexp.reduce(lower + lb[j] - (i - j) * math.log(2.0) - lf[abs(i - j)], axis=1)
-    return k + 2, lf[k + 2] + lf[k] + np.logaddexp.reduce(lower + la[j] + la[abs(i - j)], axis=1)
+        m4 = _coherent_moment(np.diff(p, 2, append=[0.0, 0.0]), 4)
+        return np.array([2, 4]), np.log([_x_moments(state, False)[2], m4])
+    scale, k = 2.0 ** p.size.bit_length(), np.arange(_TAIL_ORDERS + 1)
+    f = np.cumprod(np.append(1.0, np.arange(1.0, _TAIL_ORDERS + 3)))  # f[m] = m!
+    beta = np.zeros(k.size)  # beta_j / scale^(j+3), zero past the table
+    for j, t in zip(range(min(k.size, p.size)), itertools.islice(_tails(p, scale), 2, None)):
+        beta[j] = t[j] / f[j]
+    d, low = np.abs(k[:, None] - k), k <= k[:, None]  # |i - j| and j <= i, i the row
+    # (beta * beta)_i / scale^(i+6), then M_{2+k} / (scale^(k+6) (2+k)! k!)
+    conv = np.add.reduce(np.where(low, beta * beta[d], 0.0), axis=1)
+    m = np.add.reduce(np.where(low, conv * scale**-d / f[d], 0.0), axis=1)
+    return k + 2, np.log(m) + np.log(f[k + 2] * f[k]) + (k + 6) * math.log(scale)
 
 
 def x_moments(state, method, incoherent, tol):

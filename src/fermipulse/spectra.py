@@ -15,7 +15,7 @@ Each distribution runs in one of two regimes (AngularMode): frozen form
 factors, evaluated at varpi = 0, or the full (theta, varpi) integral.
 angular_distribution and total_photons tell them apart only in the
 detuning integral _over_varpi; frequency_distribution, which has none,
-takes its frozen angular integrals from theta_integrals.
+takes the varpi = 0 row of _theta_rows alone in frozen mode.
 
 Angular integrals in closed form.  With k = kla, k' = kla (1 + gamma_ratio
 varpi) and t = (1 - cos theta)/2, the transfer x = k^2 + k'^2 - 2 k k'
@@ -49,15 +49,14 @@ the weight 2 - 4x/X + 4x^2/X^2 is quadratic in x, so the row is (2 pi/X)
 int_X^inf (1 + (1 - 2x/X)^2) F dx, with (M0, M1, M2) the table sums (W0,
 W1, W2) coherent and (W1, W0, 2 N^2) for F2_in (formfunc._x_moments).
 Past X the weight is at most 4 (x/X)^2, so 0 <= R <= (8 pi/X) M_j/X^j for
-every j >= 2 (Markov).  Coherent M4 = |J v|^2 <= ||J| v|^2, v_n = P(n)
-sqrt((n+1)(n+2)) and J the Jacobi matrix of y in the orthonormal L^(2)
-basis (diagonal 2n+3, off-diagonal -sqrt((n+1)(n+3))); F2_in's M_{2+k} =
-(2+k)! k! sum_{i<=k} a_i a_{k-i}, the image of A^2's Taylor coefficients,
-a_k = sum_n P(n) d_k(n) with d_k(n) = sum_{j<=k} C(n+2, j+2)/j! 2^{j-k}/
-(k-j)! those of e^{-y/2} L_n^(2)(y), unsigned.  Under auto a varpi = 0 row
-that no closed form certifies takes this value, and no form evaluation,
-where the least bound plus round-off stays below 0.1 QUAD_REL_TOL of it;
-F2_in reaching past X (4 E_F > X: 10^6 atoms, cold) takes the rule below.
+every j >= 2 (Markov).  Every moment is exact, a positive sum over the
+repeated tails and differences of P(n): the coherent M_j = sum_s
+(s+j)!/s! (D^(j-2) P)_s^2, F2_in's M_{2+k}, k <= 40, through the image
+of A^2 = e^{-y} B(-y)^2 (formfunc._tail_moments).  Under auto a varpi =
+0 row that no closed form certifies takes this value, and no form
+evaluation, where the least bound plus round-off stays below 0.1
+QUAD_REL_TOL of it; F2_in reaching past X (4 E_F > X: 10^6 atoms,
+cold) takes the rule below.
 
 Quadratures.  Every other integral is one family of quadrature.nested
 over a fixed rule, one row per detuning or angle, each level evaluating
@@ -217,25 +216,10 @@ def _transfer(trap, varpis):
     return (trap.kla - kp) ** 2, 4.0 * trap.kla * kp
 
 
-def _exact_rows(blocks, trap, varpis):
-    """Per detuning: the angular integral of F = Re sum_j c_j e^{-a_j x} over
-    the blocks (c, a), and its round-off scale sum_j |c_j 2 pi e^{-a_j x0}
-    G(a_j span)|."""
-    x0, span = _transfer(trap, varpis)
-    total, scale = np.zeros(varpis.size), np.zeros(varpis.size)
-    for c, a in blocks:
-        step = max(1, CHUNK_DOUBLES // c.size)
-        for lo in range(0, varpis.size, step):
-            rows = slice(lo, lo + step)
-            terms = c * _weighted_exp(a, x0[rows, None], span[rows, None])
-            total[rows] += terms.sum(axis=1).real
-            scale[rows] += np.abs(terms).sum(axis=1)
-    return total, scale
-
-
 def _closed_rows(incoherent, state, trap, method, tolerance, varpis):
-    """The rows of _over_theta on a node path, in closed form: (values, ok),
-    ok marking the rows whose value is certified; None on a table path.
+    """Rows of _theta_rows on a node path, in closed form (module
+    docstring): (values, ok), ok marking the certified rows; no row is ok
+    on a table path.
 
     The terms are the ones the form functions sum (formfunc.node_terms,
     which runs the auto cross-check on its first read), the power series
@@ -244,73 +228,69 @@ def _closed_rows(incoherent, state, trap, method, tolerance, varpis):
     0.1 QUAD_REL_TOL of its value, and that tail, integrated against the
     weight (total THETA_WEIGHT_TOTAL), below 1e-3 QUAD_REL_TOL of it.
     """
-    terms = node_terms(state, method, incoherent, tolerance)
-    if terms is None:
-        return None
-    blocks, tail = terms
-    total, scale = _exact_rows(blocks, trap, varpis)
+    total, scale = np.zeros(varpis.size), np.zeros(varpis.size)
+    node = node_terms(state, method, incoherent, tolerance)
+    if node is None:
+        return total, np.zeros(varpis.size, dtype=bool)
+    blocks, tail = node
+    x0, span = _transfer(trap, varpis)
+    for c, a in blocks:
+        step = max(1, CHUNK_DOUBLES // c.size)
+        for lo in range(0, varpis.size, step):
+            rows = slice(lo, lo + step)
+            terms = c * _weighted_exp(a, x0[rows, None], span[rows, None])
+            total[rows] += terms.sum(axis=1).real
+            scale[rows] += np.abs(terms).sum(axis=1)
     exact = math.ulp(1.0) * scale <= 0.1 * QUAD_REL_TOL * np.abs(total)
     return total, exact & (THETA_WEIGHT_TOTAL * tail <= 1e-3 * QUAD_REL_TOL * np.abs(total))
 
 
-def _moment_row(incoherent, state, trap, method, tolerance):
-    """The varpi = 0 row from x-moments (module docstring): (value, err),
-    err the least Markov bound on the tail past X = 4 kla^2 plus the
-    round-off eps sum|term| of the three terms; None for a forced method."""
-    moments = x_moments(state, method, incoherent, tolerance)
+def _moment_rows(incoherent, state, trap, method, tolerance, varpis):
+    """Rows of _theta_rows at varpi = 0 from x-moments (module docstring):
+    (values, ok), ok marking those rows when the least Markov bound on the
+    tail past X = 4 kla^2 plus the round-off eps sum |term| of the three
+    terms stays below 0.1 QUAD_REL_TOL of the value; no row is ok for a
+    forced method."""
+    ok = varpis == 0.0
+    moments = x_moments(state, method, incoherent, tolerance) if ok.any() else None
     if moments is None:
-        return None
+        return np.zeros(varpis.size), np.zeros(varpis.size, dtype=bool)
     (m0, m1, m2), j, log_m = moments
     big = 4.0 * trap.kla * trap.kla
     terms = (2.0 * math.pi / big) * np.array([2.0 * m0, -4.0 * m1 / big, 4.0 * m2 / big**2])
     bound = 8.0 * math.pi / big * math.exp(float(np.min(log_m - j * math.log(big))))
-    return float(terms.sum()), bound + math.ulp(1.0) * float(np.abs(terms).sum())
+    value, err = float(terms.sum()), bound + math.ulp(1.0) * float(np.abs(terms).sum())
+    return np.full(varpis.size, value), ok & (err <= 0.1 * QUAD_REL_TOL * abs(value))
 
 
-def _over_theta(incoherent, state, trap, method, tolerance):
-    """The angular integral int w(theta) F2(theta, varpi) dtheta over [0, pi]
-    of one form function, as a function of varpi: in closed form on a
-    node path (see the module docstring; _closed_rows), at varpi = 0 under
-    auto from the x-moments (_moment_row), else, and on rows neither
-    certifies, by one nested family of the angular rule _theta_rule with
-    one row per detuning, each level evaluating the form function on one
-    array of transfers; with no such row it builds no rule.
-
-    The returned function takes a float or an array of detunings and
-    returns a float or an array of their shape.  A QuadratureFailure
-    names the detuning of its row.
+def _theta_rows(incoherent, state, trap, method, tolerance, varpi):
+    """The angular integrals int w(theta) F2(theta, varpi) dtheta over
+    [0, pi] of one form function, one per detuning of the 1-D array varpi:
+    the closed rows (_closed_rows), then the moment rows (_moment_rows),
+    then, on the rows neither certifies, one nested family of the angular
+    rule _theta_rule, each level evaluating the form function on one array
+    of transfers; with no such row it builds no rule.  A
+    QuadratureFailure names the detuning of its row.
     """
-
-    def integrate(varpi):
-        varpi = np.asarray(varpi, dtype=np.float64)
-        varpis = varpi.ravel()
-        form = incoherent_form if incoherent else coherent_form
-        values = np.empty(varpis.size)
-        rest = np.arange(varpis.size)
-        closed = _closed_rows(incoherent, state, trap, method, tolerance, varpis)
-        if closed is not None:
-            total, ok = closed
-            values[ok] = total[ok]
-            rest = rest[~ok]
-        frozen = varpis[rest] == 0.0
-        moment = _moment_row(incoherent, state, trap, method, tolerance) if frozen.any() else None
-        if moment is not None and moment[1] <= 0.1 * QUAD_REL_TOL * abs(moment[0]):
-            values[rest[frozen]] = moment[0]
-            rest = rest[~frozen]
+    values, rest = np.empty(varpi.size), np.arange(varpi.size)
+    for source in (_closed_rows, _moment_rows):
         if rest.size:
-            x0, span = _transfer(trap, varpis[rest])
+            got, ok = source(incoherent, state, trap, method, tolerance, varpi[rest])
+            values[rest[ok]] = got[ok]
+            rest = rest[~ok]
+    if rest.size:
+        form = incoherent_form if incoherent else coherent_form
+        x0, span = _transfer(trap, varpi[rest])
 
-            def f(rows, s):
-                return form(state, x0[rows] + span[rows] * (s * s), method, tolerance)
+        def f(rows, s):
+            return form(state, x0[rows] + span[rows] * (s * s), method, tolerance)
 
-            try:
-                values[rest] = nested(f, _theta_rule(), rest.size, QUAD_REL_TOL)
-            except QuadratureFailure as e:
-                row = int(rest[e.row])
-                raise QuadratureFailure(f"theta integral at varpi={varpis[row]:.6g}: {e}", err=e.err, row=row) from e
-        return float(values[0]) if varpi.ndim == 0 else values.reshape(varpi.shape)
-
-    return integrate
+        try:
+            values[rest] = nested(f, _theta_rule(), rest.size, QUAD_REL_TOL)
+        except QuadratureFailure as e:
+            row = int(rest[e.row])
+            raise QuadratureFailure(f"theta integral at varpi={varpi[row]:.6g}: {e}", err=e.err, row=row) from e
+    return values
 
 
 def _over_varpi(g, n_rows, mode):
@@ -330,10 +310,7 @@ def _over_varpi(g, n_rows, mode):
 
 def theta_integrals(state, trap, method=Method.AUTO, tolerance=1e-8):
     """(coherent, incoherent): int w(theta) F2(theta, 0) dtheta for both form functions."""
-    return (
-        _over_theta(False, state, trap, method, tolerance)(0.0),
-        _over_theta(True, state, trap, method, tolerance)(0.0),
-    )
+    return tuple(float(_theta_rows(inc, state, trap, method, tolerance, np.zeros(1))[0]) for inc in (False, True))
 
 
 def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Method.AUTO, tolerance=1e-8):
@@ -367,32 +344,26 @@ def angular_distribution(state, trap, theta, mode=AngularMode.AUTO, method=Metho
 def frequency_distribution(state, trap, varpi, method=Method.AUTO, tolerance=1e-8, mode=AngularMode.FULL):
     """Photon densities (dN_coh/dvarpi, dN_in/dvarpi) at varpi.
 
-    varpi may be an array; floats for a scalar.  Frozen form factors take
-    one theta_integrals call per call, so pass the detunings as one array.
-    The full mode integrates the angles of all detunings at once per form
-    function (in closed form on a node path, else one nested family with
-    one row per detuning), and has no row where s_coh vanishes (varpi = 0):
-    the form-function terms carry s_coh and drop out, leaving the closed
-    weight total.  The default is the full mode, the exact (theta, varpi)
-    integral.
+    varpi may be an array; floats for a scalar.  The angles of all live
+    detunings (s_coh != 0) are integrated at once per form function (in
+    closed form on a node path, from x-moments at varpi = 0, else one
+    nested family with one row per detuning; _theta_rows); frozen form
+    factors take the varpi = 0 row once, and no row when no detuning is
+    live.  Where s_coh vanishes (varpi = 0) the form-function terms drop
+    out, leaving the closed weight total.  The default is the full mode,
+    the exact (theta, varpi) integral.
     """
     mode = resolve_mode(mode, trap)
     s_coh, s_in = (np.asarray(s) for s in single_atom_spectra(varpi))
-    n = state.n_atoms
-    norm = photon_norm(trap)
     live = s_coh != 0.0
-    if mode is AngularMode.FROZEN:
-        i_coh, i_sub = theta_integrals(state, trap, method, tolerance)
-    else:
-        i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
-        varpis = np.asarray(varpi, dtype=np.float64)[live]
-        i_coh[live] = _over_theta(False, state, trap, method, tolerance)(varpis)
-        i_sub[live] = _over_theta(True, state, trap, method, tolerance)(varpis)
+    varpis = np.asarray(varpi, dtype=np.float64)[live]
+    varpis = np.zeros(min(varpis.size, 1)) if mode is AngularMode.FROZEN else varpis  # frozen: one varpi = 0 row
+    i_coh, i_sub = np.zeros(s_coh.shape), np.zeros(s_coh.shape)
+    i_coh[live] = _theta_rows(False, state, trap, method, tolerance, varpis)
+    i_sub[live] = _theta_rows(True, state, trap, method, tolerance, varpis)
+    norm = photon_norm(trap)
     d_coh = norm * s_coh * i_coh
-    d_in = norm * (n * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
-    if mode is AngularMode.FULL:
-        # where s_coh vanishes, the closed weight total alone
-        d_in = np.where(live, d_in, norm * n * s_in * THETA_WEIGHT_TOTAL)
+    d_in = norm * (state.n_atoms * (s_coh + s_in) * THETA_WEIGHT_TOTAL - s_coh * i_sub)
     if d_coh.ndim == 0:
         return float(d_coh), float(d_in)
     return d_coh, d_in
@@ -410,11 +381,10 @@ def total_photons(state, trap, pulse, mode=AngularMode.AUTO, method=Method.AUTO,
         raise ValueError("photon totals are defined for the 2*pi sech pulse")
     mode = resolve_mode(mode, trap)
 
+    def over_varpi(incoherent):
+        return _over_varpi(lambda _, w: _theta_rows(incoherent, state, trap, method, tolerance, w), 1, mode)[0]
+
     norm = photon_norm(trap)
-    i_coh, i_sub = (_over_theta(incoherent, state, trap, method, tolerance) for incoherent in (False, True))
-    n_coh = norm * _over_varpi(lambda rows, varpi: i_coh(varpi), 1, mode)[0]
-    sub = _over_varpi(lambda rows, varpi: i_sub(varpi), 1, mode)[0]
-    n_in = norm * (
-        state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - sub
-    )
+    n_coh = norm * over_varpi(False)
+    n_in = norm * (state.n_atoms * (S_COH_LINE_INTEGRAL + S_IN_LINE_INTEGRAL) * THETA_WEIGHT_TOTAL - over_varpi(True))
     return float(n_coh), float(n_in)

@@ -161,25 +161,22 @@ _N_MAX_CAP = 20_000_000
 
 
 def _shell_cutoff(log_z, tau, n_atoms, n_floor):
-    """Smallest n_max with the analytic tail bound below 1e-12 N, >= n_floor."""
+    """Smallest n_max >= n_floor with the analytic tail bound below 1e-12 N,
+    by bisection on [n_floor, _N_MAX_CAP]: past n_floor >= 40 tau the bound
+    falls with n."""
     target = math.log(1e-12 * n_atoms)
-    n = max(int(n_floor), 1)
-    if n > _N_MAX_CAP:
-        raise ConvergenceFailure(f"shell cutoff floor {n:.3g} exceeds {_N_MAX_CAP} at tau={tau}")
-    while _log_shell_tail(log_z, tau, n) >= target:
-        n = int(n * 1.5) + 8
-        if n > _N_MAX_CAP:
-            raise ConvergenceFailure(
-                f"shell cutoff exceeds {_N_MAX_CAP} at tau={tau} (log_z={log_z:.3g})"
-            )
-    lo, hi = max(int(n_floor), 1), n
+    lo, hi = max(int(n_floor), 1), _N_MAX_CAP
+    if lo > hi:
+        raise ConvergenceFailure(f"shell cutoff floor {lo:.3g} exceeds {_N_MAX_CAP} at tau={tau}")
+    if _log_shell_tail(log_z, tau, hi) >= target:
+        raise ConvergenceFailure(f"shell cutoff exceeds {_N_MAX_CAP} at tau={tau} (log_z={log_z:.3g})")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _log_shell_tail(log_z, tau, mid) < target:
             hi = mid
         else:
             lo = mid
-    return hi if _log_shell_tail(log_z, tau, lo) >= target else lo
+    return lo if _log_shell_tail(log_z, tau, lo) < target else hi
 
 
 def _occupations(statistics, log_z, tau, n_max):

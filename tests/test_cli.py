@@ -683,9 +683,9 @@ _PINNED_DIGESTS = {
     "formfunc-mb-closed-form-mb": "03e1e7f9b6d0b40b",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
-    "total-frozen": "236480c370f03bdb",
-    "spectrum-frozen": "6617a2191684379e",
-    "spectrum-full": "0569889031890f49",
+    "total-frozen": "06058ae3b4c39581",
+    "spectrum-frozen": "0301af7f371b4d12",
+    "spectrum-full": "797304c04a15eca8",
     "formfunc-fd-exp-sum": "83ebc1e643bdaa6f",
     "total-fd-exp-sum": "9300255c7f05c0f3",
     "formfunc-both-31x41": "3c68cf6c63431de2",

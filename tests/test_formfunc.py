@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -958,7 +959,7 @@ class TestMomentIdentities:
 
 
     # the x^j moments of formfunc.x_moments and the Markov bound on the
-    # angular row's tail (spectra._moment_row), against numerical integrals
+    # angular row's tail (spectra._moment_rows), against numerical integrals
     # of forced laguerre (coherent) and convolution (F2_in) form values
 
     @staticmethod
@@ -998,12 +999,43 @@ class TestMomentIdentities:
                 want = np.array([m0, m1, m2, *np.exp(log_m[1:4])])
                 assert np.exp(log_m[0]) == pytest.approx(m2, rel=1e-12)
             else:
-                # M4 = |J v|^2; the library bounds it by ||J| v|^2
                 want = np.array([m0, m1, m2, v @ jac @ v, v @ jac @ jac @ v, v @ jac @ jac @ jac @ v])
                 assert orders.tolist() == [2, 4] and np.exp(log_m[0]) == pytest.approx(m2, rel=1e-12)
-                assert np.exp(log_m[1]) == pytest.approx(np.sum((np.abs(jac) @ v) ** 2), rel=1e-12)
-                assert np.exp(log_m[1]) >= want[4]
+                # the library's M4 is exact
+                assert np.exp(log_m[1]) == pytest.approx(want[4], rel=1e-12)
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("statistics", ["fd", "mb"])
+    @pytest.mark.parametrize("t_over_ef", [0.05, 0.3, 1.0])
+    def test_identity_every_order(self, statistics, t_over_ef):
+        # M_j = sum_s (s+j)!/s! (D^(j-2) P)_s^2 against v J^(j-2) v for
+        # j = 0..5: J the Jacobi matrix of y in the orthonormal L^(2) basis,
+        # its inverses the Gram matrices of 1/y and 1/y^2 there, from
+        # L_n^(a) = sum_{k<=n} L_k^(a-1): int y e^{-y} L_m^(2) L_n^(2) dy =
+        # (k+1)(k+2)/2 and int e^{-y} L_m^(2) L_n^(2) dy = sum_{i<=k} (m-i+1)
+        # (n-i+1), k = min(m, n), checked as J G1 = 1 and J G0 = G1 on every
+        # row the truncation leaves whole
+        st = fp.solve_fugacity(300, t_over_ef * fp.fermi_energy(300), statistics)
+        p, size = st.occupations, st.n_max + 5
+        n = np.arange(size, dtype=np.float64)
+        v = np.zeros(size)
+        v[: p.size] = p * np.sqrt((n[: p.size] + 1.0) * (n[: p.size] + 2.0))
+        jac = np.diag(2.0 * n + 3.0) - np.diag(np.sqrt((n[:-1] + 1.0) * (n[:-1] + 3.0)), 1)
+        jac = jac + np.triu(jac, 1).T
+        a, b = n[:, None] + 1.0, n[None, :] + 1.0
+        k = np.minimum(a, b) - 1.0
+        c = 1.0 / np.sqrt(a * (a + 1.0) * b * (b + 1.0))
+        g1 = c * (k + 1.0) * (k + 2.0) / 2.0
+        g0 = c * ((k + 1.0) * a * b - (a + b) * k * (k + 1.0) / 2.0 + k * (k + 1.0) * (2.0 * k + 1.0) / 6.0)
+        # to round-off: 64 eps of the products' absolute terms
+        for inverse, image in ((g1, np.eye(size)), (g0, g1)):
+            assert np.all((np.abs(jac @ inverse - image) <= 64.0 * math.ulp(1.0) * (np.abs(jac) @ inverse))[:-1])
+        want = [v @ g0 @ v, v @ g1 @ v, v @ v, v @ jac @ v, v @ jac @ jac @ v, v @ jac @ jac @ jac @ v]
+        tails = formfunc._tails(p, 2.0)
+        t1, t2 = next(tails) * 2.0, next(tails) * 4.0
+        diffs = [t2, t1, p, *(np.diff(p, m, append=np.zeros(m)) for m in (1, 2, 3))]
+        got = [formfunc._coherent_moment(d, j) for j, d in enumerate(diffs)]
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n_atoms, t_over_ef, statistics", [(300, 1.0, "fd"), (300, 0.3, "mb"), (300, 0.05, "fd")])
     def test_markov_bound_covers_tail(self, n_atoms, t_over_ef, statistics):
@@ -1014,15 +1046,38 @@ class TestMomentIdentities:
         big = 4.0 * trap.kla**2
         st = fp.solve_fugacity(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), statistics)
         for incoherent in (False, True):
-            value, err = spectra._moment_row(incoherent, st, trap, "auto", 1e-8)
+            (value,), (ok,) = spectra._moment_rows(incoherent, st, trap, "auto", 1e-8, np.zeros(1))
+            _, j, log_m = formfunc.x_moments(st, "auto", incoherent, 1e-8)
+            # Markov's bound on the part past X from each order j >= 2
+            bound = (8.0 * math.pi / big) * np.exp(log_m - j * math.log(big))
             weight = lambda x: (2.0 * math.pi / big) * (1.0 + (1.0 - 2.0 * x / big) ** 2)  # noqa: E731
             tail = self.numeric(st, incoherent, weight, lo=big)
             head = self.numeric(st, incoherent, weight, hi=big)
-            assert 0.0 <= tail <= err
+            assert 0.0 <= tail <= bound.min() * (1.0 + 1e-9)
             assert value - tail == pytest.approx(head, rel=1e-9)
+            assert not ok or tail <= 0.1 * spectra.QUAD_REL_TOL * value
             if incoherent and statistics == "fd" and t_over_ef == 1.0:
                 # a tail this large fails the row's certification
-                assert tail > 1e-3 * value and err > 0.1 * spectra.QUAD_REL_TOL * value
+                assert tail > 1e-3 * value and not ok
+
+    def test_tail_moments_at_scale(self):
+        # 10^7 atoms, 100 E_F: n_max = 1566340; F2_in's 41 moments once took
+        # 3.3 s there, in log space
+        st = fp.solve_fugacity(10**7, 100.0 * fp.fermi_energy(10**7))
+        start = time.perf_counter()
+        _, j, log_m = formfunc.x_moments(st, "auto", True, 1e-8)
+        assert time.perf_counter() - start < 1.0
+        assert j.tolist() == list(range(2, 43)) and np.isfinite(log_m).all()
+
+    def test_tail_moments_on_the_longest_table(self):
+        # tau = 2e5 at 10^7 atoms: n_max = 8000393, where the squared
+        # coefficients of B would overflow a double unless each tail is
+        # scaled as it is formed; RuntimeWarnings are errors (pyproject.toml)
+        st = fp.solve_fugacity(10**7, 2e5)
+        assert st.n_max > 8 * 10**6
+        for incoherent in (False, True):
+            moments, j, log_m = formfunc.x_moments(st, "auto", incoherent, 1e-8)
+            assert np.isfinite([*moments, *log_m]).all() and min(moments) > 0.0
 
 
 class TestHankelIdentity:

@@ -404,7 +404,7 @@ def theta_reference(state, trap, varpis, incoherent, method, epsrel=1e-10):
 
 class TestClosedFormAngles:
     """The angular integrals on the node paths are closed forms
-    (spectra._over_theta): checked against the quadrature, counted, and
+    (spectra._closed_rows): checked against the quadrature, counted, and
     routed back to it where their round-off bound fails."""
 
     VARPIS = np.array([0.0, 0.7, -0.7, -3.3, 6.0])
@@ -429,13 +429,13 @@ class TestClosedFormAngles:
     )
     def test_matches_quadrature(self, trap, state_cache, n_atoms, t_over_ef, statistics, method, path):
         from fermipulse.formfunc import describe_methods
-        from fermipulse.spectra import _over_theta
+        from fermipulse.spectra import _theta_rows
 
         st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms), fp.Statistics.parse(statistics))
         described = describe_methods(st, method)
         assert described["coh_method"] == described["inc_method"] == path
         for incoherent in (False, True):
-            got = _over_theta(incoherent, st, trap, method, 1e-8)(self.VARPIS)
+            got = _theta_rows(incoherent, st, trap, method, 1e-8, self.VARPIS)
             want = theta_reference(st, trap, self.VARPIS, incoherent, method)
             assert np.abs(got - want).max() <= 5e-8 * np.abs(want).max()
 
@@ -486,11 +486,11 @@ class TestClosedFormAngles:
         # coherent cone narrowest; adaptive Simpson missed its own
         # tolerance here by 2.0e-6 relative
         from fermipulse.formfunc import describe_methods
-        from fermipulse.spectra import _over_theta
+        from fermipulse.spectra import _theta_rows
 
         st = state_cache(10**4, 0.001 * fp.fermi_energy(10**4))
         assert describe_methods(st, "auto")["coh_method"] == "laguerre"
-        got = _over_theta(False, st, trap, "auto", 1e-8)(0.5)
+        (got,) = _theta_rows(False, st, trap, "auto", 1e-8, np.array([0.5]))
         assert got == pytest.approx(theta_reference(st, trap, [0.5], False, "auto", epsrel=1e-13)[0], rel=1e-10)
 
     def test_uncertified_row_takes_quadrature(self, state_cache, monkeypatch):
@@ -505,7 +505,7 @@ class TestClosedFormAngles:
         rows = []
         real = spectra.nested
         monkeypatch.setattr(spectra, "nested", lambda f, levels, n, tol: rows.append(n) or real(f, levels, n, tol))
-        got = spectra._over_theta(False, st, trap, "auto", 1e-8)(varpis)
+        got = spectra._theta_rows(False, st, trap, "auto", 1e-8, varpis)
         assert rows == [1]
         # that row is the one-row angular rule on form values, bit for bit
         x0, span = spectra._transfer(trap, np.array([-6.0]))
@@ -521,7 +521,7 @@ class TestClosedFormAngles:
 
 class TestMomentRows:
     """On the table paths, auto takes a frozen (varpi = 0) row from the
-    channel's x-moments (spectra._moment_row): checked against the
+    channel's x-moments (spectra._moment_rows): checked against the
     quadrature, counted, and routed back to the angular rule where the
     Markov bound on its tail fails."""
 
@@ -530,12 +530,12 @@ class TestMomentRows:
     )
     def test_matches_quadrature(self, trap, state_cache, n_atoms, t_over_ef):
         from fermipulse.formfunc import describe_methods
-        from fermipulse.spectra import _over_theta
+        from fermipulse.spectra import _theta_rows
 
         st = state_cache(n_atoms, t_over_ef * fp.fermi_energy(n_atoms))
         assert describe_methods(st, "auto") == {"coh_method": "laguerre", "inc_method": "convolution"}
         for incoherent in (False, True):
-            got = _over_theta(incoherent, st, trap, "auto", 1e-8)(np.array([0.0]))
+            got = _theta_rows(incoherent, st, trap, "auto", 1e-8, np.array([0.0]))
             want = theta_reference(st, trap, [0.0], incoherent, "auto")
             assert np.abs(got - want).max() <= 5e-8 * np.abs(want).max()
 
@@ -559,10 +559,11 @@ class TestMomentRows:
         rows = []
         real = spectra.nested
         monkeypatch.setattr(spectra, "nested", lambda f, levels, n, tol: rows.append(n) or real(f, levels, n, tol))
-        got = [spectra._over_theta(incoherent, st, trap, "auto", 1e-8)(0.0) for incoherent in (False, True)]
+        zero = np.zeros(1)
+        got = [spectra._theta_rows(incoherent, st, trap, "auto", 1e-8, zero)[0] for incoherent in (False, True)]
         assert rows == [1]
-        value, err = spectra._moment_row(True, st, trap, "auto", 1e-8)
-        assert err > 0.1 * spectra.QUAD_REL_TOL * value
+        assert spectra._moment_rows(False, st, trap, "auto", 1e-8, zero)[1].tolist() == [True]
+        assert spectra._moment_rows(True, st, trap, "auto", 1e-8, zero)[1].tolist() == [False]
         for incoherent, g in zip((False, True), got):
             assert g == pytest.approx(theta_reference(st, trap, [0.0], incoherent, "auto")[0], rel=5e-8)
 
@@ -589,20 +590,34 @@ class TestMomentRows:
         ],
     )
     def test_extremes_finite(self, pulse, n_atoms, tau, kla):
-        # RuntimeWarnings are errors (pyproject.toml).  The moments sum the
-        # factorials in logs, which a double overflows from 171! on; at 10^6
-        # atoms, 10 E_F, n_max = 72868.  At 10^7 atoms, 100 E_F (n_max =
-        # 1566340) they take seconds, and the closed rows leave none to take
+        # RuntimeWarnings are errors (pyproject.toml); at 10^7 atoms, 100 E_F
+        # n_max = 1566340, and the closed rows leave no row to the moments
         from fermipulse import spectra
 
         trap = fp.TrapModel(kla=kla)
         st = fp.solve_fugacity(n_atoms, tau)
         for incoherent in (False, True):
-            if st.n_max < 10**6:
-                value, err = spectra._moment_row(incoherent, st, trap, "auto", 1e-8)
-                assert math.isfinite(value) and value > 0.0 and math.isfinite(err) and err > 0.0
+            (value,), _ = spectra._moment_rows(incoherent, st, trap, "auto", 1e-8, np.zeros(1))
+            _, _, log_m = fp.formfunc.x_moments(st, "auto", incoherent, 1e-8)
+            assert math.isfinite(value) and value > 0.0 and np.isfinite(log_m).all()
         n_coh, n_in = fp.total_photons(st, trap, pulse, mode=fp.AngularMode.FROZEN)
         assert math.isfinite(n_coh) and n_coh > 0.0 and math.isfinite(n_in) and n_in > 0.0
+
+    def test_frozen_frequency_without_live_detuning_runs_no_row(self, trap, monkeypatch):
+        # 10^6 atoms, 0.01 E_F: the incoherent varpi = 0 row would take the
+        # angular rule; at varpi = 0 alone s_coh vanishes, so no row is asked
+        from fermipulse import spectra
+
+        st = fp.solve_fugacity(10**6, 0.01 * fp.fermi_energy(10**6))
+        counts, rows = counting_forms(monkeypatch), []
+        real = spectra.nested
+        monkeypatch.setattr(spectra, "nested", lambda f, levels, n, tol: rows.append(n) or real(f, levels, n, tol))
+        d_coh, d_in = fp.frequency_distribution(st, trap, np.zeros(3), mode=fp.AngularMode.FROZEN)
+        assert rows == [] and counts == {"coh": [0, 0], "inc": [0, 0]}
+        assert not any(isinstance(k, tuple) and k[0] == "tail_moments" for k in st._cache)
+        assert d_coh.tolist() == [0.0] * 3
+        want = fp.photon_norm(trap) * 10**6 * (4.0 / math.pi) * THETA_WEIGHT_TOTAL
+        assert d_in.tolist() == [pytest.approx(want, rel=1e-14)] * 3
 
     def test_no_rule_built_without_a_row(self, package_env):
         # a frozen total whose rows are all closed forms or moments never

@@ -159,6 +159,23 @@ class TestSolve:
         g = _degeneracy_array(st.n_max)
         assert float(g @ st.occupations) == pytest.approx(10.0, rel=1e-10)
 
+    def test_shell_cutoff_is_least_below_bound(self):
+        # one bisection on [n_floor, cap]: on a grid of atom numbers,
+        # temperatures from 1e-4 to 100 E_F and four fugacities each, the
+        # cutoff is the least n >= n_floor whose tail bound is below 1e-12 N
+        from fermipulse.statmech import _log_shell_tail, _shell_cutoff
+
+        for n_atoms in (1, 2, 10, 100, 1000, 1001, 10**4, 10**5, 10**6, 3 * 10**6, 10**7):
+            ef = fp.fermi_energy(n_atoms)
+            for tau in np.geomspace(1e-4, 1e2, 11) * max(ef, 1.0):
+                n_floor = math.ceil(ef + 40.0 * tau) + 1
+                log_z_mb = math.log(n_atoms) + 3.0 * math.log(-math.expm1(-1.0 / tau))
+                for log_z in (log_z_mb, log_z_mb + 0.5, 0.0, ef / tau):
+                    n = _shell_cutoff(log_z, tau, n_atoms, n_floor)
+                    target = math.log(1e-12 * n_atoms)
+                    assert n >= n_floor and _log_shell_tail(log_z, tau, n) < target
+                    assert n == n_floor or _log_shell_tail(log_z, tau, n - 1) >= target
+
     def test_shell_sums_independent_of_blas_threads(self, package_env):
         # n_max = 10068: above 10,000 elements OpenBLAS splits a dot
         # product across its threads, which would change the summation order
