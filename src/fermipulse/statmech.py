@@ -6,7 +6,9 @@ sum_n g(n) P(n) = N, and precomputes the shell-occupation table used by
 every downstream sum.  The fugacity is carried in log form so that the
 deeply degenerate regime (log z ~ E_F / tau, thousands) never overflows,
 and the Fermi-Dirac occupations are the numpy logistic in its two
-stable branches (``_occupations``).
+stable branches (``_occupations``).  The Fermi-Dirac root is found by
+Newton steps in log z inside a bracket closed before the first table
+pass, and the last pass is the state's table.
 """
 
 import enum
@@ -17,7 +19,7 @@ import numpy as np
 
 
 class ConvergenceFailure(Exception):
-    """Fugacity solve failed to bracket or meet tolerance."""
+    """The fugacity solve or its shell cutoff did not converge."""
 
 
 class Statistics(enum.Enum):
@@ -201,60 +203,46 @@ _SOLVE_MAX_ITER = 300
 
 
 def _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb):
-    def shortfall(log_z):
-        return _shell_sum(_occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)) - n_atoms
-
-    # FD occupations at fixed z are below MB ones, so the MB fugacity is a
-    # lower bracket for the FD root
-    lo = log_z_mb - 0.5
-    guard = 0
-    while shortfall(lo) > 0.0:
-        lo -= max(1.0, abs(lo))
-        guard += 1
-        if guard > 100:
-            raise ConvergenceFailure("could not establish lower fugacity bracket")
-    hi = log_z_mb + 1.0
-    step = 1.0
-    guard = 0
-    while shortfall(hi) < 0.0:
-        hi += step
-        step *= 2.0
-        guard += 1
-        if guard > 200:
-            raise ConvergenceFailure("could not establish upper fugacity bracket")
-
-    f_lo = shortfall(lo)
-    f_hi = shortfall(hi)
+    """(log z, table) of the Fermi-Dirac root on shells 0..n_max by Newton
+    steps in log z, slope dN/dlog z = sum g f(1 - f) from the same pass.
+    The bracket is closed before the first pass: N falls short at z_MB (FD
+    occupations lie below MB ones) and is exceeded at n_max/tau + 40 (every
+    shell full to e^-40, and n_max >= E_F + 1 holds more than N levels).
+    A step that leaves the narrowing bracket, or a zero slope, bisects it."""
+    lo, hi = log_z_mb, n_max / tau + 40.0
+    log_z = lo
     for _ in range(_SOLVE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        f_mid = shortfall(mid)
-        if abs(f_mid) <= 0.01 * _SOLVE_REL_TOL * n_atoms:
-            return mid
-        if f_mid < 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    # secant polish on the final bracket
-    mid = 0.5 * (lo + hi)
-    if f_hi != f_lo:
-        sec = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if lo <= sec <= hi and abs(shortfall(sec)) < abs(shortfall(mid)):
-            mid = sec
-    if abs(shortfall(mid)) > _SOLVE_REL_TOL * n_atoms:
-        raise ConvergenceFailure(
-            f"fugacity solve missed tolerance: |dN|/N = {abs(shortfall(mid)) / n_atoms:.3g}"
-        )
-    return mid
+        occ = _occupations(Statistics.FERMI_DIRAC, log_z, tau, n_max)
+        shortfall = _shell_sum(occ) - n_atoms
+        if abs(shortfall) <= 0.01 * _SOLVE_REL_TOL * n_atoms:
+            return log_z, occ
+        lo, hi = (log_z, hi) if shortfall < 0.0 else (lo, log_z)
+        slope = _shell_sum(occ - occ * occ)
+        step = log_z - shortfall / slope if slope > 0.0 else hi
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < step < hi:
+            break  # the bracket is down to adjacent doubles
+        log_z = step
+    else:
+        raise ConvergenceFailure(f"fugacity solve took {_SOLVE_MAX_ITER} table passes")
+    if abs(shortfall) > _SOLVE_REL_TOL * n_atoms:
+        raise ConvergenceFailure(f"fugacity solve missed tolerance: |dN|/N = {abs(shortfall) / n_atoms:.3g}")
+    return log_z, occ
 
 
 def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC):
     """Solve the fugacity for N atoms at reduced temperature tau.
 
     For Maxwell-Boltzmann atoms the closed form z = N (1 - e^{-1/tau})^3 is
-    used; the Fermi-Dirac root is found by bisection in log z (the number
-    constraint is strictly increasing in z) plus a secant polish.
+    used; the Fermi-Dirac root is found by Newton steps in log z inside a
+    closed bracket (the number constraint is strictly increasing in z), and
+    its last pass is the state's table.
+
+    At a closed-shell N (1, 4, 10, ...) and tau far below the level spacing,
+    N(log z) is flat to 1e-12 N across the gap above the last full shell, so
+    the constraint does not fix log z there: the solve returns the first
+    point of the plateau its steps reach, and the occupations agree to
+    round-off across it.
     """
     n_atoms = _checked_int("n_atoms", n_atoms, least=1)
     if not (math.isfinite(tau) and tau > 0.0):
@@ -268,12 +256,13 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC):
     if statistics is Statistics.MAXWELL_BOLTZMANN:
         log_z = log_z_mb
         n_max = _shell_cutoff(log_z, tau, n_atoms, n_floor)
+        occ = _occupations(statistics, log_z, tau, n_max)
     else:
         # the true FD z exceeds the MB estimate; pad the cutoff estimate and
         # verify against the solved value
         n_max = _shell_cutoff(log_z_mb + 0.5, tau, n_atoms, n_floor)
         for _ in range(4):
-            log_z = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb)
+            log_z, occ = _solve_fd_log_z(n_atoms, tau, n_max, log_z_mb)
             needed = _shell_cutoff(log_z, tau, n_atoms, n_floor)
             if needed <= n_max:
                 break
@@ -281,9 +270,6 @@ def solve_fugacity(n_atoms, tau, statistics=Statistics.FERMI_DIRAC):
         else:
             raise ConvergenceFailure("shell cutoff failed to stabilize")
 
-    occ = _occupations(statistics, log_z, tau, n_max)
-    if statistics is Statistics.FERMI_DIRAC and abs(_shell_sum(occ) - n_atoms) > _SOLVE_REL_TOL * n_atoms:
-        raise ConvergenceFailure("number constraint violated after solve")
     return ThermalState(
         n_atoms=float(n_atoms),
         tau=tau,

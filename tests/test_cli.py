@@ -672,23 +672,23 @@ _PINNED_RUNS = {
 # sha256 (first 16 hex digits) over every CSV a run writes, in name order,
 # each file's name followed by its bytes
 _PINNED_DIGESTS = {
-    "formfunc-fd-auto": "2dd10a4ae09d2829",
-    "formfunc-fd-power-series": "847317efee3bbe1a",
-    "formfunc-fd-laguerre": "3bcdd53c3b47db15",
-    "formfunc-fd-quad-sum": "81b26c058ae2964e",
-    "formfunc-fd-convolution": "b5a101813c027845",
+    "formfunc-fd-auto": "43e9497e66386c88",
+    "formfunc-fd-power-series": "85cb83576d91e19d",
+    "formfunc-fd-laguerre": "d090923033e6ae65",
+    "formfunc-fd-quad-sum": "594a3d5e135136d4",
+    "formfunc-fd-convolution": "19dd32b06761060c",
     "formfunc-mb-auto": "2e994f9ef295c015",
     "formfunc-mb-power-series": "afb7532b2b45ef92",
     "formfunc-mb-laguerre": "d72b10268f5b9e49",
     "formfunc-mb-closed-form-mb": "03e1e7f9b6d0b40b",
     "formfunc-mb-quad-sum": "81a3d076a5377538",
     "formfunc-mb-convolution": "9a6feeb69941cbef",
-    "total-frozen": "06058ae3b4c39581",
-    "spectrum-frozen": "0301af7f371b4d12",
-    "spectrum-full": "797304c04a15eca8",
-    "formfunc-fd-exp-sum": "83ebc1e643bdaa6f",
-    "total-fd-exp-sum": "9300255c7f05c0f3",
-    "formfunc-both-31x41": "3c68cf6c63431de2",
+    "total-frozen": "cb2a9e7324544a4d",
+    "spectrum-frozen": "39e2442da154e11b",
+    "spectrum-full": "e4691aa721c8c0aa",
+    "formfunc-fd-exp-sum": "820cb3c92f6b050c",
+    "total-fd-exp-sum": "9bff62eae19298c2",
+    "formfunc-both-31x41": "670dff2ea3361d7f",
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import expit
 
 import fermipulse as fp
+from fermipulse import statmech
 from fermipulse.statmech import _degeneracy_array, _occupations
 
 
@@ -109,10 +110,11 @@ class TestSolve:
         st = fp.solve_fugacity(10**6, 247.8)
         assert st.fugacity < 1.0
 
-    @pytest.mark.parametrize("n_atoms", [10, 10**4, 10**6])
-    @pytest.mark.parametrize("t_over_ef", [1e-3, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 4, 10, 1001, 10**4, 10**6, 10**7])
+    @pytest.mark.parametrize("t_over_ef", [1e-4, 1e-3, 0.3, 1.0, 10.0, 1e2])
     def test_number_conservation(self, n_atoms, t_over_ef):
-        tau = t_over_ef * fp.fermi_energy(n_atoms)
+        # E_F = 0 at one atom: there t_over_ef is in trap units
+        tau = t_over_ef * max(fp.fermi_energy(n_atoms), 1.0)
         st = fp.solve_fugacity(n_atoms, tau)
         g = _degeneracy_array(st.n_max)
         assert float(g @ st.occupations) == pytest.approx(n_atoms, rel=1e-10)
@@ -126,13 +128,15 @@ class TestSolve:
         np.testing.assert_allclose(fd.occupations[: n + 1], mb.occupations[: n + 1], rtol=1e-3)
 
     def test_total_variance_vanishes_at_zero_temperature(self):
+        # the number variance sum g f(1 - f), the Newton solve's slope,
+        # falls as the closed-shell gas cools
+        variances = []
         for tau in (0.5, 0.1, 0.02):
             st = fp.solve_fugacity(10, tau)
             g = _degeneracy_array(st.n_max)
-            var = float(g @ (st.occupations * (1.0 - st.occupations)))
-            if tau == 0.02:
-                assert var < 1e-6
-        assert var < 1e-6
+            variances.append(float(g @ (st.occupations * (1.0 - st.occupations))))
+        assert variances[0] > variances[1] > variances[2]
+        assert variances[2] < 1e-6
 
     def test_monotone_constraint_means_unique_root(self):
         # the number sum is strictly increasing in z
@@ -194,6 +198,63 @@ class TestSolve:
             runs.append(json.loads(proc.stdout))
         assert runs[0][0] > 10_000
         assert runs[0] == runs[1]
+
+
+# atom numbers and temperatures (in E_F, trap units at one atom) of the
+# solve's pass counts and bracket
+_GRID_ATOMS = (1, 2, 3, 4, 10, 100, 1000, 1001, 10**4, 3 * 10**4, 10**5, 10**6, 10**7)
+_GRID_T_OVER_EF = np.geomspace(1e-4, 1e2, 13).tolist()
+
+
+def _counted_solve(n_atoms, tau):
+    """(state, number of occupation tables the solve built)."""
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return _occupations(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(statmech, "_occupations", counted)
+        st = fp.solve_fugacity(n_atoms, tau)
+    return st, len(passes)
+
+
+@pytest.fixture(scope="module")
+def solved_grid():
+    """(n_atoms, tau, n_max, passes) over the grid."""
+    rows = []
+    for n_atoms in _GRID_ATOMS:
+        for t in _GRID_T_OVER_EF:
+            tau = t * max(fp.fermi_energy(n_atoms), 1.0)
+            st, passes = _counted_solve(n_atoms, tau)
+            rows.append((n_atoms, tau, st.n_max, passes))
+    return rows
+
+
+class TestNewtonSolve:
+    """The Fermi-Dirac solve takes Newton steps in log z inside a bracket
+    closed before its first pass; each pass builds one occupation table."""
+
+    def test_passes_per_state(self, solved_grid):
+        # one atom at tau <= 0.01 climbs the e^-x tail of a flat N(log z)
+        # one unit per pass, to 1e-12 N in 28 passes
+        for n_atoms, tau, _, passes in solved_grid:
+            assert passes <= (30 if n_atoms == 1 else 20), (n_atoms, tau, passes)
+
+    def test_passes_on_the_longest_table(self):
+        st, passes = _counted_solve(10**7, 2e5)
+        assert st.n_max > 8 * 10**6 and passes <= 5
+        assert abs(st.total_atoms - 10**7) <= 1e-10 * 10**7
+
+    def test_bracket_closed_on_own_table(self, solved_grid):
+        # N falls short at the Maxwell-Boltzmann fugacity and is exceeded
+        # with every shell full to e^-40
+        for n_atoms, tau, n_max, _ in solved_grid:
+            log_z_mb = math.log(n_atoms) + 3.0 * math.log(-math.expm1(-1.0 / tau))
+            low = fp.from_fugacity(log_z_mb, tau, n_max).total_atoms
+            high = fp.from_fugacity(n_max / tau + 40.0, tau, n_max).total_atoms
+            assert low < n_atoms < high, (n_atoms, tau)
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
