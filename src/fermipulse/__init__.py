@@ -24,6 +24,14 @@ from .formfunc import (
     incoherent_form,
 )
 from .model import TrapModel, kinematics
+from .oracle import (
+    fc_matrix,
+    franck_condon_sq,
+    franck_condon_sq_loggamma,
+    laguerre_addition_check,
+    laguerre_scaled,
+    laguerre_scaled_table,
+)
 from .pulse import PulseModel, S_COH_LINE_INTEGRAL, S_IN_LINE_INTEGRAL, single_atom_spectra
 from .quadrature import QuadratureFailure
 from .spectra import (
@@ -35,14 +43,6 @@ from .spectra import (
     photon_norm,
     theta_integrals,
     total_photons,
-)
-from .specfun import (
-    fc_matrix,
-    franck_condon_sq,
-    franck_condon_sq_loggamma,
-    laguerre_addition_check,
-    laguerre_scaled,
-    laguerre_scaled_table,
 )
 from .statmech import (
     ConvergenceFailure,

@@ -2,12 +2,12 @@
 
 Each recurrence is written once, as a generator of its rows:
 ``_laguerre_rows`` yields the scaled Laguerre values e^{-x/2} L_n^alpha(x)
-for n = 0, 1, ..., which ``laguerre_scaled_table`` stacks and
-``laguerre_weighted_sum`` sums with weights; ``_fc_amplitude_rows``
-yields the normalized displacement amplitudes over the triangle
-m + d <= size, row m at a time, which ``fc_matrix`` squares into the
-dense matrix and ``fc_weighted_sum`` contracts with packed weights
-without forming it.  ``quad_sum`` is the direct four-index oracle sum.
+for n = 0, 1, ..., which ``laguerre_weighted_sum`` sums with weights
+(``oracle.laguerre_scaled_table`` stacks them for one x);
+``_fc_amplitude_rows`` yields the normalized displacement amplitudes over
+the triangle m + d <= size, row m at a time, which ``fc_matrix`` squares
+into the dense matrix and ``fc_weighted_sum`` contracts with packed
+weights without forming it.  ``quad_sum`` is the direct four-index sum.
 The two weighted sums take an array of x and advance their recurrences
 for a chunk of x at a time, at most CHUNK_DOUBLES doubles per working
 array.  Everything here is numpy and the standard library: the log d!
@@ -57,10 +57,6 @@ def _laguerre_rows(n_max, alpha, x):
         yield l2
         l0 = l1
         l1 = l2
-
-
-def laguerre_scaled_table(n_max, alpha, x):
-    return np.fromiter(_laguerre_rows(n_max, alpha, x), np.float64, n_max + 1)
 
 
 def laguerre_weighted_sum(w, alpha, x):

@@ -39,8 +39,6 @@ from .model import (
     DEFAULT_GAMMA_RATIO,
     DEFAULT_KLA,
     DEFAULT_NATURAL_WIDTH_RATIO,
-    MAX_GAMMA_RATIO,
-    VARPI_QUAD_WINDOW,
     TrapModel,
     kinematics,
 )
@@ -132,13 +130,11 @@ class RunConfig:
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
                 raise ConfigError(name, f"must be positive, got {v!r}")
             setattr(self, name, float(v))
-        if self.gamma_ratio >= MAX_GAMMA_RATIO:
-            raise ConfigError("gamma_ratio", f"must be < {MAX_GAMMA_RATIO}, got {self.gamma_ratio!r}")
-        # full-mode spectra reach |varpi| = VARPI_QUAD_WINDOW whatever the grid
-        if self.gamma_ratio * VARPI_QUAD_WINDOW >= 1.0:
-            raise ConfigError(
-                "gamma_ratio", f"must be < 1/{VARPI_QUAD_WINDOW:g}, got {self.gamma_ratio!r}"
-            )
+        # TrapModel's own checks; each message starts with its field's name
+        try:
+            self.trap()
+        except ValueError as e:
+            raise ConfigError(*str(e).split(" ", 1)) from None
         # the scattered wavenumber kla (1 + gamma_ratio varpi) must stay positive
         if self.gamma_ratio * self.varpi_window >= 1.0:
             raise ConfigError("varpi_window", f"must be < 1/gamma_ratio, got {self.varpi_window!r}")
@@ -293,16 +289,15 @@ def _csv_lines(rows):
         yield line + "\n"
 
 
-def _grid_lines(prefixes, prefix_finite, values):
+def _grid_lines(prefixes, values):
     """Yield the CSV lines of a formfunc grid as one chunk.
 
     Row k is prefixes[k] followed by repr(values.flat[k]), the same text
-    _csv_lines writes for the row.  A row whose prefix floats are not all
-    finite (prefix_finite[k] false) or whose value is not finite raises
-    FormFunctionError once the rows before it are yielded.
+    _csv_lines writes for the row.  A row whose value is not finite
+    raises FormFunctionError once the rows before it are yielded.
     """
     flat = values.ravel()
-    bad = np.flatnonzero(~(prefix_finite & np.isfinite(flat)))
+    bad = np.flatnonzero(~np.isfinite(flat))
     stop = int(bad[0]) if bad.size else flat.size
     if stop:
         yield "\n".join(map(operator.add, prefixes[:stop], map(str, flat[:stop].tolist()))) + "\n"
@@ -352,7 +347,6 @@ def cmd_formfunc(cfg):
     degrees = np.degrees(thetas)
     cells = itertools.product(map(str, degrees.tolist()), map(str, varpis.tolist()))
     prefixes = [f"{t},{v},{xc}," for (t, v), xc in zip(cells, x.ravel().tolist())]
-    prefix_finite = (np.isfinite(degrees)[:, None] & np.isfinite(varpis) & np.isfinite(x)).ravel()
     written = []
     for temp, stat, state in _solve_states(cfg):
         total = state.total_atoms
@@ -370,7 +364,7 @@ def cmd_formfunc(cfg):
             raise type(e)(f"method {cfg.method.value} at {where}: {e}") from e
         for channel, values in (("coh", f2_coh / total**2), ("in", f2_in / total)):
             suffix = f"formfunc_{channel}_{stat.value}_{temp.label()}"
-            lines = _grid_lines(prefixes, prefix_finite, values)
+            lines = _grid_lines(prefixes, values)
             written.append(_write_csv(cfg, suffix, "theta_deg,varpi,x_total,value", lines))
         print(f"formfunc: {temp.label()} {stat.value} done", file=sys.stderr, flush=True)
     return written

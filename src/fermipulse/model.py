@@ -57,6 +57,10 @@ class TrapModel:
                 f"gamma_ratio must be < 1/{VARPI_QUAD_WINDOW:g}, so that the scattered wavenumber stays "
                 f"positive over the detuning window, got {self.gamma_ratio}"
             )
+        # the largest transfer a spectrum reaches, back-scattering at the window's edge, must be finite
+        edge = 2.0 * self.kla * (1.0 + self.gamma_ratio * VARPI_QUAD_WINDOW)
+        if not math.isfinite(edge * edge):
+            raise ValueError(f"kla must keep the back-scatter transfer (2k'a)^2 finite, got {self.kla!r}")
 
 
 def kinematics(trap, theta, varpi):

@@ -1,9 +1,17 @@
-"""Brute-force reference implementations for the test suite.
+"""Reference implementations that the fast paths are checked against.
 
-Everything here favors being obviously correct over being fast: explicit
-occupation tables, factorial-series displacement elements (independent of
-the recurrence kernels), and plain nested loops over all level triples.
-Intended for per-axis cutoffs of at most 8.
+Everything here favors being obviously correct over being fast:
+
+* checked scalar entry points to the ``_kernels`` recurrences.  Laguerre
+  values are the scaled e^{-x/2} L_n^alpha(x), polynomially bounded in n
+  where the unscaled polynomials overflow.  Squared displacement
+  (Franck-Condon) elements, with mn = min(n, m) and d = |n - m|, are
+  |<n|D(xi)|m>|^2 = (mn!/(mn+d)!) x^d e^{-x} [L_mn^d(x)]^2, x = |xi|^2;
+* independent checks on them: the log-gamma form of those elements, the
+  Laguerre addition theorem and the unitarity row sum;
+* brute sums for per-axis cutoffs of at most 8: explicit occupation
+  tables, factorial-series displacement elements and plain nested loops
+  over all level triples.
 """
 
 import math
@@ -11,7 +19,100 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmech import occupation
+from . import _kernels
+from .statmech import _checked_int, occupation
+
+
+def _check_x(x):
+    if x < 0.0 or not math.isfinite(x):
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+
+
+def laguerre_scaled_table(n_max, alpha, x):
+    """Array of e^{-x/2} L_n^alpha(x) for n = 0..n_max, by forward
+    recurrence on the scaled sequence."""
+    n_max = _checked_int("n", n_max)
+    alpha = _checked_int("alpha", alpha)
+    _check_x(x)
+    return np.fromiter(_kernels._laguerre_rows(n_max, float(alpha), float(x)), np.float64, n_max + 1)
+
+
+def laguerre_scaled(n, alpha, x):
+    """e^{-x/2} L_n^alpha(x), the last entry of its table."""
+    return float(laguerre_scaled_table(n, alpha, x)[-1])
+
+
+def fc_matrix(size, x):
+    """Dense table M[n, m] = |<n|D(xi)|m>|^2 for n, m = 0..size."""
+    size = _checked_int("size", size)
+    _check_x(x)
+    return _kernels.fc_matrix(size, float(x))
+
+
+def franck_condon_sq(n, m, x):
+    """|<n|D(xi)|m>|^2 with x = |xi|^2, symmetric in (n, m), in [0, 1]:
+    element (n, m) of ``fc_matrix(max(n, m), x)``."""
+    n, m = _checked_int("n", n), _checked_int("m", m)
+    return float(fc_matrix(max(n, m), x)[n, m])
+
+
+def franck_condon_sq_loggamma(n, m, x):
+    """Direct log-gamma evaluation of |<n|D(xi)|m>|^2.
+
+    Independent of the amplitude recurrence; used to validate it.  The
+    prefactor and the squared Laguerre factor are multiplied in log space,
+    exp(log_pref + 2 log|L|), so a tiny prefactor (e^{log_pref} underflows
+    for small x and large d) does not zero an element of normal size.
+    """
+    n, m = _checked_int("n", n), _checked_int("m", m)
+    _check_x(x)
+    mn, d = min(n, m), abs(n - m)
+    if x == 0.0:
+        return 1.0 if d == 0 else 0.0
+    scaled = laguerre_scaled(mn, d, x)  # e^{-x/2} L_mn^d(x)
+    if scaled == 0.0:
+        return 0.0
+    log_pref = math.lgamma(mn + 1.0) - math.lgamma(mn + d + 1.0) + d * math.log(x)
+    return math.exp(log_pref + 2.0 * math.log(abs(scaled)))
+
+
+def laguerre_addition_check(n, xs):
+    """Residual of the three-variable Laguerre addition theorem.
+
+    sum_{i+j+k=n} L_i(x1) L_j(x2) L_k(x3) = L_n^{(2)}(x1+x2+x3); returns
+    |lhs - rhs| / max(1, |rhs|), computed on the scaled sequences (which
+    leaves the quotient unchanged).
+    """
+    x1, x2, x3 = (float(v) for v in xs)
+    n = _checked_int("n", n)
+    t1, t2, t3 = (laguerre_scaled_table(n, 0, v) for v in (x1, x2, x3))  # each checks its x
+    lhs = 0.0
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            lhs += t1[i] * t2[j] * t3[n - i - j]
+    total = x1 + x2 + x3
+    rhs = laguerre_scaled(n, 2, total)
+    return abs(lhs - rhs) / max(math.exp(-0.5 * total), abs(rhs))
+
+
+def franck_condon_row_sum(n, x, *, tol=1e-12):
+    """sum_m |<n|D(xi)|m>|^2 with the cutoff grown until the sum settles.
+
+    Converges to 1 (displacement operators are unitary); the residual from
+    1 is a direct stability diagnostic for the matrix builder.  A sum that
+    has not settled over eight cutoffs raises RuntimeError.
+    """
+    n = _checked_int("n", n)
+    _check_x(x)
+    size = int(n + x + 12.0 * math.sqrt(x * (n + 1.0)) + 40.0)
+    prev = None
+    for _ in range(8):
+        s = float(np.sum(fc_matrix(size, x)[n]))
+        if prev is not None and abs(s - prev) <= tol * max(1.0, abs(s)):
+            return s
+        last, prev = prev, s
+        size = int(size * 1.6) + 16
+    raise RuntimeError(f"row sum of n={n} at x={x!r} did not settle: last two sums {last!r}, {prev!r}")
 
 
 def diagonal_element(n, x):

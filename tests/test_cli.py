@@ -116,6 +116,8 @@ class TestConfig:
             pytest.param({"atoms": "abc"}, [], "atoms", id="atoms-text"),
             pytest.param({"atoms": True}, [], "atoms", id="atoms-bool"),
             pytest.param({"kla": True}, [], "kla", id="kla-bool"),
+            # back-scattering at the detuning window's edge would overflow x
+            pytest.param(None, ["--kla", "1e160"], "kla", id="kla-past-float-range"),
             pytest.param({"threads": True}, [], "threads", id="threads-bool"),
             pytest.param(None, ["--atoms", "1", "--temperature", "1EF"], "temperatures", id="one-atom-in-ef"),
             pytest.param(None, ["--gamma-ratio", "0.2"], "gamma_ratio", id="gamma-ratio-broadband"),
@@ -155,6 +157,14 @@ class TestConfig:
         rc = main(args)
         assert rc == 2
         assert fieldname in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["formfunc", "spectrum", "total"])
+    def test_kla_past_float_range_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "big"
+        rc = main([command, "--atoms", "100", "--temperature", "1EF", "--kla", "1e160", "--output", str(out)])
+        assert rc == 2
+        assert "kla" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_threads_zero_exit_2(self, capsys):
         rc = main(["fugacity", "--atoms", "100", "--threads", "0"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fermipulse as fp
+from fermipulse.model import VARPI_QUAD_WINDOW
 
 
 def vector_oracle(kla, gamma_ratio, theta, varpi):
@@ -90,3 +91,13 @@ class TestTrapModel:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             fp.TrapModel(**kwargs)
+
+    def test_kla_bound_keeps_back_scatter_finite(self):
+        # (2 kla (1 + gamma_ratio 12))^2 passes the float range near 6.70e153
+        # at the default gamma_ratio, and near 3.42e153 at 0.08
+        for kla, gamma_ratio in ((6.7e153, fp.TrapModel.gamma_ratio), (3.4e153, 0.08)):
+            trap = fp.TrapModel(kla=kla, gamma_ratio=gamma_ratio)
+            x = fp.kinematics(trap, math.pi, np.array([-VARPI_QUAD_WINDOW, VARPI_QUAD_WINDOW]))
+            assert np.isfinite(x).all()
+            with pytest.raises(ValueError, match="kla"):
+                fp.TrapModel(kla=1.01 * kla, gamma_ratio=gamma_ratio)

@@ -227,3 +227,28 @@ class TestExtendedPrecision:
             image, _ = formfunc._node_terms(st, path, True)
             pairs = eps * sum(np.abs(c).sum() for c, _ in image)
             assert np.abs(inc - want[:, 1]).max() <= 4.0 * pairs
+
+
+class TestClosedShell:
+    """At T = 0 a closed-shell gas, N = C(n_F + 3, 3), fills shells 0..n_F
+    exactly, and since sum_{n <= n_F} L_n^(2) = L_{n_F}^(3) the coherent
+    amplitude is e^{-x/2} L_{n_F}^(3)(x), free of the occupation table.
+    At tau <= 0.01 the open shells hold less than e^{-50}; the table path
+    lands within 8e-17 N^2 of mpmath's value squared (up to 1e-12 N^2 at
+    tau = 0.02, where finite-temperature terms enter)."""
+
+    XS = np.linspace(0.0, 400.0, 401)
+
+    @pytest.mark.parametrize("tau", [0.01, 1e-4])
+    @pytest.mark.parametrize("n_fermi", [5, 20, 60])
+    def test_table_path_matches_closed_form(self, n_fermi, tau):
+        n = math.comb(n_fermi + 3, 3)
+        st = fp.solve_fugacity(n, tau)
+        with mpmath.workdps(40):
+            want = np.array(
+                [float((mpmath.exp(-mpmath.mpf(x) / 2) * mpmath.laguerre(n_fermi, 3, x)) ** 2) for x in self.XS.tolist()]
+            )
+        assert want[0] == n * n
+        for method in ("auto", "laguerre"):
+            got = fp.coherent_form(st, self.XS, method)
+            assert np.abs(got - want).max() <= 1e-12 * n * n

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_genlaguerre, eval_hermite
 
 import fermipulse as fp
-from fermipulse.specfun import franck_condon_row_sum
+from fermipulse import oracle
 
 
 def overlap_oracle(n, m, dk, r_max=24.0, points=6001):
@@ -122,7 +122,13 @@ class TestFranckCondon:
     def test_unitarity_row_sums(self):
         for n in (0, 7, 25, 50):
             for x in (0.3, 5.0, 50.0):
-                assert franck_condon_row_sum(n, x) == pytest.approx(1.0, abs=1e-8)
+                assert oracle.franck_condon_row_sum(n, x) == pytest.approx(1.0, abs=1e-8)
+
+    def test_unsettled_row_sum_raises(self, monkeypatch):
+        # a row that grows with the cutoff never settles: its last sum is not a row sum
+        monkeypatch.setattr(oracle, "fc_matrix", lambda size, x: np.full((size + 1, size + 1), 1e-3))
+        with pytest.raises(RuntimeError, match=r"n=3 at x=0\.5 did not settle: last two sums"):
+            oracle.franck_condon_row_sum(3, 0.5)
 
 
 class TestAdditionTheorem:
